@@ -1,8 +1,7 @@
 """Exception taxonomy shared by all epolylog modules.
 
 Each numerical or combinatorial failure mode gets its own class so callers
-(and the CLI, which maps them to exit codes) can react without string
-matching.  Everything derives from EpolylogError.
+can react without string matching.  Everything derives from EpolylogError.
 """
 
 
@@ -54,21 +53,5 @@ class SizeBudgetExceeded(EpolylogError):
     """A symbolic expansion grew past the configured term budget."""
 
 
-class BadPermutation(EpolylogError):
-    """Sector permutation is not a permutation of {1, ..., n+1}."""
-
-
 class Inadmissible(EpolylogError):
-    """Base point violates the admissibility conditions for averaging."""
-
-
-class OutOfWindow(EpolylogError):
-    """Weights u_i outside the open convergence window 1 < u_i < 1/|q|."""
-
-
-class TailModelMissing(EpolylogError):
-    """Termwise tail subtraction has no model at this depth."""
-
-
-class SchemeDisagreement(EpolylogError):
-    """Two regularization schemes disagree beyond tolerance."""
+    """The spiral family through a base point meets a real q-power."""

@@ -8,6 +8,7 @@ assembled through the string coproduct.
 
 import cmath
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -274,6 +275,13 @@ def _conv(a, b):
     return convolve_product(np.asarray(a)[None], np.asarray(b)[None])[0]
 
 
+def _debye_column(t, K, tol):
+    """Depth-1 coefficients of t^{-b} sum_m Li_m(t) b^{m-1} (principal log)."""
+    if t == 0:
+        return np.zeros(K, dtype=complex)
+    return _conv(_exp_coeffs(cmath.log(t), K), _li_column(t, K, tol))
+
+
 def _series_from_array(arr, vars):
     arr = np.asarray(arr)
     terms = {}
@@ -305,34 +313,23 @@ def _embed_cols(c, K):
     return out
 
 
-def _spread(c, K):
-    """Re-expand a column in s = b1 + b2 against (b1, b2)."""
-    out = np.zeros((K, K), dtype=complex)
-    for k in range(min(len(c), K)):
-        ck = c[k]
-        if ck == 0:
-            continue
-        w = 1.0
-        for j in range(k + 1):
-            out[j, k - j] += w * ck
-            w = w * (k - j) / (j + 1)
-    return out
+@lru_cache(maxsize=8)
+def _binomials(K):
+    """T[i, j, i+k, j-k] = C(j, k): b1^i s^j re-expanded with s = b1 + b2."""
+    i, j, k = np.indices((K, K, K))
+    keep = (k <= j) & (i + k < K)
+    i, j, k = i[keep], j[keep], k[keep]
+    T = np.zeros((K,) * 4)
+    T[i, j, i + k, j - k] = [math.comb(a, b) for a, b in zip(j, k)]
+    return T
 
 
-def _spread_table(tab, K):
-    """Re-expand a table in (b1, s = b1 + b2) against (b1, b2)."""
-    out = np.zeros((K, K), dtype=complex)
-    for i in range(K):
-        for j in range(K):
-            c = tab[i, j]
-            if c == 0:
-                continue
-            w = 1.0
-            for k in range(j + 1):
-                if i + k < K:
-                    out[i + k, j - k] += w * c
-                w = w * (j - k) / (k + 1)
-    return out
+def _spread(tab, K):
+    """Re-expand a table in (b1, s = b1 + b2) against (b1, b2); a 1-D column
+    in s alone is the table's b1^0 row."""
+    tab = np.atleast_2d(tab)[:K, :K]
+    T = _binomials(K)[: tab.shape[0], : tab.shape[1]]
+    return np.tensordot(tab, T, axes=2)
 
 
 def debye_lambda(r, pt, K, delta=DEFAULT_MARGIN, tol=1e-15):
@@ -351,13 +348,8 @@ def debye_lambda(r, pt, K, delta=DEFAULT_MARGIN, tol=1e-15):
         raise OutOfRegion(f"|t| too close to 1 (margin {delta})")
     if r == 1:
         (t,) = pt.ts
-        if t == 0:
-            value = MultiSeries.zero(("b",), K - 1)
-            return DebyeSeries(pt, value, "origin-canonical", (0.0,), None)
-        lt = cmath.log(t)
-        body = _li_column(t, K, tol)
-        arr = _conv(_exp_coeffs(lt, K), body)
-        value = _series_from_array(arr, ("b",))
+        value = _series_from_array(_debye_column(t, K, tol), ("b",))
+        lt = cmath.log(t) if t != 0 else 0.0
         return DebyeSeries(pt, value, "origin-canonical", (lt,), None)
     if r == 2:
         t1, t2 = pt.ts
@@ -368,14 +360,11 @@ def debye_lambda(r, pt, K, delta=DEFAULT_MARGIN, tol=1e-15):
         # re-expanding (b1, b1+b2) -> (b1, b2) pulls in totals up to 2K-2,
         # so the rectangle is only exact when built at padded order
         Kp = 2 * K - 1
-        body = _spread_table(_nested_table(t1, t2, Kp, tol), Kp)
+        body = _spread(_nested_table(t1, t2, Kp, tol), Kp)
         pref = np.outer(_exp_coeffs(l1, Kp), _exp_coeffs(l2, Kp))
         arr = _conv(pref, body)[:K, :K]
         value = _series_from_array(arr, ("b1", "b2"))
-        channels = {
-            "c1": _conv(_exp_coeffs(l1, Kp), _li_column(t1, Kp, tol)),
-            "c2": _conv(_exp_coeffs(l2, Kp), _li_column(t2, Kp, tol)),
-        }
+        channels = {"c1": _debye_column(t1, Kp, tol), "c2": _debye_column(t2, Kp, tol)}
         return DebyeSeries(pt, value, "origin-canonical", (l1, l2), channels)
     raise ValueError("depth 1 or 2 only")
 
@@ -383,40 +372,14 @@ def debye_lambda(r, pt, K, delta=DEFAULT_MARGIN, tol=1e-15):
 # ----------------------------------------------------------------- transport
 
 
-def _g1(arc, K):
-    """Coefficients of w^{-b} dw/(1-w) along an arc, as a (K,) array form."""
+def _form(arc, K, place=None):
+    """Coefficients of w^{-b} dw/(1-w) along an arc: a (K,) column, or that
+    column laid into a K x K block by place (_embed_rows, _embed_cols or
+    _spread)."""
 
     def f(_arc, u):
-        l = arc.log_point(u)
-        s = arc.velocity(u) / (1.0 - arc.point(u))
-        return _exp_coeffs(l, K) * s
-
-    return BranchedForm(f)
-
-
-def _g2_rows(arc, K):
-    def f(_arc, u):
-        l = arc.log_point(u)
-        s = arc.velocity(u) / (1.0 - arc.point(u))
-        return _embed_rows(_exp_coeffs(l, K) * s, K)
-
-    return BranchedForm(f)
-
-
-def _g2_cols(arc, K):
-    def f(_arc, u):
-        l = arc.log_point(u)
-        s = arc.velocity(u) / (1.0 - arc.point(u))
-        return _embed_cols(_exp_coeffs(l, K) * s, K)
-
-    return BranchedForm(f)
-
-
-def _g2_spread(arc, K):
-    def f(_arc, u):
-        l = arc.log_point(u)
-        s = arc.velocity(u) / (1.0 - arc.point(u))
-        return _spread(_exp_coeffs(l, K) * s, K)
+        col = _exp_coeffs(arc.log_point(u), K) * (arc.velocity(u) / (1.0 - arc.point(u)))
+        return col if place is None else place(col, K)
 
     return BranchedForm(f)
 
@@ -491,30 +454,28 @@ def _double(path, outer, inner, tol):
 
 
 def _state_from(series):
+    """Transport state: per-coordinate logs and points, and per coordinate
+    the depth-1 column lam (for depth 1 that is the value itself; depth 2
+    keeps its value in table and the channels at padded order in lam)."""
     K = series.order()
-    if series.depth == 1:
-        return {
-            "K": K,
-            "lam": _array_from_series(series.value, K),
-            "log": series.logs[0],
-            "t": series.point.ts[0],
-        }
-    if series.channels is None:
-        raise ValueError("depth-2 series without transport channels")
-    c1 = np.asarray(series.channels["c1"], dtype=complex)
-    c2 = np.asarray(series.channels["c2"], dtype=complex)
-    Kp = min(len(c1), len(c2))
-    if Kp < 2 * K - 1:
-        raise ValueError("channels shorter than 2K-1: rectangle would go stale")
-    return {
+    state = {
         "K": K,
-        "Kp": Kp,
-        "lam2": _array_from_series(series.value, K),
-        "c1": c1.copy(),
-        "c2": c2.copy(),
+        "vars": series.value.vars,
         "logs": list(series.logs),
         "ts": list(series.point.ts),
     }
+    value = _array_from_series(series.value, K)
+    if series.depth == 1:
+        state["lam"] = [value]
+        return state
+    if series.channels is None:
+        raise ValueError("depth-2 series without transport channels")
+    lam = [np.array(series.channels[c], dtype=complex) for c in ("c1", "c2")]
+    Kp = min(len(c) for c in lam)
+    if Kp < 2 * K - 1:
+        raise ValueError("channels shorter than 2K-1: rectangle would go stale")
+    state.update(Kp=Kp, table=value, lam=lam)
+    return state
 
 
 def _rebase(arc, t, l):
@@ -530,95 +491,85 @@ def _rebase(arc, t, l):
     raise TypeError(f"unsupported arc type {type(arc).__name__}")
 
 
+def _advance(state, path, arcs, tol):
+    """Integrate the channel of every moving coordinate (arc not None) and
+    move its log and point to the arc end."""
+    lam = state["lam"]
+    for i, arc in enumerate(arcs):
+        if arc is not None:
+            lam[i] = lam[i] + _single(path, _form(arc, len(lam[i])), tol)
+            state["logs"][i] = arc.end_log()
+            state["ts"][i] = arc.point(1.0)
+
+
 def _leg_depth1(state, arc, tol, clearance):
-    K = state["K"]
-    arc = _rebase(arc, state["t"], state["log"])
+    arc = _rebase(arc, state["ts"][0], state["logs"][0])
     _check_clear([arc], clearance)
-    state["lam"] = state["lam"] + _single(PathSpec([arc]), _g1(arc, K), tol)
-    state["log"] = arc.end_log()
-    state["t"] = arc.point(1.0)
+    _advance(state, _spine([arc]), [arc], tol)
+
+
+def _leg2(state, arc1, arc2, arc_a, arc_c, tol, clearance):
+    """Advance a depth-2 state along arc1 (t1) and arc2 (t2), with arc_a and
+    arc_c the matching paths of t1/t2 and t2/t1.  None marks a coordinate
+    that stays fixed: the terms whose form sits on it integrate to 0 and
+    are skipped."""
+    K, Kp = state["K"], state["Kp"]
+    c1, c2 = state["lam"]
+    arcs = [a for a in (arc1, arc2, arc_a, arc_c) if a is not None]
+    _check_clear(arcs, clearance)
+    path = _spine(arcs)
+    ga = _form(arc_a, Kp, _embed_rows)
+    gc = _form(arc_c, Kp, _embed_cols)
+    d = _conv(_single(path, ga, tol), _spread(c2, Kp))
+    if arc2 is not None:
+        gb = _form(arc2, Kp, _embed_cols)
+        d = d + _double(path, ga, _form(arc2, Kp, _spread), tol)
+        d = d + _conv(_single(path, gb, tol), _embed_rows(c1, Kp))
+        if arc1 is not None:
+            d = d + _double(path, gb, _form(arc1, Kp, _embed_rows), tol)
+    d = d - _conv(_single(path, gc, tol), _spread(c1, Kp))
+    if arc1 is not None:
+        d = d - _double(path, gc, _form(arc1, Kp, _spread), tol)
+    state["table"] = state["table"] + d[:K, :K]
+    _advance(state, path, [arc1, arc2], tol)
 
 
 def _leg_axis(state, j, arc, tol, clearance):
     """Move one coordinate of a depth-2 state along an arc."""
-    K = state["K"]
-    l1, l2 = state["logs"]
-    t1, t2 = state["ts"]
-    Kp = state["Kp"]
+    (l1, l2), (t1, t2) = state["logs"], state["ts"]
     if j == 1:
         arc1 = _rebase(arc, t1, l1)
-        arc_a = _RatioArc(arc1, t2, l2)
-        arc_c = _InvRatioArc(t2, l2, arc1)
-        _check_clear([arc1, arc_a, arc_c], clearance)
-        path = _spine([arc1, arc_a, arc_c])
-        ga = _g2_rows(arc_a, Kp)
-        gc = _g2_cols(arc_c, Kp)
-        d = _conv(_single(path, ga, tol), _spread(state["c2"], Kp))
-        d = d - _conv(_single(path, gc, tol), _spread(state["c1"], Kp))
-        d = d - _double(path, gc, _g2_spread(arc1, Kp), tol)
-        state["lam2"] = state["lam2"] + d[:K, :K]
-        state["c1"] = state["c1"] + _single(path, _g1(arc1, Kp), tol)
-        state["logs"][0] = arc1.end_log()
-        state["ts"][0] = arc1.point(1.0)
-        return
-    if j == 2:
+        arcs = (arc1, None, _RatioArc(arc1, t2, l2), _InvRatioArc(t2, l2, arc1))
+    elif j == 2:
         arc2 = _rebase(arc, t2, l2)
-        arc_a = _InvRatioArc(t1, l1, arc2)
-        arc_c = _RatioArc(arc2, t1, l1)
-        _check_clear([arc2, arc_a, arc_c], clearance)
-        path = _spine([arc2, arc_a, arc_c])
-        ga = _g2_rows(arc_a, Kp)
-        gb = _g2_cols(arc2, Kp)
-        gc = _g2_cols(arc_c, Kp)
-        d = _conv(_single(path, ga, tol), _spread(state["c2"], Kp))
-        d = d + _double(path, ga, _g2_spread(arc2, Kp), tol)
-        d = d + _conv(_single(path, gb, tol), _embed_rows(state["c1"], Kp))
-        d = d - _conv(_single(path, gc, tol), _spread(state["c1"], Kp))
-        state["lam2"] = state["lam2"] + d[:K, :K]
-        state["c2"] = state["c2"] + _single(path, _g1(arc2, Kp), tol)
-        state["logs"][1] = arc2.end_log()
-        state["ts"][1] = arc2.point(1.0)
-        return
-    raise ValueError("coordinate index must be 1 or 2")
+        arcs = (None, arc2, _InvRatioArc(t1, l1, arc2), _RatioArc(arc2, t1, l1))
+    else:
+        raise ValueError("coordinate index must be 1 or 2")
+    _leg2(state, *arcs, tol, clearance)
 
 
 def _leg_diag(state, m, tau, tol, clearance):
     """Move both coordinates simultaneously along their spirals."""
-    K = state["K"]
-    Kp = state["Kp"]
-    l1, l2 = state["logs"]
-    t1, t2 = state["ts"]
-    arc1 = SpiralArc(t1, m[0], tau, log_t=l1)
-    arc2 = SpiralArc(t2, m[1], tau, log_t=l2)
-    arc_a = SpiralArc(t1 / t2, m[0] - m[1], tau, log_t=l1 - l2)
-    arc_c = SpiralArc(t2 / t1, m[1] - m[0], tau, log_t=l2 - l1)
-    _check_clear([arc1, arc2, arc_a, arc_c], clearance)
-    path = _spine([arc1, arc2, arc_a, arc_c])
-    ga = _g2_rows(arc_a, Kp)
-    gb = _g2_cols(arc2, Kp)
-    gc = _g2_cols(arc_c, Kp)
-    d = _conv(_single(path, ga, tol), _spread(state["c2"], Kp))
-    d = d + _double(path, ga, _g2_spread(arc2, Kp), tol)
-    d = d + _conv(_single(path, gb, tol), _embed_rows(state["c1"], Kp))
-    d = d + _double(path, gb, _g2_rows(arc1, Kp), tol)
-    d = d - _conv(_single(path, gc, tol), _spread(state["c1"], Kp))
-    d = d - _double(path, gc, _g2_spread(arc1, Kp), tol)
-    state["lam2"] = state["lam2"] + d[:K, :K]
-    state["c1"] = state["c1"] + _single(path, _g1(arc1, Kp), tol)
-    state["c2"] = state["c2"] + _single(path, _g1(arc2, Kp), tol)
-    state["logs"] = [arc1.end_log(), arc2.end_log()]
-    state["ts"] = [arc1.point(1.0), arc2.point(1.0)]
+    (l1, l2), (t1, t2) = state["logs"], state["ts"]
+    _leg2(
+        state,
+        SpiralArc(t1, m[0], tau, log_t=l1),
+        SpiralArc(t2, m[1], tau, log_t=l2),
+        SpiralArc(t1 / t2, m[0] - m[1], tau, log_t=l1 - l2),
+        SpiralArc(t2 / t1, m[1] - m[0], tau, log_t=l2 - l1),
+        tol,
+        clearance,
+    )
 
 
-def _wrap_state(state, depth, tag):
-    K = state["K"]
-    if depth == 1:
-        pt = SimplicialPoint((state["t"],))
-        value = _series_from_array(state["lam"], ("b",))
-        return DebyeSeries(pt, value, tag, (state["log"],), None)
+def _wrap_state(state, tag):
+    lam = state["lam"]
+    if "table" in state:
+        value, channels = state["table"], {"c1": lam[0], "c2": lam[1]}
+    else:
+        value, channels = lam[0], None
     pt = SimplicialPoint(tuple(state["ts"]))
-    value = _series_from_array(state["lam2"], ("b1", "b2"))
-    channels = {"c1": state["c1"], "c2": state["c2"]}
+    value = _series_from_array(value, state["vars"])
     return DebyeSeries(pt, value, tag, tuple(state["logs"]), channels)
 
 
@@ -637,7 +588,7 @@ def continue_debye(series, legs, tol=DEFAULT_TOL, clearance=1e-3):
         for j, arc in legs:
             _leg_axis(state, j, arc, tol, clearance)
     tag = series.branch_tag + f" -> continued[{len(legs)} legs]"
-    return _wrap_state(state, series.depth, tag)
+    return _wrap_state(state, tag)
 
 
 def transport_debye(shift, K, route="diagonal", tol=DEFAULT_TOL, clearance=1e-3):
@@ -652,21 +603,18 @@ def transport_debye(shift, K, route="diagonal", tol=DEFAULT_TOL, clearance=1e-3)
     tau = complex(shift.context.tau)
     state = _state_from(base)
     if base.depth == 1:
-        arc = SpiralArc(state["t"], shift.m[0], tau, log_t=state["log"])
+        arc = SpiralArc(state["ts"][0], shift.m[0], tau, log_t=state["logs"][0])
         _leg_depth1(state, arc, tol, clearance)
     elif route == "diagonal":
         _leg_diag(state, shift.m, tau, tol, clearance)
     elif route == "axes":
-        l1, l2 = state["logs"]
-        t1, t2 = state["ts"]
-        _leg_axis(state, 1, SpiralArc(t1, shift.m[0], tau, log_t=l1), tol, clearance)
-        _leg_axis(
-            state, 2, SpiralArc(t2, shift.m[1], tau, log_t=state["logs"][1]), tol, clearance
-        )
+        for j, m in enumerate(shift.m, 1):
+            arc = SpiralArc(state["ts"][j - 1], m, tau, log_t=state["logs"][j - 1])
+            _leg_axis(state, j, arc, tol, clearance)
     else:
         raise ValueError(f"unknown route {route!r}")
     tag = f"transported[spiral m={shift.m} route={route}] <- origin-canonical"
-    return _wrap_state(state, base.depth, tag)
+    return _wrap_state(state, tag)
 
 
 def transport_ray(pt, j, factor, K, tol=DEFAULT_TOL, clearance=1e-3, delta=DEFAULT_MARGIN):
@@ -805,10 +753,7 @@ def asymptotic_eval(r, J, pt, K, constants=None, symbolic=False, delta=DEFAULT_M
         return reg + c_pole * _inv_linear([complex(c) for c in lab], vars, K)
 
     def lam_series(ratio, lab):
-        col = _array_from_series(
-            debye_lambda(1, SimplicialPoint((ratio,)), M + 1).value, M + 1
-        )
-        return _compose_linear(col, lab, vars, M)
+        return _compose_linear(_debye_column(ratio, M + 1, 1e-15), lab, vars, M)
 
     def lam_realize(s):
         """Depth-1 value at the surviving ratio argument; outside the unit

@@ -130,26 +130,11 @@ class PathSpec:
                     )
         return self
 
-    def start(self):
-        return self.arcs[0].point(0.0)
-
-    def end(self):
-        return self.arcs[-1].point(1.0)
-
     def reversed(self):
         rev = []
         for arc in reversed(self.arcs):
             rev.append(_ReversedArc(arc))
         return PathSpec(rev, self.singular, self.clearance)
-
-    def __add__(self, other):
-        if self.singular != other.singular and other.singular:
-            sing = list(dict.fromkeys(self.singular + other.singular))
-        else:
-            sing = self.singular
-        return PathSpec(
-            self.arcs + other.arcs, sing, min(self.clearance, other.clearance)
-        )
 
 
 class _ReversedArc:
@@ -183,16 +168,15 @@ class BranchedForm:
         return self.f(arc, u)
 
 
+def _eval_form(w, arc, u):
+    if isinstance(w, BranchedForm):
+        return w(arc, u)
+    return w(arc.point(u), arc.velocity(u))
+
+
 def _sample_forms(forms, arc, u0, u1, x):
     us = u0 + (u1 - u0) * (x + 1.0) / 2.0
-    rows = []
-    for w in forms:
-        if isinstance(w, BranchedForm):
-            vals = [w(arc, u) for u in us]
-        else:
-            vals = [w(arc.point(u), arc.velocity(u)) for u in us]
-        rows.append(np.asarray(vals, dtype=complex))
-    return rows
+    return [np.asarray([_eval_form(w, arc, u) for u in us], dtype=complex) for w in forms]
 
 
 def _default_product(f, g):
@@ -234,12 +218,34 @@ def _diff(a, b):
     return float(np.max(np.abs(d)))
 
 
-def iterated_integral_all_prefixes(
+def _zero_inits(forms, path, product):
+    """Zero starting values with the correct shapes, including shape growth
+    under non-pointwise products (e.g. outer products of coefficient rows)."""
+    n = len(forms)
+    arc = path.arcs[0]
+    inits = [1.0 + 0.0j]
+    block = None
+    for k in range(1, n + 1):
+        probe = np.asarray(_eval_form(forms[n - k], arc, 0.5))
+        probe = probe.reshape((1,) + probe.shape)
+        block = probe if k == 1 else product(probe, block)
+        if block.shape == (1,):
+            inits.append(0.0 + 0.0j)
+        else:
+            inits.append(np.zeros(block.shape[1:], dtype=complex))
+    return inits
+
+
+def iterated_integral(
     path, forms, order=16, tol=1e-11, max_depth=12, product=_default_product
 ):
-    """Iterated integrals of every suffix of `forms` along `path`: returns
-    [1, int w_n, int w_{n-1} w_n, ..., int w_1 ... w_n]."""
-    n = len(forms)
+    """Iterated integral of `forms` along `path` (w_1 outermost).
+
+    With a single form this is the ordinary contour integral; an empty form
+    list integrates to 1.
+    """
+    if not forms:
+        return 1.0
     inner = _zero_inits(forms, path, product)
     for arc in path.arcs:
         p = arc.suggested_panels()
@@ -260,44 +266,7 @@ def iterated_integral_all_prefixes(
                 stack.append((u0, um, depth + 1))
             else:
                 inner = hi
-    return inner
-
-
-def _zero_inits(forms, path, product):
-    """Zero starting values with the correct shapes, including shape growth
-    under non-pointwise products (e.g. outer products of coefficient rows)."""
-    n = len(forms)
-    arc = path.arcs[0]
-    inits = [1.0 + 0.0j]
-    block = None
-    for k in range(1, n + 1):
-        w = forms[n - k]
-        if isinstance(w, BranchedForm):
-            probe = np.asarray(w(arc, 0.5))
-        else:
-            probe = np.asarray(w(arc.point(0.5), arc.velocity(0.5)))
-        probe = probe.reshape((1,) + probe.shape)
-        block = probe if k == 1 else product(probe, block)
-        if block.shape == (1,):
-            inits.append(0.0 + 0.0j)
-        else:
-            inits.append(np.zeros(block.shape[1:], dtype=complex))
-    return inits
-
-
-def iterated_integral(
-    path, forms, order=16, tol=1e-11, max_depth=12, product=_default_product
-):
-    """Iterated integral of `forms` along `path` (w_1 outermost).
-
-    With a single form this is the ordinary contour integral; an empty form
-    list integrates to 1.
-    """
-    if not forms:
-        return 1.0
-    return iterated_integral_all_prefixes(
-        path, forms, order=order, tol=tol, max_depth=max_depth, product=product
-    )[-1]
+    return inner[-1]
 
 
 def path_integral(path, form, order=16, tol=1e-11, max_depth=12):

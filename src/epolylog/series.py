@@ -20,7 +20,7 @@ Window semantics follow the usual rules for truncated arithmetic:
 
 Coefficients are whatever supports ring arithmetic: complex, Fraction,
 mpmath.mpc, numpy scalars.  Exact zero coefficients are pruned; tiny numeric
-coefficients are kept (call `prune` explicitly when needed).
+coefficients are kept.
 
 Dropping a coefficient above max_order is sound (that knowledge was never
 claimed); dropping one below a requested min_order is not, and raises
@@ -158,21 +158,6 @@ class MultiSeries:
             if out._below(e):
                 raise PoleOverflow(f"restrict would drop live term {e}")
             out.terms[e] = c
-        return out
-
-    def widen(self, max_order=None, min_order=None):
-        """Loosen the pole bound / claim nothing new (max can only shrink
-        knowledge, so widening max is refused)."""
-        k = len(self.vars)
-        if min_order is None:
-            min_order = self.min_order
-        elif isinstance(min_order, int):
-            min_order = (min_order,) * k
-        min_order = tuple(min(a, b) for a, b in zip(min_order, self.min_order))
-        out = MultiSeries.zero(self.vars, self.max_order if max_order is None else max_order, min_order)
-        for e, c in self.terms.items():
-            if not out._above(e):
-                out.terms[e] = c
         return out
 
     def _check_vars(self, other):
@@ -467,22 +452,6 @@ class MultiSeries:
                     m = m * x**n
             total = total + m
         return total
-
-    def prune(self, tol=0.0):
-        out = MultiSeries.zero(self.vars, self.max_order, self.min_order)
-        out.terms = {e: c for e, c in self.terms.items() if abs(c) > tol}
-        return out
-
-    def map_coeff(self, f):
-        out = MultiSeries.zero(self.vars, self.max_order, self.min_order)
-        for e, c in self.terms.items():
-            c2 = f(c)
-            if not _is_zero(c2):
-                out.terms[e] = c2
-        return out
-
-    def max_abs_coeff(self):
-        return max((abs(c) for c in self.terms.values()), default=0.0)
 
     def diff_norm(self, other):
         """max |coeff difference| over the intersection window."""
