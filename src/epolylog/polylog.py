@@ -154,10 +154,14 @@ class SpiralShift:
 
 
 def _tail_length(mod, tol, lo=24, hi=20000):
+    """Terms of a power series in |x| = mod whose geometric tail is below
+    tol; OutOfRegion when that takes more than hi terms."""
     if mod <= 0:
         return lo
-    n = math.log(tol * (1.0 - mod)) / math.log(mod)
-    return min(hi, max(lo, int(math.ceil(n)) + 4))
+    n = max(lo, int(math.ceil(math.log(tol * (1.0 - mod)) / math.log(mod))) + 4)
+    if n > hi:
+        raise OutOfRegion(f"|x| = {mod} needs {n} terms for tolerance {tol:.1e} (limit {hi})")
+    return n
 
 
 def _li_nested(xs, orders, tol):
@@ -262,13 +266,11 @@ def _nested_table(t1, t2, K, tol):
 
 
 def _exp_coeffs(l, K):
-    """Coefficients of exp(-b*l) up to b^{K-1}."""
-    out = np.empty(K, dtype=complex)
-    term = 1.0 + 0.0j
-    for k in range(K):
-        out[k] = term
-        term *= -l / (k + 1)
-    return out
+    """Coefficients of exp(-b*l) up to b^{K-1}, on a trailing axis after the
+    shape of l (one log or an array of them)."""
+    l = np.asarray(l, dtype=complex)[..., None]
+    steps = np.concatenate([np.ones_like(l), -l / np.arange(1, K)], axis=-1)
+    return np.cumprod(steps, axis=-1)
 
 
 def _conv(a, b):
@@ -302,14 +304,16 @@ def _array_from_series(value, K):
 
 
 def _embed_rows(c, K):
-    out = np.zeros((K, K), dtype=complex)
-    out[: len(c), 0] = c
+    """Columns (trailing axis) laid along b1 into K x K blocks."""
+    out = np.zeros(c.shape[:-1] + (K, K), dtype=complex)
+    out[..., : c.shape[-1], 0] = c
     return out
 
 
 def _embed_cols(c, K):
-    out = np.zeros((K, K), dtype=complex)
-    out[0, : len(c)] = c
+    """Columns (trailing axis) laid along b2 into K x K blocks."""
+    out = np.zeros(c.shape[:-1] + (K, K), dtype=complex)
+    out[..., 0, : c.shape[-1]] = c
     return out
 
 
@@ -325,11 +329,14 @@ def _binomials(K):
 
 
 def _spread(tab, K):
-    """Re-expand a table in (b1, s = b1 + b2) against (b1, b2); a 1-D column
-    in s alone is the table's b1^0 row."""
-    tab = np.atleast_2d(tab)[:K, :K]
-    T = _binomials(K)[: tab.shape[0], : tab.shape[1]]
-    return np.tensordot(tab, T, axes=2)
+    """Re-expand a K x K table in (b1, s = b1 + b2) against (b1, b2)."""
+    return np.tensordot(tab, _binomials(K), axes=2)
+
+
+def _spread_col(col, K):
+    """Re-expand columns in s alone (trailing axis, the b1^0 row of a table)
+    against (b1, b2): K x K blocks."""
+    return np.tensordot(col[..., :K], _binomials(K)[0], axes=1)
 
 
 def debye_lambda(r, pt, K, delta=DEFAULT_MARGIN, tol=1e-15):
@@ -373,12 +380,13 @@ def debye_lambda(r, pt, K, delta=DEFAULT_MARGIN, tol=1e-15):
 
 
 def _form(arc, K, place=None):
-    """Coefficients of w^{-b} dw/(1-w) along an arc: a (K,) column, or that
-    column laid into a K x K block by place (_embed_rows, _embed_cols or
-    _spread)."""
+    """Coefficients of w^{-b} dw/(1-w) along an arc at a node vector: (N, K)
+    columns, or those columns laid into K x K blocks by place (_embed_rows,
+    _embed_cols or _spread_col)."""
 
-    def f(_arc, u):
-        col = _exp_coeffs(arc.log_point(u), K) * (arc.velocity(u) / (1.0 - arc.point(u)))
+    def f(_arc, us):
+        dlog = arc.velocity(us) / (1.0 - arc.point(us))
+        col = _exp_coeffs(arc.log_point(us), K) * dlog[:, None]
         return col if place is None else place(col, K)
 
     return BranchedForm(f)
@@ -520,16 +528,16 @@ def _leg2(state, arc1, arc2, arc_a, arc_c, tol, clearance):
     path = _spine(arcs)
     ga = _form(arc_a, Kp, _embed_rows)
     gc = _form(arc_c, Kp, _embed_cols)
-    d = _conv(_single(path, ga, tol), _spread(c2, Kp))
+    d = _conv(_single(path, ga, tol), _spread_col(c2, Kp))
     if arc2 is not None:
         gb = _form(arc2, Kp, _embed_cols)
-        d = d + _double(path, ga, _form(arc2, Kp, _spread), tol)
+        d = d + _double(path, ga, _form(arc2, Kp, _spread_col), tol)
         d = d + _conv(_single(path, gb, tol), _embed_rows(c1, Kp))
         if arc1 is not None:
             d = d + _double(path, gb, _form(arc1, Kp, _embed_rows), tol)
-    d = d - _conv(_single(path, gc, tol), _spread(c1, Kp))
+    d = d - _conv(_single(path, gc, tol), _spread_col(c1, Kp))
     if arc1 is not None:
-        d = d - _double(path, gc, _form(arc1, Kp, _spread), tol)
+        d = d - _double(path, gc, _form(arc1, Kp, _spread_col), tol)
     state["table"] = state["table"] + d[:K, :K]
     _advance(state, path, [arc1, arc2], tol)
 

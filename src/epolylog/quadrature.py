@@ -18,9 +18,10 @@ to the next panel.  Each panel is evaluated at orders n and n+4; on
 disagreement it is bisected, and QuadratureDiverged is raised when the depth
 limit is hit.
 
-Form callables receive (z, v) with z the point and v = dz/du the pullback
-velocity, and return the integrand value f(z)*v; values may be scalars or
-numpy arrays (coefficient stacks integrate componentwise).
+Plain form callables receive (z, v), the point and v = dz/du, one node at a
+time and return f(z)*v: a scalar or a numpy array (coefficient stacks
+integrate componentwise).  A BranchedForm gets (arc, us) once per panel pass,
+us the whole node vector, and returns a node-first block.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ class PathSpec:
             return self
         us = np.linspace(0.0, 1.0, samples)
         for arc in self.arcs:
-            pts = np.array([arc.point(u) for u in us])
+            pts = arc.point(us)
             for s in self.singular:
                 d = np.abs(pts - s).min()
                 if d < self.clearance:
@@ -158,25 +159,23 @@ class _ReversedArc:
 
 
 class BranchedForm:
-    """A form evaluated as f(arc, u) instead of f(z, v), for integrands that
-    need the arc's branch data (log_point) rather than just the location."""
+    """A form evaluated as f(arc, us) instead of f(z, v), for integrands that
+    need the arc's branch data (log_point) rather than just the location.
+    us is the node vector of one panel pass; f returns a node-first block
+    (f(arc, us)[n] is the value at us[n])."""
 
     def __init__(self, f):
         self.f = f
 
-    def __call__(self, arc, u):
-        return self.f(arc, u)
+    def __call__(self, arc, us):
+        return self.f(arc, us)
 
 
-def _eval_form(w, arc, u):
+def _eval_nodes(w, arc, us):
+    """Node-first block of one form at the parameters us."""
     if isinstance(w, BranchedForm):
-        return w(arc, u)
-    return w(arc.point(u), arc.velocity(u))
-
-
-def _sample_forms(forms, arc, u0, u1, x):
-    us = u0 + (u1 - u0) * (x + 1.0) / 2.0
-    return [np.asarray([_eval_form(w, arc, u) for u in us], dtype=complex) for w in forms]
+        return np.asarray(w(arc, us), dtype=complex)
+    return np.asarray([w(arc.point(u), arc.velocity(u)) for u in us], dtype=complex)
 
 
 def _default_product(f, g):
@@ -192,25 +191,18 @@ def _panel_pass(forms, arc, u0, u1, inner_start, order, product):
     n = len(forms)
     x, w, M = _panel_rule(order)
     h = (u1 - u0) / 2.0
-    samples = _sample_forms(forms, arc, u0, u1, x)
+    us = u0 + (u1 - u0) * (x + 1.0) / 2.0
+    samples = [_eval_nodes(w, arc, us) for w in forms]
     prev_nodes = None
     ends = [inner_start[0]]
     for k in range(1, n + 1):
         f = samples[n - k]  # innermost form first
         g = f * inner_start[0] if k == 1 else product(f, prev_nodes)
-        node_vals = _tensor_apply(M, g) * h + np.asarray(inner_start[k])
-        end_val = inner_start[k] + _tensor_dot(w, g) * h
+        node_vals = np.tensordot(M, g, axes=1) * h + np.asarray(inner_start[k])
+        end_val = inner_start[k] + np.tensordot(w, g, axes=1) * h
         prev_nodes = node_vals
         ends.append(end_val)
     return ends
-
-
-def _tensor_apply(M, g):
-    return np.tensordot(M, g, axes=([1], [0]))
-
-
-def _tensor_dot(w, g):
-    return np.tensordot(w, g, axes=([0], [0]))
 
 
 def _diff(a, b):
@@ -226,8 +218,7 @@ def _zero_inits(forms, path, product):
     inits = [1.0 + 0.0j]
     block = None
     for k in range(1, n + 1):
-        probe = np.asarray(_eval_form(forms[n - k], arc, 0.5))
-        probe = probe.reshape((1,) + probe.shape)
+        probe = _eval_nodes(forms[n - k], arc, np.array([0.5]))
         block = probe if k == 1 else product(probe, block)
         if block.shape == (1,):
             inits.append(0.0 + 0.0j)
@@ -291,10 +282,8 @@ def convolve_product(f, g):
     gp = np.zeros(g.shape[:1] + out_shape, dtype=complex)
     gp[tuple(slice(0, s) for s in g.shape)] = g
     out = np.zeros(f.shape[:1] + out_shape, dtype=complex)
-    for idx in np.ndindex(*f.shape[1:]):
+    for idx in zip(*np.nonzero(np.any(f, axis=0))):
         col = f[(slice(None),) + idx]
-        if not np.any(col):
-            continue
         dest = tuple(slice(i, s) for i, s in zip(idx, out_shape))
         src = tuple(slice(0, s - i) for i, s in zip(idx, out_shape))
         out[(slice(None),) + dest] += col.reshape((-1,) + (1,) * nd) * gp[(slice(None),) + src]

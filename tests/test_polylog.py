@@ -127,6 +127,12 @@ def test_classical_argument_checks():
         eval_classical(MultiIndex((1,)), SimplicialPoint((0.3,)), mode="bogus")
 
 
+def test_series_too_long_for_tolerance_refused():
+    # |x| = 0.9999 needs ~4e5 terms for 1e-14; a clamped sum would be off by ~5e-2
+    with pytest.raises(OutOfRegion):
+        eval_classical(MultiIndex((1,)), SimplicialPoint((0.9999,)), delta=1e-6)
+
+
 # --------------------------------------------------------- generating series
 
 
@@ -166,6 +172,24 @@ def test_series_argument_checks():
     with pytest.raises(ValueError):
         debye_lambda(3, SimplicialPoint((0.1, 0.1, 0.1)), 4)
     assert debye_lambda(1, SimplicialPoint((0.0,)), 5).value.is_zero()
+
+
+def test_exp_coeffs_batched_matches_scalar_recurrence():
+    from epolylog.polylog import _exp_coeffs
+
+    rng = np.random.default_rng(5)
+    logs = rng.normal(size=(3, 7)) + 4j * rng.normal(size=(3, 7))
+    K = 13
+    got = _exp_coeffs(logs, K)
+    assert got.shape == (3, 7, K)
+    for idx in np.ndindex(logs.shape):
+        want, term = [], 1.0 + 0.0j
+        for k in range(K):
+            want.append(term)
+            term *= -logs[idx] / (k + 1)
+        # same operations in the same order; the bound allows a few ulp per step
+        np.testing.assert_allclose(got[idx], want, rtol=1e-14, atol=0)
+    np.testing.assert_array_equal(_exp_coeffs(logs[0, 0], K), got[0, 0])
 
 
 def li_tail_column(t, K, shift):

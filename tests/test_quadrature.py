@@ -111,6 +111,62 @@ def test_branched_form_sees_arc():
     assert abs(val - 2 * 2j * cmath.pi * tau) < 1e-11
 
 
+def test_branched_form_gets_node_vector_once_per_panel_pass():
+    arc = LineArc(0.0, 1.0 + 0.5j)
+    calls = []
+
+    def f(a, us):
+        calls.append(us)
+        return np.stack([a.velocity(us) * a.point(us) ** k for k in range(3)], axis=1)
+
+    vals = path_integral(PathSpec([arc]), BranchedForm(f))
+    b = 1.0 + 0.5j
+    assert np.allclose(vals, [b, b**2 / 2, b**3 / 3], rtol=0, atol=1e-13)
+    # one probe for the start shapes, then orders 16 and 20 on the single panel
+    assert [np.shape(us) for us in calls] == [(1,), (16,), (20,)]
+
+
+def _brute_convolve(f, g):
+    """Every (node, f index, g index) pair summed into the truncated window."""
+    f, g = np.asarray(f), np.asarray(g)
+    nd = max(f.ndim, g.ndim) - 1
+    f = f.reshape(f.shape[:1] + (1,) * (nd - f.ndim + 1) + f.shape[1:])
+    g = g.reshape(g.shape[:1] + (1,) * (nd - g.ndim + 1) + g.shape[1:])
+    window = tuple(max(a, b) for a, b in zip(f.shape[1:], g.shape[1:]))
+    out = np.zeros(f.shape[:1] + window, dtype=complex)
+    for n in range(f.shape[0]):
+        for i in np.ndindex(*f.shape[1:]):
+            for j in np.ndindex(*g.shape[1:]):
+                k = tuple(a + b for a, b in zip(i, j))
+                if all(x < s for x, s in zip(k, window)):
+                    out[(n,) + k] += f[(n,) + i] * g[(n,) + j]
+    return out
+
+
+def _sparse_block(rng, shape, density):
+    vals = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    keep = rng.random(shape[1:]) < density
+    return vals * keep
+
+
+@pytest.mark.parametrize(
+    "fshape, gshape",
+    [((4,), (4,)), ((4, 6), (4, 6)), ((3, 5, 5), (3, 5, 5)), ((3, 4, 1), (3, 1, 3)),
+     ((3, 4), (3, 4, 4)), ((3, 6, 6), (3, 4, 6))],
+)
+@pytest.mark.parametrize("density", [0.0, 0.3, 1.0])
+def test_convolve_product_matches_brute_force(fshape, gshape, density):
+    rng = np.random.default_rng(len(fshape) * 10 + len(gshape) + int(10 * density))
+    f = _sparse_block(rng, fshape, density) if len(fshape) > 1 else rng.normal(size=fshape)
+    g = _sparse_block(rng, gshape, 0.5)
+    got = convolve_product(f, g)
+    want = _brute_convolve(f, g)
+    assert got.shape == want.shape
+    assert np.allclose(got, want, rtol=1e-14, atol=1e-14)
+    if density == 0.0 and len(fshape) > 1:
+        assert not np.any(got)
+
+
 def test_clearance_validation():
     p = PathSpec([LineArc(0.0, 1.0)], singular=[0.5 + 1e-5j], clearance=1e-3)
     with pytest.raises(PathTooClose):
