@@ -243,25 +243,29 @@ def _li_column(t, K, tol):
     return np.array([np.sum(tk / k ** m) for m in range(1, K + 1)])
 
 
+_NESTED_BLOCK = 256  # a1-rows per block of _nested_table: O(block * N) memory
+
+
 def _nested_table(t1, t2, K, tol):
-    """I_{m1,m2}(t1,t2) for 1 <= m1, m2 <= K."""
+    """I_{m1,m2}(t1,t2) for 1 <= m1, m2 <= K, summed over blocks of a1."""
     if t1 == 0 or t2 == 0:
         return np.zeros((K, K), dtype=complex)
     N = _tail_length(max(abs(t1), abs(t2)), tol)
     a = np.arange(1, N + 1, dtype=float)
     t1a = t1 ** a
     t2b = t2 ** a
-    AB = a[:, None] + a[None, :]
-    ABinv = 1.0 / AB
-    out = np.empty((K, K), dtype=complex)
-    cur = np.ones_like(AB)
-    for m2 in range(1, K + 1):
-        cur = cur * ABinv
-        Q = cur @ t2b
-        acol = t1a.copy()
-        for m1 in range(1, K + 1):
-            acol = acol / a
-            out[m1 - 1, m2 - 1] = np.sum(acol * Q)
+    out = np.zeros((K, K), dtype=complex)
+    for lo in range(0, N, _NESTED_BLOCK):
+        rows = slice(lo, lo + _NESTED_BLOCK)
+        ABinv = 1.0 / (a[rows, None] + a[None, :])
+        cur = np.ones_like(ABinv)
+        for m2 in range(1, K + 1):
+            cur = cur * ABinv
+            Q = cur @ t2b
+            acol = t1a[rows].copy()
+            for m1 in range(1, K + 1):
+                acol = acol / a[rows]
+                out[m1 - 1, m2 - 1] += np.sum(acol * Q)
     return out
 
 
@@ -670,30 +674,26 @@ def _inv_linear(coeffs, vars, K):
 
 
 def _compose_linear(coeffs_1d, lab, vars, M):
-    """sum_n c_n (lab . beta)^n as a regular series, truncated at order M."""
+    """sum_n c_n (lab . beta)^n as a regular series, truncated at order M:
+    the coefficient of beta^k is c_{|k|} |k|! prod_i lab_i^{k_i} / k_i!."""
     active = [i for i, c in enumerate(lab) if c != 0]
+    if not 1 <= len(active) <= 2:
+        raise NotImplementedError("one or two active variables only")
+    N = min(len(coeffs_1d) - 1, M)
+    fact = [math.factorial(k) for k in range(N + 1)]
+    pw = [[complex(lab[i]) ** k for k in range(N + 1)] for i in active]
     terms = {}
-    for n, cn in enumerate(coeffs_1d):
-        if n > M or cn == 0:
+    for n, cn in enumerate(coeffs_1d[: N + 1]):
+        if cn == 0:
             continue
-        for split in _compositions(n, len(active)):
-            coef = cn * math.factorial(n)
+        for k in range(n + 1) if len(active) == 2 else (n,):
+            coef = cn * fact[n]
             e = [0] * len(vars)
-            for i, k in zip(active, split):
-                coef = coef * complex(lab[i]) ** k / math.factorial(k)
-                e[i] = k
-            key = tuple(e)
-            terms[key] = terms.get(key, 0) + coef
+            for i, ki, p in zip(active, (k, n - k), pw):
+                coef = coef * p[ki] / fact[ki]
+                e[i] = ki
+            terms[tuple(e)] = coef
     return MultiSeries(vars, terms, (M,) * len(vars))
-
-
-def _compositions(n, parts):
-    if parts == 1:
-        yield (n,)
-        return
-    for k in range(n + 1):
-        for rest in _compositions(n - k, parts - 1):
-            yield (k,) + rest
 
 
 def _linear_series(lab, logs, vars, M):
@@ -705,6 +705,12 @@ def _linear_series(lab, logs, vars, M):
                 e = tuple(1 if j == i else 0 for j in range(len(vars)))
                 terms[e] = terms.get(e, 0) + complex(c) * l
     return MultiSeries(vars, terms, (M,) * len(vars))
+
+
+@lru_cache(maxsize=32)
+def _asymptotic_terms(r, J):
+    """Classified string-coproduct term list of depth r for the set J."""
+    return tuple(hopf.assemble_asymptotic(hopf.canonical_symbol(r + 1), J))
 
 
 def asymptotic_eval(r, J, pt, K, constants=None, symbolic=False, delta=DEFAULT_MARGIN):
@@ -728,10 +734,9 @@ def asymptotic_eval(r, J, pt, K, constants=None, symbolic=False, delta=DEFAULT_M
     J = frozenset(J)
     if not J <= set(range(1, r + 1)):
         raise ValueError("J must index the first r coordinates")
-    sym = hopf.canonical_symbol(r + 1)
-    terms = hopf.assemble_asymptotic(sym, J)
+    terms = _asymptotic_terms(r, J)
     if symbolic:
-        return terms
+        return list(terms)
     if r > 2:
         raise ValueError("numeric asymptotics implemented for depth <= 2")
     if constants is None:

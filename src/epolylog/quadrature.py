@@ -210,23 +210,6 @@ def _diff(a, b):
     return float(np.max(np.abs(d)))
 
 
-def _zero_inits(forms, path, product):
-    """Zero starting values with the correct shapes, including shape growth
-    under non-pointwise products (e.g. outer products of coefficient rows)."""
-    n = len(forms)
-    arc = path.arcs[0]
-    inits = [1.0 + 0.0j]
-    block = None
-    for k in range(1, n + 1):
-        probe = _eval_nodes(forms[n - k], arc, np.array([0.5]))
-        block = probe if k == 1 else product(probe, block)
-        if block.shape == (1,):
-            inits.append(0.0 + 0.0j)
-        else:
-            inits.append(np.zeros(block.shape[1:], dtype=complex))
-    return inits
-
-
 def iterated_integral(
     path, forms, order=16, tol=1e-11, max_depth=12, product=_default_product
 ):
@@ -237,7 +220,7 @@ def iterated_integral(
     """
     if not forms:
         return 1.0
-    inner = _zero_inits(forms, path, product)
+    inner = [1.0 + 0.0j] + [0.0j] * len(forms)  # zeros broadcast to the first panel's shapes
     for arc in path.arcs:
         p = arc.suggested_panels()
         stack = [(k / p, (k + 1) / p, 0) for k in reversed(range(p))]

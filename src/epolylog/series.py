@@ -22,6 +22,17 @@ Coefficients are whatever supports ring arithmetic: complex, Fraction,
 mpmath.mpc, numpy scalars.  Exact zero coefficients are pruned; tiny numeric
 coefficients are kept.
 
+Products go by rows: the right factor is bucketed into dense rows along the
+last variable, keyed by the other exponents (holes hold 0), and each left
+term adds c * row into its output row with one list comprehension.  An
+output exponent receives one contribution per left term, in left-term order,
+so the sums are those of the pairwise loop; exact zeros are pruned once, at
+the end.  exp, log and the geometric series share one power-sum loop.
+
+The module is pure Python and must not import numpy: kronecker loads it and
+nothing else numeric, and a numpy-backed prototype took the kernel ladder
+benchmark from 22.2 to 35.7 MB peak RSS and from 0.19 to 0.35 s set-up.
+
 Dropping a coefficient above max_order is sound (that knowledge was never
 claimed); dropping one below a requested min_order is not, and raises
 PoleOverflow.  This is what catches accidental division blow-ups like
@@ -30,7 +41,10 @@ PoleOverflow.  This is what catches accidental division blow-ups like
 
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
+from itertools import accumulate, count, cycle, islice
+from operator import mul
 
 from .errors import NotInvertible, PoleOverflow, TruncationTooSmall
 
@@ -226,17 +240,8 @@ class MultiSeries:
         )
         min_o = tuple(_wsum(a, b) for a, b in zip(self.min_order, other.min_order))
         out = MultiSeries.zero(self.vars, max_o, min_o)
-        t = out.terms
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if out._above(e):
-                    continue
-                s = t.get(e, 0) + c1 * c2
-                if _is_zero(s):
-                    t.pop(e, None)
-                else:
-                    t[e] = s
+        if self.terms and other.terms:
+            out.terms = _row_product(self.terms, other.terms, max_o)
         return out
 
     def __rmul__(self, other):
@@ -305,20 +310,9 @@ class MultiSeries:
             e == (0,) * len(self.vars) for e in self.terms
         ):
             raise ValueError("exp needs zero constant term and no poles")
-        budget = sum(m for m in self.max_order if m < INF)
-        if budget >= INF:
+        if _budget(self) >= INF:
             raise TruncationTooSmall("exp of an untruncated series")
-        out = MultiSeries.const(self.vars, 1, self.max_order, 0)
-        term = MultiSeries.const(self.vars, 1, self.max_order, 0)
-        for k in range(1, budget + 1):
-            term = term * self
-            if term.is_zero():
-                break
-            coef = Fraction(1, 1)
-            for j in range(1, k + 1):
-                coef /= j
-            out = out + term * (coef if _frac_terms(term) else float(coef))
-        return out
+        return _power_sum(self, 1, (Fraction(1, f) for f in accumulate(count(1), mul)))
 
     def log(self):
         """log of a series with invertible constant term and no poles."""
@@ -327,20 +321,11 @@ class MultiSeries:
         c0 = self.constant_term()
         if _is_zero(c0):
             raise ValueError("log needs a unit constant term")
-        import cmath
-
         u = self * (1.0 / c0) - 1
-        budget = sum(m for m in u.max_order if m < INF)
-        if budget >= INF:
+        if _budget(u) >= INF:
             raise TruncationTooSmall("log of an untruncated series")
-        out = MultiSeries.const(self.vars, cmath.log(complex(c0)), self.max_order, 0)
-        term = MultiSeries.const(self.vars, 1, self.max_order, 0)
-        for k in range(1, budget + 1):
-            term = term * u
-            if term.is_zero():
-                break
-            out = out + term * ((-1) ** (k + 1) / k)
-        return out
+        coefs = (Fraction((-1) ** (k + 1), k) for k in count(1))
+        return _power_sum(u, cmath.log(complex(c0)), coefs)
 
     # ---------------------------------------------------------- composition
     def subs(self, mapping, max_order=None, min_order=None):
@@ -473,18 +458,55 @@ def _geometric(u):
     """(1 + u)^{-1} for a series u with positive total valuation."""
     if any(m < 0 for m in u.min_order) or (0,) * len(u.vars) in u.terms:
         raise NotInvertible("geometric expansion needs valuation >= 1")
-    budget = sum(m for m in u.max_order if m < INF)
-    if budget >= INF:
+    if _budget(u) >= INF:
         if u.is_zero():
             return MultiSeries.const(u.vars, 1, u.max_order, 0)
         raise NotInvertible("cannot invert an untruncated non-monomial series")
-    out = MultiSeries.const(u.vars, 1, u.max_order, 0)
+    return _power_sum(u, 1, cycle((-1, 1)))
+
+
+def _budget(u):
+    """Highest power of a series without constant term that survives its window."""
+    return sum(m for m in u.max_order if m < INF)
+
+
+def _power_sum(u, c0, coefs):
+    """c0 + sum_{k >= 1} coefs[k-1] * u^k in one accumulator, for u without
+    constant term or poles: powers up to _budget(u) or until one vanishes;
+    coefs stay exact on a Fraction power and become floats otherwise."""
+    acc = {(0,) * len(u.vars): c0}
     term = MultiSeries.const(u.vars, 1, u.max_order, 0)
-    sign = 1
-    for _ in range(budget):
+    for c in islice(coefs, _budget(u)):
         term = term * u
-        sign = -sign
         if term.is_zero():
             break
-        out = out + term * sign
+        for e, v in (term * (c if _frac_terms(term) else float(c))).terms.items():
+            acc[e] = acc.get(e, 0) + v
+    out = MultiSeries.zero(u.vars, u.max_order, 0)
+    out.terms = {e: v for e, v in acc.items() if not _is_zero(v)}
     return out
+
+
+def _row_product(left, right, max_o):
+    """Terms of left * right up to the orders max_o, by rows (module notes)."""
+    *pmax, top = max_o
+    buckets = {}
+    for e, c in right.items():
+        buckets.setdefault(e[:-1], {})[e[-1]] = c
+    rows = [(p, min(r), [r.get(j, 0) for j in range(min(r), max(r) + 1)])
+            for p, r in buckets.items()]
+    lo = min(e[-1] for e in left) + min(b for _, b, _ in rows)
+    hi = max(e[-1] for e in left) + max(b + len(row) - 1 for _, b, row in rows)
+    width = min(top, hi) - lo + 1
+    out, dests = {}, {}
+    for e1, c1 in left.items():
+        p1, a = e1[:-1], e1[-1]
+        if p1 not in dests:
+            keys = [(tuple(x + y for x, y in zip(p1, p2)), b, row) for p2, b, row in rows]
+            dests[p1] = [(out.setdefault(k, [0] * width), b - lo, row) for k, b, row in keys
+                         if width > 0 and all(x <= m for x, m in zip(k, pmax))]
+        for dest, off, row in dests[p1]:
+            s, n = a + off, min(len(row), width - a - off)
+            if n > 0:
+                dest[s:s + n] = [x + c1 * y for x, y in zip(dest[s:s + n], row)]
+    return {k + (lo + i,): v for k, dest in out.items() for i, v in enumerate(dest) if v != 0}

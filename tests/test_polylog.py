@@ -1,10 +1,13 @@
 import cmath
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.linalg as la
 import pytest
 
+from epolylog import polylog
 from epolylog.errors import Inadmissible, MissingConstants, OutOfRegion
 from epolylog.kronecker import LatticeContext, zeta_even
 from epolylog.polylog import (
@@ -418,6 +421,73 @@ def test_symbolic_term_list_structure():
     for term in terms:
         assert len(term) == 4
         assert isinstance(term[0], Fraction)
+
+
+def test_symbolic_term_list_is_a_fresh_list():
+    pt = SimplicialPoint((2.0, 3.0))
+    first = asymptotic_eval(2, {1}, pt, 4, symbolic=True)
+    n = len(first)
+    first.clear()
+    assert len(asymptotic_eval(2, {1}, pt, 4, symbolic=True)) == n > 0
+
+
+def _compose_reference(coeffs, lab, M):
+    """sum_n c_n (lab . beta)^n by the multinomial sum over all compositions."""
+    terms = {}
+    for n, cn in enumerate(coeffs[: M + 1]):
+        for k in itertools.product(range(n + 1), repeat=len(lab)):
+            if sum(k) != n:
+                continue
+            coef = cn * math.factorial(n)
+            for ki, li in zip(k, lab):
+                coef = coef * li**ki / math.factorial(ki)
+            if coef != 0:
+                terms[k] = terms.get(k, 0) + coef
+    return terms
+
+
+@pytest.mark.parametrize(
+    "lab, M", [((0.7 - 0.2j,), 9), ((0.0, -1.3 + 0.4j), 9), ((0.5 + 0.1j, -1.3), 9),
+               ((1.0, 2.0), 4)],
+)
+def test_compose_linear_matches_composition_sum(lab, M):
+    rng = np.random.default_rng(5)
+    coeffs = rng.normal(size=8) + 1j * rng.normal(size=8)
+    coeffs[3] = 0
+    vars = ("b",) if len(lab) == 1 else ("b1", "b2")
+    got = polylog._compose_linear(coeffs, lab, vars, M)
+    want = _compose_reference(coeffs, lab, M)
+    assert got.max_order == (M,) * len(lab) and set(got.terms) == set(want)
+    for e, c in want.items():
+        assert abs(got.terms[e] - c) <= 1e-14 * max(1.0, abs(c))
+
+
+def test_compose_linear_three_active_refused():
+    with pytest.raises(NotImplementedError):
+        polylog._compose_linear([1.0, 2.0], (1.0, 1.0, 1.0), ("b1", "b2", "b3"), 4)
+
+
+def test_nested_table_blocks_agree(monkeypatch):
+    t1, t2 = 0.6 * cmath.exp(0.4j), 0.75 * cmath.exp(-1.1j)
+    whole = polylog._nested_table(t1, t2, 6, 1e-15)
+    monkeypatch.setattr(polylog, "_NESTED_BLOCK", 7)
+    blocked = polylog._nested_table(t1, t2, 6, 1e-15)
+    assert np.max(np.abs(blocked - whole)) <= 1e-14 * max(1.0, np.max(np.abs(whole)))
+
+
+def test_depth2_near_unit_circle_memory_bounded():
+    """|t| = 0.99 needs N = 3899 terms: the nested table must not hold
+    N x N arrays (about 120 MB each)."""
+    pt = SimplicialPoint((0.99, 0.5 * cmath.exp(1j)))
+    tracemalloc.start()
+    try:
+        s = debye_lambda(2, pt, 4, delta=0.005)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    direct = eval_classical(MultiIndex((1, 1)), pt, mode="simplicial_series", delta=0.005)
+    assert abs(s.value.coeff((0, 0)) - direct) < 1e-10 * max(1.0, abs(direct))
 
 
 def test_spiral_asymptote_sharpens(ctx):

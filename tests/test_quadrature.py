@@ -122,8 +122,8 @@ def test_branched_form_gets_node_vector_once_per_panel_pass():
     vals = path_integral(PathSpec([arc]), BranchedForm(f))
     b = 1.0 + 0.5j
     assert np.allclose(vals, [b, b**2 / 2, b**3 / 3], rtol=0, atol=1e-13)
-    # one probe for the start shapes, then orders 16 and 20 on the single panel
-    assert [np.shape(us) for us in calls] == [(1,), (16,), (20,)]
+    # orders 16 and 20 on the single panel
+    assert [np.shape(us) for us in calls] == [(16,), (20,)]
 
 
 def _brute_convolve(f, g):

@@ -1,11 +1,18 @@
 import cmath
+import itertools
+import math
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from epolylog.errors import NotInvertible, PoleOverflow, TruncationTooSmall
-from epolylog.series import INF, MultiSeries
+import epolylog
+from epolylog.series import INF, MultiSeries, _geometric
 
 VARS = ("a", "b")
 
@@ -254,3 +261,120 @@ def test_exp_eval_consistency():
     s = S({(1, 0): 0.2, (0, 1): 0.1}, max_order=12)
     v = s.exp().eval_at({"a": 0.5, "b": 0.25})
     assert close(v, cmath.exp(0.2 * 0.5 + 0.1 * 0.25), 1e-10)
+
+
+# ------------------------------------------------- products and power sums
+
+
+def _wadd(a, b):
+    return INF if a >= INF or b >= INF else a + b
+
+
+def _pairwise_product(x, y):
+    """Reference product: every term pair, the window checked per pair."""
+    top = tuple(
+        min(_wadd(ma, nb), _wadd(mb, na))
+        for ma, na, mb, nb in zip(x.max_order, x.min_order, y.max_order, y.min_order)
+    )
+    out = {}
+    for e1, c1 in x.terms.items():
+        for e2, c2 in y.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            if all(a <= m for a, m in zip(e, top)):
+                out[e] = out.get(e, 0) + c1 * c2
+    return top, {e: c for e, c in out.items() if c != 0}
+
+
+def _random_series(rng, vars, exact, density=0.4):
+    """Laurent windows, some INF orders, and rows with holes."""
+    lo = [rng.randint(-2, 0) for _ in vars]
+    hi = [rng.choice([rng.randint(0, 5), INF]) for _ in vars]
+    terms = {}
+    for e in itertools.product(*(range(a, min(b, a + 6) + 1) for a, b in zip(lo, hi))):
+        if rng.random() < density:
+            if exact:
+                terms[e] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            else:
+                terms[e] = complex(rng.gauss(0, 1), rng.gauss(0, 1))
+    return MultiSeries(vars, terms, tuple(hi), tuple(lo))
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+@pytest.mark.parametrize("exact", [True, False])
+def test_product_matches_pairwise_reference(nvars, exact):
+    rng = random.Random(17 * nvars + exact)
+    vars = ("a", "b", "c")[:nvars]
+    for _ in range(12):
+        x = _random_series(rng, vars, exact)
+        y = _random_series(rng, vars, exact, density=rng.choice([0.15, 0.4, 1.0]))
+        z = x * y
+        top, want = _pairwise_product(x, y)
+        assert z.max_order == top
+        if exact:
+            assert z.terms == want
+        else:
+            assert set(z.terms) == set(want)
+            for e, c in want.items():
+                assert abs(z.terms[e] - c) <= 1e-15 * max(1.0, abs(c))
+
+
+def test_product_prunes_exact_cancellation_and_empty_window():
+    x = S({(0, 0): Fraction(1), (1, 0): Fraction(1), (0, 2): Fraction(3)})
+    y = S({(0, 0): Fraction(1), (1, 0): Fraction(-1), (0, 2): Fraction(-3)})
+    p = x * y  # 1 - a^2 - 6 a b^2 - 9 b^4: the a and b^2 terms cancel
+    assert (1, 0) not in p.terms and (0, 2) not in p.terms
+    assert p.terms == _pairwise_product(x, y)[1]
+    high = MultiSeries(("a",), {(2,): 1.0}, (2,)) * MultiSeries(("a",), {(1,): 1.0}, (4,))
+    assert high.max_order == (2,) and high.is_zero()
+
+
+def _repeated_add(u, c0, coef):
+    """Reference power sum: out = out + u^k * coef(k, u^k), copying the
+    whole series at every step."""
+    budget = sum(m for m in u.max_order if m < INF)
+    out = MultiSeries.const(u.vars, c0, u.max_order, 0)
+    term = MultiSeries.const(u.vars, 1, u.max_order, 0)
+    for k in range(1, budget + 1):
+        term = term * u
+        if term.is_zero():
+            break
+        out = out + term * coef(k, term)
+    return out
+
+
+def _exp_coef(k, term):
+    c = Fraction(1, math.factorial(k))
+    return c if all(isinstance(v, Fraction) for v in term.terms.values()) else float(c)
+
+
+def _assert_same(got, want, exact):
+    assert got.max_order == want.max_order and got.min_order == want.min_order
+    if exact:
+        assert got.terms == want.terms
+        return
+    assert set(got.terms) == set(want.terms)
+    for e, c in want.terms.items():
+        assert abs(got.terms[e] - c) <= 1e-15 * max(1.0, abs(c))
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_power_sums_match_repeated_add(exact):
+    num = (lambda p, q: Fraction(p, q)) if exact else (lambda p, q: complex(p / q, q / 7))
+    u = MultiSeries(VARS, {(1, 0): num(1, 2), (0, 1): num(-2, 3), (2, 1): num(1, 5)}, (6, 4))
+    _assert_same(u.exp(), _repeated_add(u, 1, _exp_coef), exact)
+    _assert_same(_geometric(u), _repeated_add(u, 1, lambda k, t: (-1) ** k), exact)
+    s = u + num(3, 2)
+    shifted = s * (1.0 / s.constant_term()) - 1
+    want = _repeated_add(
+        shifted, cmath.log(complex(s.constant_term())), lambda k, t: (-1) ** (k + 1) / k
+    )
+    _assert_same(s.log(), want, False)
+
+
+def test_series_imports_no_numpy():
+    """kronecker -> series must stay numpy-free (start-up time and memory of
+    every caller that needs only the kernel)."""
+    src = os.path.dirname(os.path.dirname(epolylog.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, epolylog.kronecker; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
