@@ -11,7 +11,7 @@ supplied by callers as callbacks.
 from fractions import Fraction
 
 from .errors import SizeBudgetExceeded
-from .rational import Poly, RationalFn, rational_sum
+from .rational import Poly, rational_sum
 
 DEFAULT_SIZE_BUDGET = 10**6
 
@@ -484,79 +484,61 @@ def _beta_run(vars, lo, hi):
 
 
 def _a_factor(vars, i, j):
-    """a_[i,j] = beta_i (beta_i+beta_{i-1}) ... (beta_i+...+beta_j), i >= j."""
-    if i < j:
-        return Poly.const(vars, 1)
-    out = Poly.const(vars, 1)
-    for k in range(i, j - 1, -1):
-        out = out * _beta_run(vars, i, k)
-    return out
+    """Factors of a_[i,j] = beta_i (beta_i+beta_{i-1}) ... (beta_i+...+beta_j);
+    none when i < j."""
+    return [_beta_run(vars, i, k) for k in range(i, j - 1, -1)]
 
 
 def _b_factor(vars, i, j):
-    """b_[i,j] = beta_i (beta_i+beta_{i+1}) ... (beta_i+...+beta_j), i <= j."""
-    if i > j:
-        return Poly.const(vars, 1)
-    out = Poly.const(vars, 1)
-    for k in range(i, j + 1):
-        out = out * _beta_run(vars, i, k)
-    return out
+    """Factors of b_[i,j] = beta_i (beta_i+beta_{i+1}) ... (beta_i+...+beta_j);
+    none when i > j."""
+    return [_beta_run(vars, i, k) for k in range(i, j + 1)]
 
 
-def kid_identity(n, which):
+def kid_terms(n, which):
     """The alternating partial-fraction sums behind the residue bookkeeping,
-    as exact RationalFn sums (should be identically zero).
+    each as a list of (sign, denominator factors) for rational_sum.
 
     kid1: sum_{i=1}^{n-1} (-1)^{i-1} / (a_[i,2] b_[i+1,n-1]).
     kid2: for each 1 < k < n-1, the analogous sum with the b_[1,k-1] prefix,
     summed over i = k..n-1 (the i = k and i = n-1 boundary terms carry empty
-    a / b factors equal to 1).
+    a / b factors).
     """
     vars = tuple(f"b{i}" for i in range(1, n + 1))
-    one = Poly.const(vars, 1)
-    minus_rest = Poly.linear(vars, {v: -1 for v in vars[:-1]})
-
-    def eliminated(fn):
-        return RationalFn(
-            fn.num.subs_linear(vars[-1], minus_rest),
-            fn.den.subs_linear(vars[-1], minus_rest),
-        )
-
     if which == "kid1":
-        parts = []
-        for i in range(1, n):
-            den = _a_factor(vars, i, 2) * _b_factor(vars, i + 1, n - 1)
-            parts.append(RationalFn(one * ((-1) ** (i - 1)), den))
-        return [eliminated(rational_sum(parts))]
+        return [[
+            ((-1) ** (i - 1), _a_factor(vars, i, 2) + _b_factor(vars, i + 1, n - 1))
+            for i in range(1, n)
+        ]]
     if which == "kid2":
-        sums = []
-        for k in range(2, n - 1):
-            parts = []
-            for i in range(k, n):
-                den = (
-                    _b_factor(vars, 1, k - 1)
-                    * _a_factor(vars, i, k + 1)
-                    * _b_factor(vars, i + 1, n - 1)
-                )
-                parts.append(RationalFn(one * ((-1) ** ((i - k + 1) % 2)), den))
-            sums.append(eliminated(rational_sum(parts)))
-        return sums
+        return [[
+            ((-1) ** ((i - k + 1) % 2),
+             _b_factor(vars, 1, k - 1) + _a_factor(vars, i, k + 1)
+             + _b_factor(vars, i + 1, n - 1))
+            for i in range(k, n)
+        ] for k in range(2, n - 1)]
     raise ValueError(f"unknown identity {which!r}")
+
+
+def kid_identity(n, which):
+    """Numerator Poly of each kid_terms sum over the LCM of its denominators;
+    every one is the zero Poly when the identity holds."""
+    return [rational_sum(parts)[0] for parts in kid_terms(n, which)]
 
 
 def verify_identities(n, which, lam=None, dlam=None, points=None, budget=DEFAULT_SIZE_BUDGET):
     """Verdict report for the exact identities or the numeric differential
     comparison.
 
-    kid1 / kid2: expand over a common denominator and test the numerator for
-    exact vanishing.  diff_vs_coproduct: compare dlam(canonical symbol)
-    against mu (dlam (x) lam) Delta_{1,*} with caller-supplied callbacks
-    (lam: symbol -> value, dlam: symbol -> gradient tuple); reports the
-    largest residual over the supplied evaluations.
+    kid1 / kid2: sum each identity over the LCM of its linear denominator
+    factors and test the numerator for exact vanishing.  diff_vs_coproduct:
+    compare dlam(canonical symbol) against mu (dlam (x) lam) Delta_{1,*} with
+    caller-supplied callbacks (lam: symbol -> value, dlam: symbol -> gradient
+    tuple); reports the largest residual over the supplied evaluations.
     """
     if which in ("kid1", "kid2"):
         sums = kid_identity(n, which)
-        ok = all(s.num.is_zero() for s in sums)
+        ok = all(s.is_zero() for s in sums)
         return {"identity": which, "n": n, "ok": ok, "residual": 0 if ok else None}
     if which == "diff_vs_coproduct":
         if lam is None or dlam is None:

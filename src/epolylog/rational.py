@@ -1,19 +1,20 @@
-"""Exact multivariate polynomial / rational function arithmetic.
+"""Exact multivariate polynomials and sums of reciprocals of linear forms.
 
 Coefficients are fractions.Fraction, exponents live in a fixed variable
-tuple.  Rational functions are stored unreduced (no multivariate gcd); the
-only questions we ever ask are "is this identically zero?" and "what is the
-value at an exact rational point?", and both are answered without
-normalizing: a sum of fractions is zero iff, after clearing to the common
-product denominator, the numerator expands to the zero polynomial.
-
-Weight labels that must satisfy a linear constraint (the labels of a symbol
-sum to zero) are handled by eliminating the last variable up front, so
-zero-testing happens in free variables.
+tuple.  The only rational functions we meet are signed sums
+sum_i c_i / prod(F_i) in which every denominator F_i is a multiset of linear
+Polys, and the only question asked of them is "is this identically zero?".
+rational_sum answers it over the least common multiple of the denominators:
+the LCM is the per-factor maximum multiplicity, each term's numerator is
+c_i times the LCM factors its own denominator lacks, and the sum is zero iff
+those numerators add up to the zero Poly.  Nothing is cross-multiplied, so
+the numerator has the degree of the LCM rather than of the product of all
+denominators.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 
@@ -41,19 +42,6 @@ class Poly:
         if sum(e) != 1:
             raise ValueError(f"unknown variable {name!r}")
         return cls(vars, {e: Fraction(1)})
-
-    @classmethod
-    def linear(cls, vars, coeffs, const=0):
-        """sum_i coeffs[v]*v + const."""
-        vars = tuple(vars)
-        terms = {}
-        for v, c in coeffs.items():
-            i = vars.index(v)
-            e = tuple(1 if j == i else 0 for j in range(len(vars)))
-            terms[e] = terms.get(e, Fraction(0)) + Fraction(c)
-        if const:
-            terms[(0,) * len(vars)] = Fraction(const)
-        return cls(vars, terms)
 
     def is_zero(self):
         return not self.terms
@@ -126,15 +114,6 @@ class Poly:
             total += m
         return total
 
-    def subs_linear(self, var, replacement):
-        """Substitute a Poly for one variable (used for label elimination)."""
-        i = self.vars.index(var)
-        out = Poly(self.vars, {})
-        for e, c in self.terms.items():
-            base = Poly(self.vars, {e[:i] + (0,) + e[i + 1:]: c})
-            out = out + base * replacement ** e[i]
-        return out
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -147,96 +126,29 @@ class Poly:
         return " + ".join(bits)
 
 
-class RationalFn:
-    """num/den, unreduced.  den must be nonzero."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        if den is None:
-            den = Poly.const(num.vars, 1)
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def const(cls, vars, c):
-        return cls(Poly.const(vars, c))
-
-    @property
-    def vars(self):
-        return self.num.vars
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RationalFn.const(self.vars, other)
-        return RationalFn(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFn(-self.num, self.den)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RationalFn.const(self.vars, other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RationalFn(self.num * other, self.den)
-        return RationalFn(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RationalFn(self.num, self.den * other)
-        return RationalFn(self.num * other.den, self.den * other.num)
-
-    def inv(self):
-        return RationalFn(self.den, self.num)
-
-    def eval(self, values):
-        d = self.den.eval(values)
-        if d == 0:
-            raise ZeroDivisionError("denominator vanishes at evaluation point")
-        return self.num.eval(values) / d
-
-    def equals(self, other):
-        """Exact identity test via cross multiplication and expansion."""
-        if isinstance(other, (int, Fraction)):
-            other = RationalFn.const(self.vars, other)
-        return (self.num * other.den - other.num * self.den).is_zero()
-
-    def __repr__(self):
-        return f"({self.num}) / ({self.den})"
-
-
 def rational_sum(parts):
-    """Sum an iterable of RationalFn over one common product denominator.
+    """Numerator and denominator factors of sum_i c_i / prod(factors_i).
 
-    Builds num = sum_i num_i * prod_{j != i} den_j once, instead of chaining
-    pairwise additions (keeps intermediate expansion smaller for the
-    cancellation identities)."""
-    parts = list(parts)
+    parts: iterable of (c_i, factors_i), c_i a number and factors_i a list of
+    nonzero linear Polys over one variable tuple.  Returns (num, lcm): lcm
+    lists the factors of the least common multiple of the denominators with
+    multiplicity, and the sum equals num / prod(lcm).  Factors are matched as
+    Polys, so x and -x count as different factors; the result is then over a
+    common multiple that is not least, which changes num but not whether it
+    is zero."""
+    parts = [(c, Counter(fs)) for c, fs in parts]
     if not parts:
         raise ValueError("empty sum")
-    vars = parts[0].vars
-    total_den = Poly.const(vars, 1)
-    for p in parts:
-        total_den = total_den * p.den
-    total_num = Poly(vars, {})
-    for i, p in enumerate(parts):
-        piece = p.num
-        for j, q in enumerate(parts):
-            if j != i:
-                piece = piece * q.den
-        total_num = total_num + piece
-    return RationalFn(total_num, total_den)
+    lcm = Counter()
+    for _, fs in parts:
+        lcm |= fs
+    if any(f.is_zero() for f in lcm):
+        raise ZeroDivisionError("zero denominator factor")
+    vars = next(iter(lcm)).vars if lcm else ()
+    num = Poly(vars, {})
+    for c, fs in parts:
+        piece = Poly.const(vars, c)
+        for f in (lcm - fs).elements():
+            piece = piece * f
+        num = num + piece
+    return num, list(lcm.elements())

@@ -310,8 +310,8 @@ class MultiSeries:
             e == (0,) * len(self.vars) for e in self.terms
         ):
             raise ValueError("exp needs zero constant term and no poles")
-        if _budget(self) >= INF:
-            raise TruncationTooSmall("exp of an untruncated series")
+        if _unbounded(self):
+            raise TruncationTooSmall("exp of a series untruncated in a variable it contains")
         return _power_sum(self, 1, (Fraction(1, f) for f in accumulate(count(1), mul)))
 
     def log(self):
@@ -322,8 +322,8 @@ class MultiSeries:
         if _is_zero(c0):
             raise ValueError("log needs a unit constant term")
         u = self * (1.0 / c0) - 1
-        if _budget(u) >= INF:
-            raise TruncationTooSmall("log of an untruncated series")
+        if _unbounded(u):
+            raise TruncationTooSmall("log of a series untruncated in a variable it contains")
         coefs = (Fraction((-1) ** (k + 1), k) for k in count(1))
         return _power_sum(u, cmath.log(complex(c0)), coefs)
 
@@ -458,15 +458,21 @@ def _geometric(u):
     """(1 + u)^{-1} for a series u with positive total valuation."""
     if any(m < 0 for m in u.min_order) or (0,) * len(u.vars) in u.terms:
         raise NotInvertible("geometric expansion needs valuation >= 1")
-    if _budget(u) >= INF:
-        if u.is_zero():
-            return MultiSeries.const(u.vars, 1, u.max_order, 0)
-        raise NotInvertible("cannot invert an untruncated non-monomial series")
+    if _unbounded(u):
+        raise NotInvertible("cannot invert a series untruncated in a variable it contains")
     return _power_sum(u, 1, cycle((-1, 1)))
 
 
+def _unbounded(u):
+    """Whether u has a positive power of a variable whose window is INF; then
+    no power of u leaves the window and no finite power sum is exact."""
+    inf = [i for i, m in enumerate(u.max_order) if m >= INF]
+    return any(e[i] > 0 for i in inf for e in u.terms)
+
+
 def _budget(u):
-    """Highest power of a series without constant term that survives its window."""
+    """Highest power of a series without constant term that survives its
+    window, for u that is not _unbounded."""
     return sum(m for m in u.max_order if m < INF)
 
 

@@ -15,11 +15,13 @@ from epolylog.hopf import (
     delta_components,
     enumerate_strings,
     kid_identity,
+    kid_terms,
     lambda_args,
     monomial_exponent,
     phi_parts,
     verify_identities,
 )
+from epolylog.rational import rational_sum
 
 F = Fraction
 
@@ -242,6 +244,23 @@ def test_kid_sums_nontrivial():
 
     parts = kid_identity(5, "kid2")
     assert all(s.is_zero() for s in parts)
+
+
+def test_kid_identities_n7_n8():
+    for n in (7, 8):
+        assert verify_identities(n, "kid1")["ok"]
+        assert verify_identities(n, "kid2")["ok"]
+
+
+@pytest.mark.parametrize("which", ["kid1", "kid2"])
+@pytest.mark.parametrize("n", [5, 6])
+def test_kid_sums_break_on_any_flip_or_drop(which, n):
+    for parts in kid_terms(n, which):
+        assert rational_sum(parts)[0].is_zero()
+        for j, (sign, factors) in enumerate(parts):
+            flipped = parts[:j] + [(-sign, factors)] + parts[j + 1:]
+            assert not rational_sum(flipped)[0].is_zero()
+            assert not rational_sum(parts[:j] + parts[j + 1:])[0].is_zero()
 
 
 def test_phi_and_lambda_parts():

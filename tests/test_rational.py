@@ -1,8 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from epolylog.rational import Poly, RationalFn, rational_sum
+from epolylog.rational import Poly, rational_sum
 
 V = ("x", "y", "z")
 
@@ -22,56 +23,69 @@ def test_poly_eval():
     assert p.eval({"x": Fraction(2), "y": 0, "z": 0}) == Fraction(5)
 
 
-def test_linear_builder():
-    p = Poly.linear(V, {"x": 2, "z": -1}, const=3)
-    assert p.eval({"x": 1, "y": 99, "z": 4}) == Fraction(1)
-
-
-def test_subs_linear_elimination():
-    # eliminate z via z = -x - y in x*z
-    x = Poly.variable(V, "x")
-    y = Poly.variable(V, "y")
-    p = x * Poly.variable(V, "z")
-    q = p.subs_linear("z", -x - y)
-    assert q == -(x * x) - x * y
-
-
-def test_rational_equals():
-    x = Poly.variable(V, "x")
-    y = Poly.variable(V, "y")
-    r = RationalFn(Poly.const(V, 1), x) + RationalFn(Poly.const(V, 1), y)
-    s = RationalFn(x + y, x * y)
-    assert r.equals(s)
-    assert not r.equals(RationalFn(x, y))
-
-
-def test_rational_inv_and_div():
-    x = Poly.variable(V, "x")
-    r = RationalFn(x, x + Poly.const(V, 1))
-    assert (r / r).equals(1)
-    assert r.inv().equals(RationalFn(x + Poly.const(V, 1), x))
-
-
-def test_zero_denominator_rejected():
-    with pytest.raises(ZeroDivisionError):
-        RationalFn(Poly.const(V, 1), Poly(V, {}))
-
-
 def test_rational_sum_telescopes():
     # 1/(x(x+1)) = 1/x - 1/(x+1), so the three-part sum cancels exactly
     x = Poly.variable(V, "x")
-    one = Poly.const(V, 1)
-    parts = [
-        RationalFn(one, x * (x + one)),
-        RationalFn(-one, x),
-        RationalFn(one, x + one),
-    ]
-    assert rational_sum(parts).is_zero()
+    x1 = x + 1
+    num, lcm = rational_sum([(1, [x, x1]), (-1, [x]), (1, [x1])])
+    assert num.is_zero()
+    assert lcm == [x, x1]
 
 
 def test_rational_sum_nonzero():
+    # 1/x + 1/x = 2/x: the LCM is x, not the product x^2
     x = Poly.variable(V, "x")
-    one = Poly.const(V, 1)
-    s = rational_sum([RationalFn(one, x), RationalFn(one, x)])
-    assert not s.is_zero()
-    assert s.equals(RationalFn(2 * one, x))
+    num, lcm = rational_sum([(1, [x]), (1, [x])])
+    assert not num.is_zero()
+    assert num == Poly.const(V, 2) and lcm == [x]
+
+
+def test_rational_sum_keeps_multiplicity():
+    # 1/x^2 - 1/(x(x+1)) = 1/(x^2(x+1)): LCM x^2 (x+1), numerator 1
+    x = Poly.variable(V, "x")
+    num, lcm = rational_sum([(1, [x, x]), (-1, [x, x + 1])])
+    assert num == Poly.const(V, 1)
+    assert lcm == [x, x, x + 1]
+
+
+def test_rational_sum_rejects_zero_factor():
+    x = Poly.variable(V, "x")
+    with pytest.raises(ZeroDivisionError):
+        rational_sum([(1, [x]), (1, [x - x])])
+    with pytest.raises(ValueError):
+        rational_sum([])
+
+
+small = st.integers(min_value=-3, max_value=3)
+# nonzero linear forms c_x x + c_y y + c_z z + c_0 over V
+linear_forms = st.tuples(small, small, small, small).filter(lambda t: any(t[:3])).map(
+    lambda t: sum((c * Poly.variable(V, v) for c, v in zip(t, V)), Poly.const(V, t[3]))
+)
+fractions = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(linear_forms, min_size=1, max_size=4),
+    st.lists(
+        st.tuples(fractions, st.lists(st.integers(0, 3), max_size=4)), min_size=1, max_size=5
+    ),
+    st.tuples(fractions, fractions, fractions),
+)
+def test_rational_sum_matches_fraction_sum(pool, picks, point):
+    """num / prod(lcm) equals the plain Fraction sum of the terms at a
+    rational point where no factor vanishes."""
+    parts = [(c, [pool[i % len(pool)] for i in idx]) for c, idx in picks]
+    at = dict(zip(V, point))
+    assume(all(f.eval(at) != 0 for f in pool))
+    want = Fraction(0)
+    for c, fs in parts:
+        den = Fraction(1)
+        for f in fs:
+            den *= f.eval(at)
+        want += c / den
+    num, lcm = rational_sum(parts)
+    den = Fraction(1)
+    for f in lcm:
+        den *= f.eval(at)
+    assert num.eval(at) / den == want

@@ -371,6 +371,28 @@ def test_power_sums_match_repeated_add(exact):
     _assert_same(s.log(), want, False)
 
 
+def test_power_sums_refuse_untruncated_variable():
+    """A positive power of a variable with an INF window has no finite power
+    sum: exp, log and the inverse refuse instead of truncating."""
+    a = MultiSeries(("a",), {(1,): 1.0}, INF)
+    with pytest.raises(TruncationTooSmall):
+        a.exp()
+    with pytest.raises(TruncationTooSmall):
+        (1 + a).log()
+    with pytest.raises(NotInvertible):
+        (1 + a).invert()
+    with pytest.raises(NotInvertible):
+        _geometric(a)
+    with pytest.raises(TruncationTooSmall):
+        MultiSeries(VARS, {(0, 1): 1.0}, (4, INF)).exp()
+    # a series in the finite-window variable only is unchanged
+    e = MultiSeries(VARS, {(1, 0): 1.0}, (4, INF)).exp()
+    assert e.max_order == (4, INF)
+    assert e.terms == {(k, 0): float(Fraction(1, math.factorial(k))) for k in range(5)}
+    # and the zero series has the exact inverse 1 whatever its window
+    assert _geometric(MultiSeries.zero(("a",), INF)).terms == {(0,): 1}
+
+
 def test_series_imports_no_numpy():
     """kronecker -> series must stay numpy-free (start-up time and memory of
     every caller that needs only the kernel)."""
