@@ -13,10 +13,6 @@ class PoleOverflow(EpolylogError):
     """A Laurent coefficient would fall below the declared pole bound."""
 
 
-class NotInvertible(EpolylogError):
-    """Series has no dominating leading monomial, so no Laurent inverse."""
-
-
 class TruncationTooSmall(EpolylogError):
     """Requested operation needs more orders than the series carries."""
 

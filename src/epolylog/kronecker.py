@@ -276,17 +276,6 @@ def weierstrass_p_prime(p, ctx):
     return -2 * eisenstein_E(3, p, ctx)
 
 
-def eisenstein(kind, j=None, xi=None, ctx=None):
-    """Selector wrapper: kind in {"E", "e", "weierstrass_p"}."""
-    if kind == "E":
-        return eisenstein_E(j, xi, ctx)
-    if kind == "e":
-        return lattice_constant(j, ctx)
-    if kind == "weierstrass_p":
-        return weierstrass_p(xi, ctx)
-    raise ValueError(f"unknown kind {kind!r}")
-
-
 # ----------------------------------------------------------------- kernel
 
 

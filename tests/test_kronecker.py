@@ -8,7 +8,6 @@ from epolylog.errors import BadModulus, OnLattice, OnSingularLocus
 from epolylog.kronecker import (
     EllipticPoint,
     LatticeContext,
-    eisenstein,
     eisenstein_E,
     kronecker_F,
     kronecker_F_value,
@@ -150,13 +149,6 @@ def test_weierstrass_equation(ctx):
     g2 = 60 * lattice_constant(4, ctx)
     g3 = 140 * lattice_constant(6, ctx)
     assert abs(wpp**2 - (4 * wp**3 - g2 * wp - g3)) < 1e-7
-
-
-def test_eisenstein_selector(ctx):
-    p = EllipticPoint(0.31, 0.17)
-    assert eisenstein("E", 2, p, ctx) == eisenstein_E(2, p, ctx)
-    assert eisenstein("e", 4, ctx=ctx) == lattice_constant(4, ctx)
-    assert eisenstein("weierstrass_p", xi=p, ctx=ctx) == weierstrass_p(p, ctx)
 
 
 def test_on_lattice_rejected(ctx):

@@ -272,22 +272,23 @@ def test_full_loop_monodromy():
 
 def test_large_argument_column_oracle():
     mp = pytest.importorskip("mpmath")
-    mp.mp.dps = 40
     K = 8
     b1 = 0.05 * cmath.exp(2.5j)
     cont = continue_debye(
         debye_lambda(1, SimplicialPoint((b1,)), K), [LineArc(b1, 512 * b1)]
     )
     got = coeffs1(cont.value, K)
-    s = mp.mpc(512 * b1)
-    L = mp.mpc(cont.logs[0])
     N, R = 64, 0.45
     cauchy = np.zeros(K, dtype=complex)
-    for j in range(N):
-        sig = R * mp.e ** (2j * mp.pi * j / N)
-        f = mp.e ** (-sig * L) * s * mp.lerchphi(s, 1, 1 - sig)
-        for k in range(K):
-            cauchy[k] += complex(f / sig**k) / N
+    # 20 digits keep the oracle's own error far below the 1e-12 bound
+    with mp.workdps(20):
+        s = mp.mpc(512 * b1)
+        L = mp.mpc(cont.logs[0])
+        for j in range(N):
+            sig = R * mp.e ** (2j * mp.pi * j / N)
+            f = mp.e ** (-sig * L) * s * mp.lerchphi(s, 1, 1 - sig)
+            for k in range(K):
+                cauchy[k] += complex(f / sig**k) / N
     assert np.max(np.abs(cauchy - got)) < 1e-12
 
 
@@ -499,7 +500,7 @@ def test_spiral_asymptote_sharpens(ctx):
     for m in (-2, -3):
         tr = transport_debye(SpiralShift((m,), p, ctx), K)
         pred = asymptotic_eval(1, {1}, tr.point, K, constants=C)
-        assert pred.polar_part().is_zero()
+        assert all(min(e) >= 0 for e in pred.terms)
         d = coeffs1(tr.value, K) - coeffs1(pred, K)
         errs[m] = np.max(np.abs(d))
         cell0[m] = abs(d[0])

@@ -10,9 +10,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epolylog.errors import NotInvertible, PoleOverflow, TruncationTooSmall
+from epolylog.errors import PoleOverflow, TruncationTooSmall
 import epolylog
-from epolylog.series import INF, MultiSeries, _geometric
+from epolylog.series import INF, MultiSeries
 
 VARS = ("a", "b")
 
@@ -55,9 +55,16 @@ def test_zero_coefficients_pruned():
 
 
 def test_add_window_is_componentwise_min():
-    x = MultiSeries(VARS, {(1, 0): 1}, (5, 7))
-    y = MultiSeries(VARS, {(0, 1): 1}, (3, 9))
-    assert (x + y).max_order == (3, 7)
+    x = MultiSeries(VARS, {(1, 0): 1, (4, 0): 2}, (5, 7))
+    y = MultiSeries(VARS, {(0, 1): 1, (0, 8): 3}, (3, 9))
+    s = x + y
+    assert s.max_order == (3, 7)
+    # each operand is wider than the result in one variable: its terms
+    # beyond the result window are dropped
+    assert s.terms == {(1, 0): 1, (0, 1): 1}
+    # an operand whose window is the result's keeps every term
+    z = MultiSeries(VARS, {(3, 7): 4, (1, 0): -1}, (3, 7))
+    assert (z + x).terms == (x + z).terms == {(3, 7): 4}
 
 
 def test_mul_window_laurent_rule():
@@ -76,14 +83,6 @@ def test_const_is_exact():
     assert (s * c).max_order == (6, 6)
 
 
-def test_restrict_refuses_to_drop_live_low_terms():
-    s = MultiSeries(("a",), {(-2,): 1.0}, (4,), (-2,))
-    with pytest.raises(PoleOverflow):
-        s.restrict(min_order=0)
-    t = s.restrict(max_order=1)
-    assert t.max_order == (1,)
-
-
 # ------------------------------------------------------------------ ring laws
 
 coeffs = st.integers(min_value=-4, max_value=4).map(Fraction)
@@ -98,69 +97,22 @@ series_st = st.dictionaries(exponents, coeffs, max_size=5).map(
 @settings(max_examples=60, deadline=None)
 @given(series_st, series_st, series_st)
 def test_ring_laws(x, y, z):
-    assert ((x + y) + z).diff_norm(x + (y + z)) == 0
-    assert (x * y).diff_norm(y * x) == 0
+    assert ((x + y) + z).terms == (x + (y + z)).terms
+    assert (x * y).terms == (y * x).terms
     lhs = x * (y + z)
     rhs = x * y + x * z
-    assert lhs.diff_norm(rhs) == 0
-    # associativity of * on the common window
-    assert ((x * y) * z).diff_norm(x * (y * z)) == 0
+    assert lhs.terms == rhs.terms
+    # associativity of * (all windows here are 6, so they agree)
+    assert ((x * y) * z).terms == (x * (y * z)).terms
 
 
 @settings(max_examples=40, deadline=None)
 @given(series_st)
 def test_additive_inverse(x):
-    assert (x - x).is_zero()
-
-
-# ------------------------------------------------------------------ inversion
-
-
-def test_invert_power_series():
-    one_minus_a = S({(0, 0): 1, (1, 0): -1}, max_order=6)
-    inv = one_minus_a.invert()
-    for k in range(7):
-        assert inv.coeff((k, 0)) == 1
-
-
-def test_invert_roundtrip():
-    s = S({(0, 0): 2.0, (1, 0): 0.5, (0, 1): -1.0, (1, 1): 0.25}, max_order=5)
-    p = s * s.invert()
-    assert close(p.coeff((0, 0)), 1.0)
-    assert p.diff_norm(MultiSeries.const(VARS, 1.0, p.max_order)) < 1e-13
-
-
-def test_invert_monomial_lead():
-    # a^2 * (1 + b): inverse starts at a^{-2}
-    s = S({(2, 0): 1.0, (2, 1): 1.0}, max_order=6)
-    inv = s.invert()
-    assert inv.min_order == (-2, 0)
-    assert close(inv.coeff((-2, 0)), 1.0)
-    assert close(inv.coeff((-2, 1)), -1.0)
-
-
-def test_invert_no_dominating_monomial():
-    s = S({(1, 0): 1, (0, 1): 1})
-    with pytest.raises(NotInvertible):
-        s.invert()
-    with pytest.raises(NotInvertible):
-        MultiSeries.zero(VARS).invert()
-
-
-def test_pow_negative():
-    s = S({(0, 0): 1.0, (1, 0): 1.0}, max_order=5)
-    p = s ** -2
-    # (1+a)^{-2} = 1 - 2a + 3a^2 - ...
-    assert close(p.coeff((2, 0)), 3.0)
+    assert (x + (-1) * x).is_zero()
 
 
 # ------------------------------------------------------------- transcendental
-
-
-def test_exp_log_roundtrip():
-    s = S({(1, 0): 0.3, (0, 1): -0.7, (1, 1): 0.2}, max_order=5)
-    back = s.exp().log()
-    assert back.diff_norm(s) < 1e-12
 
 
 def test_exp_is_homomorphism():
@@ -168,7 +120,8 @@ def test_exp_is_homomorphism():
     y = S({(0, 1): Fraction(1, 2)}, max_order=6)
     lhs = (x + y).exp()
     rhs = x.exp() * y.exp()
-    assert lhs.diff_norm(rhs) == 0
+    assert lhs.max_order == rhs.max_order
+    assert lhs.terms == rhs.terms
 
 
 def test_exp_rejects_constant_term():
@@ -176,23 +129,12 @@ def test_exp_rejects_constant_term():
         S({(0, 0): 1.0, (1, 0): 1.0}, max_order=4).exp()
 
 
-def test_log_of_geometric():
-    # -log(1-a) = sum a^k / k
-    s = S({(0, 0): 1.0, (1, 0): -1.0}, max_order=7)
-    l = -s.log()
-    for k in range(1, 8):
-        assert close(l.coeff((k, 0)), 1.0 / k)
-
-
-# ---------------------------------------------------------------- composition
+# ------------------------------------------------------------- evaluation
 
 
 def test_linear_pole_expansion():
-    # 1/(a - t*b) = sum_k t^k b^k a^{-k-1}, built as an explicit geometric
-    # sum (a - t*b has no dominating monomial, so invert() refuses it)
+    # 1/(a - t*b) = sum_k t^k b^k a^{-k-1}, built as an explicit geometric sum
     t = 0.37 + 0.21j
-    with pytest.raises(NotInvertible):
-        MultiSeries(VARS, {(1, 0): 1.0, (0, 1): -t}, (8, 8)).invert()
     K = 4
     a_inv = MultiSeries(VARS, {(-1, 0): 1.0}, INF, (-1, 0))
     step = MultiSeries(VARS, {(-1, 1): t}, INF, (-1, 0))
@@ -207,47 +149,6 @@ def test_linear_pole_expansion():
     a, b = 2.0 + 0.1j, 0.6 - 0.2j
     approx = out.eval_at({"a": a, "b": b})
     assert abs(approx - 1.0 / (a - t * b)) < abs(t * b / a) ** (K + 1)
-
-
-def test_subs_linear_change():
-    # f(a,b) = a*b under a -> a + 2b keeps total degree
-    f = S({(1, 1): 1}, max_order=6)
-    img = f.subs(
-        {"a": MultiSeries(VARS, {(1, 0): 1, (0, 1): 2}, (6, 6))},
-        max_order=(6, 6),
-    )
-    assert img.coeff((1, 1)) == 1
-    assert img.coeff((0, 2)) == 2
-
-
-def test_subs_negative_power_needs_window():
-    f = MultiSeries(("a",), {(-1,): 1}, (4,), (-1,))
-    target = MultiSeries(("t",), {(0,): 1.0, (1,): 1.0}, (4,))
-    out = f.subs({"a": target}, max_order=(4,), min_order=(0,))
-    # 1/(1+t) is pole free, so this works even with min_order 0
-    assert close(out.coeff((1,)), -1.0)
-    pole = MultiSeries(("t",), {(1,): 1.0}, (4,))
-    with pytest.raises(PoleOverflow):
-        f.subs({"a": pole}, max_order=(4,), min_order=(0,))
-
-
-# ------------------------------------------------------------------- calculus
-
-
-def test_derivative():
-    s = S({(3, 1): 2.0, (0, 2): 1.0}, max_order=6)
-    d = s.derivative("a")
-    assert close(d.coeff((2, 1)), 6.0)
-    assert d.coeff((0, 2)) == 0
-    assert d.max_order == (5, 6)
-
-
-def test_polar_regular_split():
-    s = MultiSeries(VARS, {(-1, 0): 1.0, (0, 0): 2.0, (1, -1): 3.0}, (4, 4), (-1, -1))
-    p = s.polar_part(["a"])
-    r = s.regular_part(["a"])
-    assert (-1, 0) in p.terms and (1, -1) in r.terms
-    assert (p + r).diff_norm(s) == 0
 
 
 def test_eval_matches_direct():
@@ -362,35 +263,22 @@ def test_power_sums_match_repeated_add(exact):
     num = (lambda p, q: Fraction(p, q)) if exact else (lambda p, q: complex(p / q, q / 7))
     u = MultiSeries(VARS, {(1, 0): num(1, 2), (0, 1): num(-2, 3), (2, 1): num(1, 5)}, (6, 4))
     _assert_same(u.exp(), _repeated_add(u, 1, _exp_coef), exact)
-    _assert_same(_geometric(u), _repeated_add(u, 1, lambda k, t: (-1) ** k), exact)
-    s = u + num(3, 2)
-    shifted = s * (1.0 / s.constant_term()) - 1
-    want = _repeated_add(
-        shifted, cmath.log(complex(s.constant_term())), lambda k, t: (-1) ** (k + 1) / k
-    )
-    _assert_same(s.log(), want, False)
 
 
 def test_power_sums_refuse_untruncated_variable():
     """A positive power of a variable with an INF window has no finite power
-    sum: exp, log and the inverse refuse instead of truncating."""
+    sum: exp refuses instead of truncating."""
     a = MultiSeries(("a",), {(1,): 1.0}, INF)
     with pytest.raises(TruncationTooSmall):
         a.exp()
-    with pytest.raises(TruncationTooSmall):
-        (1 + a).log()
-    with pytest.raises(NotInvertible):
-        (1 + a).invert()
-    with pytest.raises(NotInvertible):
-        _geometric(a)
     with pytest.raises(TruncationTooSmall):
         MultiSeries(VARS, {(0, 1): 1.0}, (4, INF)).exp()
     # a series in the finite-window variable only is unchanged
     e = MultiSeries(VARS, {(1, 0): 1.0}, (4, INF)).exp()
     assert e.max_order == (4, INF)
     assert e.terms == {(k, 0): float(Fraction(1, math.factorial(k))) for k in range(5)}
-    # and the zero series has the exact inverse 1 whatever its window
-    assert _geometric(MultiSeries.zero(("a",), INF)).terms == {(0,): 1}
+    # and the zero series has the exact exp 1 whatever its window
+    assert MultiSeries.zero(("a",), INF).exp().terms == {(0,): 1}
 
 
 def test_series_imports_no_numpy():
