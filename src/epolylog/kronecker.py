@@ -118,16 +118,17 @@ class EllipticPoint:
 class LatticeContext:
     """Fixed modulus tau plus truncation policy.
 
+    Both truncations are derived from |q| and the working precision:
     q_series_cutoff bounds the number of q-powers in theta products and the
     kernel's double series; lattice_cutoff = (M, N) records the Eisenstein
     summation window: the inner direction is evaluated in closed form (its
-    exact M -> infinity limit), N bounds the outer symmetric sum.  Moduli
-    with |q| > 0.7 are refused: every truncation bound here assumes a
-    reasonable decay rate, and the conditionally convergent sums degrade
-    badly as |q| -> 1.
+    exact M -> infinity limit), N = q_series_cutoff + 4 bounds the outer
+    symmetric sum.  Moduli with |q| > 0.7 are refused: every truncation
+    bound here assumes a reasonable decay rate, and the conditionally
+    convergent sums degrade badly as |q| -> 1.
     """
 
-    def __init__(self, tau, precision=None, q_series_cutoff=None, lattice_cutoff=None):
+    def __init__(self, tau, precision=None):
         self.prec = get_context(precision)
         self.tau = self.prec.complex(tau)
         if self.prec.im(self.tau) <= 0:
@@ -137,9 +138,8 @@ class LatticeContext:
         if qa > 0.7:
             raise BadModulus(f"|q| = {qa:.3f} exceeds the supported range (0.7)")
         decade = -math.log10(qa)
-        auto = int(math.ceil((self.prec.digits + 4) / decade)) + 2
-        self.q_series_cutoff = q_series_cutoff or auto
-        self.lattice_cutoff = lattice_cutoff or (INF, auto + 4)
+        self.q_series_cutoff = int(math.ceil((self.prec.digits + 4) / decade)) + 2
+        self.lattice_cutoff = (INF, self.q_series_cutoff + 4)
         self._e_cache = {}
         self._theta_prime0 = None
 

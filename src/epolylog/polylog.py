@@ -4,6 +4,10 @@ Convergent series evaluation (direct and nested-sum forms), the iterated
 integral route, transport of the generating series along spiral or line
 paths with explicit log-branch bookkeeping, and divisor asymptotics
 assembled through the string coproduct.
+
+A DebyeSeries' coefficient array is its state: each transport leg returns a
+new series built from new arrays.  Its MultiSeries value is a view, built
+once from the array, for callers that evaluate or compare the series.
 """
 
 import cmath
@@ -93,27 +97,33 @@ class SimplicialPoint:
 class DebyeSeries:
     """Generating series value at a point, with branch provenance.
 
-    value: MultiSeries in b (depth 1) or b1, b2 (depth 2), window
-    [0, K-1] per variable, prefactors expanded.  logs are the current
-    log branches of the coordinates; channels hold the depth-1 series
-    (own single variable) at t_1 and t_2 used by the transport system.
+    coeffs is the state: the complex coefficients in b, shape (K,) (depth
+    1), or in b1, b2, shape (K, K) (depth 2), prefactors expanded.  logs
+    are the current log branches of the coordinates.  channels (depth 2)
+    is the pair (c1, c2) of depth-1 columns at t_1 and t_2, at padded order
+    >= 2K-1, that the transport system carries along.  value is the
+    MultiSeries view of coeffs (window [0, K-1] per variable), built once
+    here; transport never reads it.
     """
 
-    __slots__ = ("point", "value", "branch_tag", "logs", "channels")
+    __slots__ = ("point", "coeffs", "logs", "channels", "branch_tag", "value")
 
-    def __init__(self, point, value, branch_tag, logs, channels=None):
+    def __init__(self, point, coeffs, logs, channels=None, branch_tag="origin-canonical"):
         self.point = point
-        self.value = value
-        self.branch_tag = branch_tag
+        self.coeffs = coeffs
         self.logs = tuple(logs)
         self.channels = channels
+        self.branch_tag = branch_tag
+        vars = ("b",) if coeffs.ndim == 1 else ("b1", "b2")
+        terms = {e: complex(c) for e, c in np.ndenumerate(coeffs) if c != 0}
+        self.value = MultiSeries(vars, terms, (coeffs.shape[0] - 1,) * coeffs.ndim)
 
     @property
     def depth(self):
         return self.point.depth
 
     def order(self):
-        return self.value.max_order[0] + 1
+        return self.coeffs.shape[0]
 
 
 class SpiralShift:
@@ -288,25 +298,6 @@ def _debye_column(t, K, tol):
     return _conv(_exp_coeffs(cmath.log(t), K), _li_column(t, K, tol))
 
 
-def _series_from_array(arr, vars):
-    arr = np.asarray(arr)
-    terms = {}
-    for e in np.ndindex(arr.shape):
-        c = arr[e]
-        if c != 0:
-            terms[e] = complex(c)
-    return MultiSeries(vars, terms, tuple(s - 1 for s in arr.shape))
-
-
-def _array_from_series(value, K):
-    r = len(value.vars)
-    arr = np.zeros((K,) * r, dtype=complex)
-    for e, c in value.terms.items():
-        if all(0 <= x < K for x in e):
-            arr[e] = c
-    return arr
-
-
 def _embed_rows(c, K):
     """Columns (trailing axis) laid along b1 into K x K blocks."""
     out = np.zeros(c.shape[:-1] + (K, K), dtype=complex)
@@ -359,24 +350,21 @@ def debye_lambda(r, pt, K, delta=DEFAULT_MARGIN, tol=1e-15):
         raise OutOfRegion(f"|t| too close to 1 (margin {delta})")
     if r == 1:
         (t,) = pt.ts
-        value = _series_from_array(_debye_column(t, K, tol), ("b",))
         lt = cmath.log(t) if t != 0 else 0.0
-        return DebyeSeries(pt, value, "origin-canonical", (lt,), None)
+        return DebyeSeries(pt, _debye_column(t, K, tol), (lt,))
     if r == 2:
         t1, t2 = pt.ts
         if t1 == 0 or t2 == 0:
-            value = MultiSeries.zero(("b1", "b2"), K - 1)
-            return DebyeSeries(pt, value, "origin-canonical", (0.0, 0.0), None)
+            return DebyeSeries(pt, np.zeros((K, K), dtype=complex), (0.0, 0.0))
         l1, l2 = cmath.log(t1), cmath.log(t2)
         # re-expanding (b1, b1+b2) -> (b1, b2) pulls in totals up to 2K-2,
         # so the rectangle is only exact when built at padded order
         Kp = 2 * K - 1
         body = _spread(_nested_table(t1, t2, Kp, tol), Kp)
         pref = np.outer(_exp_coeffs(l1, Kp), _exp_coeffs(l2, Kp))
-        arr = _conv(pref, body)[:K, :K]
-        value = _series_from_array(arr, ("b1", "b2"))
-        channels = {"c1": _debye_column(t1, Kp, tol), "c2": _debye_column(t2, Kp, tol)}
-        return DebyeSeries(pt, value, "origin-canonical", (l1, l2), channels)
+        coeffs = _conv(pref, body)[:K, :K]
+        channels = (_debye_column(t1, Kp, tol), _debye_column(t2, Kp, tol))
+        return DebyeSeries(pt, coeffs, (l1, l2), channels)
     raise ValueError("depth 1 or 2 only")
 
 
@@ -460,34 +448,7 @@ def _single(path, form, tol):
 
 
 def _double(path, outer, inner, tol):
-    return np.asarray(
-        iterated_integral(path, [outer, inner], tol=tol, product=convolve_product)
-    )
-
-
-def _state_from(series):
-    """Transport state: per-coordinate logs and points, and per coordinate
-    the depth-1 column lam (for depth 1 that is the value itself; depth 2
-    keeps its value in table and the channels at padded order in lam)."""
-    K = series.order()
-    state = {
-        "K": K,
-        "vars": series.value.vars,
-        "logs": list(series.logs),
-        "ts": list(series.point.ts),
-    }
-    value = _array_from_series(series.value, K)
-    if series.depth == 1:
-        state["lam"] = [value]
-        return state
-    if series.channels is None:
-        raise ValueError("depth-2 series without transport channels")
-    lam = [np.array(series.channels[c], dtype=complex) for c in ("c1", "c2")]
-    Kp = min(len(c) for c in lam)
-    if Kp < 2 * K - 1:
-        raise ValueError("channels shorter than 2K-1: rectangle would go stale")
-    state.update(Kp=Kp, table=value, lam=lam)
-    return state
+    return np.asarray(iterated_integral(path, [outer, inner], tol=tol))
 
 
 def _rebase(arc, t, l):
@@ -503,30 +464,42 @@ def _rebase(arc, t, l):
     raise TypeError(f"unsupported arc type {type(arc).__name__}")
 
 
-def _advance(state, path, arcs, tol):
-    """Integrate the channel of every moving coordinate (arc not None) and
-    move its log and point to the arc end."""
-    lam = state["lam"]
+def _advance(series, path, arcs, tag, tol, coeffs=None):
+    """The series with the depth-1 column of every moving coordinate (arc
+    not None) integrated along its arc, and that coordinate's log and point
+    moved to the arc end.  The column is the series' coeffs at depth 1 and
+    its channel at depth 2, where coeffs is the new table."""
+    cols = [series.coeffs] if series.depth == 1 else list(series.channels)
+    logs, ts = list(series.logs), list(series.point.ts)
     for i, arc in enumerate(arcs):
         if arc is not None:
-            lam[i] = lam[i] + _single(path, _form(arc, len(lam[i])), tol)
-            state["logs"][i] = arc.end_log()
-            state["ts"][i] = arc.point(1.0)
+            cols[i] = cols[i] + _single(path, _form(arc, len(cols[i])), tol)
+            logs[i] = arc.end_log()
+            ts[i] = arc.point(1.0)
+    pt = SimplicialPoint(ts)
+    if series.depth == 1:
+        return DebyeSeries(pt, cols[0], logs, branch_tag=tag)
+    return DebyeSeries(pt, coeffs, logs, tuple(cols), tag)
 
 
-def _leg_depth1(state, arc, tol, clearance):
-    arc = _rebase(arc, state["ts"][0], state["logs"][0])
+def _leg_depth1(series, arc, tag, tol, clearance):
+    arc = _rebase(arc, series.point.ts[0], series.logs[0])
     _check_clear([arc], clearance)
-    _advance(state, _spine([arc]), [arc], tol)
+    return _advance(series, _spine([arc]), [arc], tag, tol)
 
 
-def _leg2(state, arc1, arc2, arc_a, arc_c, tol, clearance):
-    """Advance a depth-2 state along arc1 (t1) and arc2 (t2), with arc_a and
+def _leg2(series, arc1, arc2, arc_a, arc_c, tag, tol, clearance):
+    """Advance a depth-2 series along arc1 (t1) and arc2 (t2), with arc_a and
     arc_c the matching paths of t1/t2 and t2/t1.  None marks a coordinate
     that stays fixed: the terms whose form sits on it integrate to 0 and
     are skipped."""
-    K, Kp = state["K"], state["Kp"]
-    c1, c2 = state["lam"]
+    if series.channels is None:
+        raise ValueError("depth-2 series without transport channels")
+    K = series.order()
+    c1, c2 = series.channels
+    Kp = min(len(c1), len(c2))
+    if Kp < 2 * K - 1:
+        raise ValueError("channels shorter than 2K-1: rectangle would go stale")
     arcs = [a for a in (arc1, arc2, arc_a, arc_c) if a is not None]
     _check_clear(arcs, clearance)
     path = _spine(arcs)
@@ -542,13 +515,12 @@ def _leg2(state, arc1, arc2, arc_a, arc_c, tol, clearance):
     d = d - _conv(_single(path, gc, tol), _spread_col(c1, Kp))
     if arc1 is not None:
         d = d - _double(path, gc, _form(arc1, Kp, _spread_col), tol)
-    state["table"] = state["table"] + d[:K, :K]
-    _advance(state, path, [arc1, arc2], tol)
+    return _advance(series, path, [arc1, arc2], tag, tol, series.coeffs + d[:K, :K])
 
 
-def _leg_axis(state, j, arc, tol, clearance):
-    """Move one coordinate of a depth-2 state along an arc."""
-    (l1, l2), (t1, t2) = state["logs"], state["ts"]
+def _leg_axis(series, j, arc, tag, tol, clearance):
+    """Move one coordinate of a depth-2 series along an arc."""
+    (l1, l2), (t1, t2) = series.logs, series.point.ts
     if j == 1:
         arc1 = _rebase(arc, t1, l1)
         arcs = (arc1, None, _RatioArc(arc1, t2, l2), _InvRatioArc(t2, l2, arc1))
@@ -557,32 +529,36 @@ def _leg_axis(state, j, arc, tol, clearance):
         arcs = (None, arc2, _InvRatioArc(t1, l1, arc2), _RatioArc(arc2, t1, l1))
     else:
         raise ValueError("coordinate index must be 1 or 2")
-    _leg2(state, *arcs, tol, clearance)
+    return _leg2(series, *arcs, tag, tol, clearance)
 
 
-def _leg_diag(state, m, tau, tol, clearance):
+def _leg_diag(series, m, tau, tag, tol, clearance):
     """Move both coordinates simultaneously along their spirals."""
-    (l1, l2), (t1, t2) = state["logs"], state["ts"]
-    _leg2(
-        state,
+    (l1, l2), (t1, t2) = series.logs, series.point.ts
+    return _leg2(
+        series,
         SpiralArc(t1, m[0], tau, log_t=l1),
         SpiralArc(t2, m[1], tau, log_t=l2),
         SpiralArc(t1 / t2, m[0] - m[1], tau, log_t=l1 - l2),
         SpiralArc(t2 / t1, m[1] - m[0], tau, log_t=l2 - l1),
+        tag,
         tol,
         clearance,
     )
 
 
-def _wrap_state(state, tag):
-    lam = state["lam"]
-    if "table" in state:
-        value, channels = state["table"], {"c1": lam[0], "c2": lam[1]}
-    else:
-        value, channels = lam[0], None
-    pt = SimplicialPoint(tuple(state["ts"]))
-    value = _series_from_array(value, state["vars"])
-    return DebyeSeries(pt, value, tag, tuple(state["logs"]), channels)
+def _legs(series, legs, tag, tol, clearance):
+    """The leg loop: arcs (depth 1) or (j, arc) pairs (depth 2), taken in
+    order.  Every leg's result carries tag, so the last one is the answer;
+    without legs it is a fresh series at the same state."""
+    if not legs:
+        return DebyeSeries(series.point, series.coeffs, series.logs, series.channels, tag)
+    for leg in legs:
+        if series.depth == 1:
+            series = _leg_depth1(series, leg, tag, tol, clearance)
+        else:
+            series = _leg_axis(series, *leg, tag, tol, clearance)
+    return series
 
 
 def continue_debye(series, legs, tol=DEFAULT_TOL, clearance=1e-3):
@@ -590,17 +566,11 @@ def continue_debye(series, legs, tol=DEFAULT_TOL, clearance=1e-3):
 
     legs: for depth 1 a list of arcs; for depth 2 a list of (j, arc) with
     j in {1, 2} naming the moving coordinate.  Branch data is taken from
-    the series state; each arc must start at the current coordinate value.
+    the series; each arc must start at the current coordinate value.  The
+    input series is left as it was.
     """
-    state = _state_from(series)
-    if series.depth == 1:
-        for arc in legs:
-            _leg_depth1(state, arc, tol, clearance)
-    else:
-        for j, arc in legs:
-            _leg_axis(state, j, arc, tol, clearance)
     tag = series.branch_tag + f" -> continued[{len(legs)} legs]"
-    return _wrap_state(state, tag)
+    return _legs(series, legs, tag, tol, clearance)
 
 
 def transport_debye(shift, K, route="diagonal", tol=DEFAULT_TOL, clearance=1e-3):
@@ -613,20 +583,16 @@ def transport_debye(shift, K, route="diagonal", tol=DEFAULT_TOL, clearance=1e-3)
     shift.validate()
     base = debye_lambda(shift.base.depth, shift.base, K)
     tau = complex(shift.context.tau)
-    state = _state_from(base)
+    tag = f"transported[spiral m={shift.m} route={route}] <- origin-canonical"
     if base.depth == 1:
-        arc = SpiralArc(state["ts"][0], shift.m[0], tau, log_t=state["logs"][0])
-        _leg_depth1(state, arc, tol, clearance)
+        legs = [SpiralArc(base.point.ts[0], shift.m[0], tau)]
     elif route == "diagonal":
-        _leg_diag(state, shift.m, tau, tol, clearance)
+        return _leg_diag(base, shift.m, tau, tag, tol, clearance)
     elif route == "axes":
-        for j, m in enumerate(shift.m, 1):
-            arc = SpiralArc(state["ts"][j - 1], m, tau, log_t=state["logs"][j - 1])
-            _leg_axis(state, j, arc, tol, clearance)
+        legs = [(j, SpiralArc(t, m, tau)) for j, t, m in zip((1, 2), base.point.ts, shift.m)]
     else:
         raise ValueError(f"unknown route {route!r}")
-    tag = f"transported[spiral m={shift.m} route={route}] <- origin-canonical"
-    return _wrap_state(state, tag)
+    return _legs(base, legs, tag, tol, clearance)
 
 
 def transport_ray(pt, j, factor, K, tol=DEFAULT_TOL, clearance=1e-3, delta=DEFAULT_MARGIN):

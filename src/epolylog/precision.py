@@ -28,7 +28,6 @@ class PrecisionContext:
             self._mp = mpmath.mp.clone()
             self._mp.dps = digits
             self._mpmath = mpmath
-        self.eps = 10.0 ** (1 - digits)
 
     # -- scalar constructors ------------------------------------------------
     def complex(self, x, y=0.0):
@@ -52,16 +51,6 @@ class PrecisionContext:
             return self._mp.exp(z)
         return cmath.exp(z)
 
-    def log(self, z):
-        if self.extended:
-            return self._mp.log(z)
-        return cmath.log(z)
-
-    def sqrt(self, z):
-        if self.extended:
-            return self._mp.sqrt(z)
-        return cmath.sqrt(z)
-
     def e(self, z):
         """e(z) = exp(2*pi*i*z), the unit-period exponential."""
         return self.exp(self.two_pi_i * z)
@@ -83,14 +72,6 @@ class PrecisionContext:
         if self.extended:
             return float(self._mpmath.im(z))
         return z.imag if isinstance(z, complex) else float(z) * 0.0
-
-    def re(self, z):
-        if self.extended:
-            return float(self._mpmath.re(z))
-        return z.real if isinstance(z, complex) else float(z)
-
-    def abs(self, z):
-        return abs(z)
 
     def to_complex(self, z):
         """Collapse to a machine complex (for reporting / JSON output)."""

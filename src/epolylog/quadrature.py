@@ -19,9 +19,12 @@ disagreement it is bisected, and QuadratureDiverged is raised when the depth
 limit is hit.
 
 Plain form callables receive (z, v), the point and v = dz/du, one node at a
-time and return f(z)*v: a scalar or a numpy array (coefficient stacks
-integrate componentwise).  A BranchedForm gets (arc, us) once per panel pass,
-us the whole node vector, and returns a node-first block.
+time and return f(z)*v: a scalar or a numpy array of truncated power-series
+coefficients.  A BranchedForm gets (arc, us) once per panel pass, us the
+whole node vector, and returns a node-first block.  A single form integrates
+componentwise; an iterated integral multiplies each form into the running
+inner value with convolve_product, which convolves the trailing coefficient
+axes and is the pointwise product for scalar forms.
 """
 
 from __future__ import annotations
@@ -178,13 +181,7 @@ def _eval_nodes(w, arc, us):
     return np.asarray([w(arc.point(u), arc.velocity(u)) for u in us], dtype=complex)
 
 
-def _default_product(f, g):
-    """Pointwise product of two node blocks (node index first).  Series
-    transports override this with a coefficient convolution."""
-    return f * g
-
-
-def _panel_pass(forms, arc, u0, u1, inner_start, order, product):
+def _panel_pass(forms, arc, u0, u1, inner_start, order):
     """One panel at one order.  inner_start[k] is the value of the k-fold
     inner integral at the panel start (k = 0 is the constant 1).  Returns
     the list of end values."""
@@ -197,7 +194,7 @@ def _panel_pass(forms, arc, u0, u1, inner_start, order, product):
     ends = [inner_start[0]]
     for k in range(1, n + 1):
         f = samples[n - k]  # innermost form first
-        g = f * inner_start[0] if k == 1 else product(f, prev_nodes)
+        g = f * inner_start[0] if k == 1 else convolve_product(f, prev_nodes)
         node_vals = np.tensordot(M, g, axes=1) * h + np.asarray(inner_start[k])
         end_val = inner_start[k] + np.tensordot(w, g, axes=1) * h
         prev_nodes = node_vals
@@ -210,9 +207,7 @@ def _diff(a, b):
     return float(np.max(np.abs(d)))
 
 
-def iterated_integral(
-    path, forms, order=16, tol=1e-11, max_depth=12, product=_default_product
-):
+def iterated_integral(path, forms, order=16, tol=1e-11, max_depth=12):
     """Iterated integral of `forms` along `path` (w_1 outermost).
 
     With a single form this is the ordinary contour integral; an empty form
@@ -226,8 +221,8 @@ def iterated_integral(
         stack = [(k / p, (k + 1) / p, 0) for k in reversed(range(p))]
         while stack:
             u0, u1, depth = stack.pop()
-            lo = _panel_pass(forms, arc, u0, u1, inner, order, product)
-            hi = _panel_pass(forms, arc, u0, u1, inner, order + 4, product)
+            lo = _panel_pass(forms, arc, u0, u1, inner, order)
+            hi = _panel_pass(forms, arc, u0, u1, inner, order + 4)
             err = max(_diff(a, b) for a, b in zip(lo[1:], hi[1:]))
             scale = max(1.0, max(float(np.max(np.abs(np.asarray(v)))) for v in hi[1:]))
             if err > tol * scale:
@@ -249,10 +244,10 @@ def path_integral(path, form, order=16, tol=1e-11, max_depth=12):
 
 
 def convolve_product(f, g):
-    """Node-block product that convolves trailing coefficient axes: use for
-    forms whose values are truncated power-series coefficient arrays (the
-    result keeps the shapes' elementwise maximum extent, truncating away
-    overflow orders)."""
+    """Node-block product that convolves trailing coefficient axes, as for
+    truncated power-series coefficient arrays (the result keeps the shapes'
+    elementwise maximum extent, truncating away overflow orders); scalar
+    blocks (1-D) multiply pointwise."""
     f = np.asarray(f)
     g = np.asarray(g)
     if f.ndim == 1 and g.ndim == 1:

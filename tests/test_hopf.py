@@ -234,6 +234,8 @@ def test_kid_identities():
         assert verify_identities(n, "kid1")["ok"]
     for n in (4, 5, 6):
         assert verify_identities(n, "kid2")["ok"]
+    with pytest.raises(ValueError):
+        verify_identities(4, "diff_vs_coproduct")
 
 
 def test_kid_sums_nontrivial():

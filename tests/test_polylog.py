@@ -164,8 +164,7 @@ def test_depth2_channels_match_depth1():
     K = 6
     ser = debye_lambda(2, SimplicialPoint((0.2, 0.35)), K)
     Kp = 2 * K - 1
-    for name, t in (("c1", 0.2), ("c2", 0.35)):
-        chan = np.asarray(ser.channels[name])
+    for chan, t in zip(ser.channels, (0.2, 0.35)):
         assert len(chan) >= Kp
         d1 = coeffs1(debye_lambda(1, SimplicialPoint((t,)), Kp).value, Kp)
         assert np.max(np.abs(chan[:Kp] - d1)) == 0.0
@@ -175,6 +174,16 @@ def test_series_argument_checks():
     with pytest.raises(ValueError):
         debye_lambda(3, SimplicialPoint((0.1, 0.1, 0.1)), 4)
     assert debye_lambda(1, SimplicialPoint((0.0,)), 5).value.is_zero()
+
+
+@pytest.mark.parametrize("ts", [(0.4 - 0.1j,), (0.2, 0.35 + 0.1j)])
+def test_value_is_the_coeffs_view(ts):
+    K = 5
+    ser = debye_lambda(len(ts), SimplicialPoint(ts), K)
+    assert ser.coeffs.shape == (K,) * len(ts) and ser.order() == K
+    assert ser.value.max_order == (K - 1,) * len(ts)
+    for e in np.ndindex(ser.coeffs.shape):
+        assert ser.value.coeff(e) == ser.coeffs[e]
 
 
 def test_exp_coeffs_batched_matches_scalar_recurrence():
@@ -294,15 +303,59 @@ def test_large_argument_column_oracle():
 
 def test_short_channels_rejected():
     b = debye_lambda(2, SimplicialPoint((0.1, 0.2)), 5)
-    short = DebyeSeries(
-        b.point,
-        b.value,
-        b.branch_tag,
-        b.logs,
-        {"c1": b.channels["c1"][:3], "c2": b.channels["c2"][:3]},
-    )
+    c1, c2 = b.channels
+    short = DebyeSeries(b.point, b.coeffs, b.logs, (c1[:3], c2[:3]), b.branch_tag)
     with pytest.raises(ValueError, match="stale"):
         continue_debye(short, [(1, LineArc(0.1, 0.3))])
+
+
+def test_zero_coordinate_has_no_channels():
+    b = debye_lambda(2, SimplicialPoint((0.0, 0.3)), 4)
+    assert b.channels is None and b.value.is_zero()
+    with pytest.raises(ValueError, match="channels"):
+        continue_debye(b, [(2, LineArc(0.3, 0.6))])
+
+
+def _snapshot(s):
+    chans = None if s.channels is None else tuple(c.copy() for c in s.channels)
+    return s.coeffs.copy(), chans, s.logs, s.branch_tag, s.point.ts
+
+
+def _assert_unchanged(s, snap):
+    coeffs, chans, logs, tag, ts = snap
+    np.testing.assert_array_equal(s.coeffs, coeffs)
+    if chans is None:
+        assert s.channels is None
+    else:
+        for c, c0 in zip(s.channels, chans):
+            np.testing.assert_array_equal(c, c0)
+    assert (s.logs, s.branch_tag, s.point.ts) == (logs, tag, ts)
+
+
+def test_continuation_leaves_input_untouched():
+    b1 = debye_lambda(1, SimplicialPoint((0.3 + 0.2j,)), 6)
+    b2 = debye_lambda(2, SimplicialPoint((0.2, 0.35 + 0.1j)), 4)
+    snaps = [_snapshot(b1), _snapshot(b2)]
+    c1 = continue_debye(b1, [LineArc(0.3 + 0.2j, 0.6 + 0.4j)])
+    c2 = continue_debye(b2, [(1, LineArc(0.2, 0.5)), (2, LineArc(0.35 + 0.1j, 0.7 + 0.2j))])
+    _assert_unchanged(b1, snaps[0])
+    _assert_unchanged(b2, snaps[1])
+    assert c1.coeffs is not b1.coeffs and c2.coeffs is not b2.coeffs
+    # a continued series is itself a valid input, and stays as it was too
+    snap = _snapshot(c2)
+    continue_debye(c2, [(2, LineArc(c2.point.ts[1], 0.5 * c2.point.ts[1]))])
+    _assert_unchanged(c2, snap)
+
+
+def test_continue_without_legs_is_a_fresh_series():
+    b = debye_lambda(2, SimplicialPoint((0.2, 0.35)), 4)
+    snap = _snapshot(b)
+    c = continue_debye(b, [])
+    assert c is not b
+    assert c.branch_tag == "origin-canonical -> continued[0 legs]"
+    _assert_unchanged(b, snap)
+    np.testing.assert_array_equal(c.coeffs, b.coeffs)
+    assert c.logs == b.logs and c.point.ts == b.point.ts
 
 
 # ------------------------------------------------------------ lattice transport
@@ -370,6 +423,27 @@ def test_transport_ray_matches_direct_sum(j):
         * np.sum(np.outer(e1**a, e2**a) / den)
     )
     assert abs(tr.value.eval_at({"b1": be1, "b2": be2}) - brute) < 1e-10
+
+
+@pytest.mark.parametrize("ts, route", [((0.23 + 0.11j,), "diagonal"),
+                                       ((0.25 + 0.1j, 0.5 - 0.2j), "diagonal"),
+                                       ((0.25 + 0.1j, 0.5 - 0.2j), "axes")])
+def test_transport_leaves_base_untouched(ctx, monkeypatch, ts, route):
+    bases = []
+
+    def kept(*args, **kwargs):
+        s = debye_lambda(*args, **kwargs)
+        bases.append((s, _snapshot(s)))
+        return s
+
+    monkeypatch.setattr(polylog, "debye_lambda", kept)
+    shift = SpiralShift((-1,) * len(ts), SimplicialPoint(ts), ctx)
+    tr = transport_debye(shift, 4, route=route)
+    ray = transport_ray(SimplicialPoint((0.2, 0.35)), 1, 1.5, 4)
+    assert len(bases) == 2
+    for s, snap in bases:
+        _assert_unchanged(s, snap)
+    assert tr.branch_tag.startswith("transported[") and "continued" in ray.branch_tag
 
 
 def test_route_homotopy_agreement(ctx):

@@ -199,7 +199,7 @@ def test_convolution_product_iterated():
     g1 = lambda z, v: z**2 * v
     F = lambda z, v: np.array([f0(z, v), f1(z, v)])
     G = lambda z, v: np.array([g0(z, v), g1(z, v)])
-    out = iterated_integral(p, [F, G], product=convolve_product)
+    out = iterated_integral(p, [F, G])
     order0 = iterated_integral(p, [f0, g0])
     order1 = iterated_integral(p, [f0, g1]) + iterated_integral(p, [f1, g0])
     assert abs(out[0] - order0) < 1e-12
@@ -211,7 +211,7 @@ def test_convolution_outer_product_shapes():
     p = line(0.0, 1.0)
     F = lambda z, v: np.array([[v], [z * v]])
     G = lambda z, v: np.array([[v, z * v]])
-    out = iterated_integral(p, [F, G], product=convolve_product)
+    out = iterated_integral(p, [F, G])
     assert out.shape == (2, 2)
     assert abs(out[0, 0] - iterated_integral(p, [lambda z, v: v] * 2)) < 1e-12
     assert (

@@ -1,0 +1,71 @@
+"""Package surface guards, read from the source with ast.
+
+Deleting a feature should not leave its private helpers or its error class
+behind: every module-level private function or class in the package must be
+referenced outside its own definition, and every EpolylogError subclass must
+be raised somewhere.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "epolylog"
+MODULES = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in sorted(PACKAGE.glob("*.py"))}
+
+
+def _names(node):
+    """Identifiers a subtree refers to: loaded names, attributes and imports."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.ImportFrom):
+            yield from (alias.name for alias in sub.names)
+
+
+def _private_defs():
+    for mod, tree in MODULES.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+                if not node.name.startswith("__"):
+                    yield mod, node
+
+
+@pytest.mark.parametrize("mod, node", list(_private_defs()), ids=lambda x: getattr(x, "name", x))
+def test_private_definition_is_used(mod, node):
+    total = sum(name == node.name for tree in MODULES.values() for name in _names(tree))
+    own = sum(name == node.name for name in _names(node))
+    assert total > own, f"{mod}.{node.name} is defined but never referenced"
+
+
+def _error_classes():
+    tree = MODULES["errors"]
+    known = {"EpolylogError"}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+            isinstance(b, ast.Name) and b.id in known for b in node.bases
+        ):
+            known.add(node.name)
+            yield node.name
+
+
+def _raised():
+    out = set()
+    for tree in MODULES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                out.update(_names(exc))
+    return out
+
+
+def test_error_classes_found():
+    assert len(list(_error_classes())) >= 10
+
+
+@pytest.mark.parametrize("name", list(_error_classes()))
+def test_error_class_is_raised(name):
+    assert name in _raised(), f"{name} is never raised in src/epolylog"
