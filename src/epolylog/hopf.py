@@ -31,13 +31,13 @@ def _vec_neg(a):
     return tuple(-x for x in a)
 
 
-def label_str(vec, names=None):
+def label_str(vec):
     """Render a label vector like '-b1-b2' over b1, b2, ...."""
-    names = names or [f"b{i + 1}" for i in range(len(vec))]
     bits = []
-    for c, name in zip(vec, names):
+    for i, c in enumerate(vec):
         if c == 0:
             continue
+        name = f"b{i + 1}"
         if c == 1:
             bits.append(f"+{name}")
         elif c == -1:
@@ -188,11 +188,11 @@ def _compatible(a, b):
     return inter == {a.last} and a.last == b.last
 
 
-def admissible_collections(total, include_empty=False):
+def admissible_collections(total):
     """Non-empty admissible collections of strings (pairwise disjoint or
     sharing exactly a common last position)."""
     strings = enumerate_strings(total)
-    out = [()] if include_empty else []
+    out = []
 
     def extend(start, chosen):
         for i in range(start, len(strings)):
@@ -239,11 +239,11 @@ class HopfElement:
     """Formal sum of tensors of symbol products with exact coefficients.
 
     Keys are tuples of slots; a slot is a sorted tuple of ASymbol (the empty
-    tuple is the algebra unit).
+    tuple is the algebra unit).  An element may hold at most
+    DEFAULT_SIZE_BUDGET terms.
     """
 
-    def __init__(self, terms=None, budget=DEFAULT_SIZE_BUDGET):
-        self.budget = budget
+    def __init__(self, terms=None):
         self.terms = {}
         for key, c in (terms or {}).items():
             self.add(key, c)
@@ -257,10 +257,8 @@ class HopfElement:
             self.terms.pop(key, None)
         else:
             self.terms[key] = cur
-            if len(self.terms) > self.budget:
-                raise SizeBudgetExceeded(
-                    f"element exceeds {self.budget} terms"
-                )
+            if len(self.terms) > DEFAULT_SIZE_BUDGET:
+                raise SizeBudgetExceeded(f"element exceeds {DEFAULT_SIZE_BUDGET} terms")
 
     @property
     def rank(self):
@@ -273,13 +271,13 @@ class HopfElement:
         return isinstance(other, HopfElement) and self.terms == other.terms
 
     def __add__(self, other):
-        out = HopfElement(self.terms, budget=self.budget)
+        out = HopfElement(self.terms)
         for key, c in other.terms.items():
             out.add(key, c)
         return out
 
     def __sub__(self, other):
-        out = HopfElement(self.terms, budget=self.budget)
+        out = HopfElement(self.terms)
         for key, c in other.terms.items():
             out.add(key, -c)
         return out
@@ -313,9 +311,9 @@ def _delta_prime_symbol(sym):
     return out
 
 
-def coproduct_delta_prime(sym, budget=DEFAULT_SIZE_BUDGET):
+def coproduct_delta_prime(sym):
     """Reduced coproduct of a single symbol as a rank-2 element."""
-    el = HopfElement(budget=budget)
+    el = HopfElement()
     for coeff, left, q in _delta_prime_symbol(sym):
         el.add((left, (q,)), coeff)
     return el
@@ -347,7 +345,7 @@ def _delta_slot(slot):
 
 def apply_delta(element, slot_index):
     """Replace one tensor slot by its full coproduct, raising the rank by 1."""
-    out = HopfElement(budget=element.budget)
+    out = HopfElement()
     for key, coeff in element.terms.items():
         for c, left, right in _delta_slot(key[slot_index]):
             new_key = key[:slot_index] + (left, right) + key[slot_index + 1 :]
@@ -355,7 +353,7 @@ def apply_delta(element, slot_index):
     return out
 
 
-def delta_components(sym, which, m=None, budget=DEFAULT_SIZE_BUDGET):
+def delta_components(sym, which, m=None):
     """Components of the coproduct of one symbol.
 
     one_star: single length-2 strings on the left.
@@ -363,7 +361,7 @@ def delta_components(sym, which, m=None, budget=DEFAULT_SIZE_BUDGET):
     iterated: the m-fold coproduct (m >= 2) of the symbol.
     """
     if which == "one_star":
-        el = HopfElement(budget=budget)
+        el = HopfElement()
         if sym.length == 2:
             el.add(((sym,), ()), 1)
         for coeff, left, q in _delta_prime_symbol(sym):
@@ -371,7 +369,7 @@ def delta_components(sym, which, m=None, budget=DEFAULT_SIZE_BUDGET):
                 el.add((left, (q,)), coeff)
         return el
     if which == "star_one":
-        el = HopfElement(budget=budget)
+        el = HopfElement()
         if sym.length == 2:
             el.add(((), (sym,)), 1)
         for coeff, left, q in _delta_prime_symbol(sym):
@@ -381,7 +379,7 @@ def delta_components(sym, which, m=None, budget=DEFAULT_SIZE_BUDGET):
     if which == "iterated":
         if m is None or m < 2:
             raise ValueError("iterated coproduct needs m >= 2")
-        el = HopfElement({((sym,),): Fraction(1)}, budget=budget)
+        el = HopfElement({((sym,),): Fraction(1)})
         for _ in range(m - 1):
             el = apply_delta(el, 0)
         return el
@@ -436,19 +434,19 @@ def lambda_args(sym):
     return tuple((i, last) for i in sym.ts[:-1]), sym.labels[:-1]
 
 
-def assemble_asymptotic(sym, J, realizers=None, budget=DEFAULT_SIZE_BUDGET):
-    """mu_3 (Phi (x) Lambda^reg (x) C) Delta^(3) relative to the set J of
-    indices sent to infinity.
+def assemble_asymptotic(sym, J):
+    """The terms of mu_3 (Phi (x) Lambda^reg (x) C) Delta^(3) relative to the
+    set J of indices sent to infinity.
 
-    Without realizers, returns the classified term list
-    [(coeff, phi_slot, lambda_slot, c_slot)]; with realizers (callables under
-    keys 'phi', 'lambda_reg', 'C'), multiplies their values per term and sums.
-    Slots failing the essential / regular / essential classification drop out.
+    Returns the classified term list [(coeff, phi_slot, lambda_slot, c_slot)]:
+    terms whose slots fail the essential / regular / essential classification
+    drop out.  Callers realize the slots and multiply the values per term
+    (polylog.asymptotic_eval does so numerically).
     """
     if not J:
         raise ValueError("J must be a non-empty set of point indices")
     J = frozenset(J)
-    el = delta_components(sym, "iterated", 3, budget=budget)
+    el = delta_components(sym, "iterated", 3)
     kept = []
     for key, coeff in el.sorted_terms():
         phi_slot, lam_slot, c_slot = key
@@ -459,19 +457,7 @@ def assemble_asymptotic(sym, J, realizers=None, budget=DEFAULT_SIZE_BUDGET):
         if not all(essential(s, J) for s in c_slot):
             continue
         kept.append((coeff, phi_slot, lam_slot, c_slot))
-    if realizers is None:
-        return kept
-    total = None
-    for coeff, phi_slot, lam_slot, c_slot in kept:
-        val = Fraction(coeff)
-        for s in phi_slot:
-            val = val * realizers["phi"](s)
-        for s in lam_slot:
-            val = val * realizers["lambda_reg"](s)
-        for s in c_slot:
-            val = val * realizers["C"](s)
-        total = val if total is None else total + val
-    return total
+    return kept
 
 
 def _beta_run(vars, lo, hi):

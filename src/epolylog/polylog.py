@@ -34,8 +34,12 @@ from .quadrature import (
 from .series import INF, MultiSeries
 
 DEFAULT_MARGIN = 0.05
-DEFAULT_TOL = 1e-10
-QUAD_TOL = 1e-11
+DEFAULT_TOL = 1e-10  # transport legs
+QUAD_TOL = 1e-11  # eval_classical's iterated-integral mode
+SERIES_TOL = 1e-15  # tail of the Debye series sums
+CLASSICAL_TOL = 1e-14  # tail of eval_classical's series modes
+Q_POWER_TOL = 1e-9  # how close to a real q-power SpiralShift.validate refuses
+CLEARANCE = 1e-3  # distance every transport arc keeps from 1
 
 
 class MultiIndex:
@@ -53,10 +57,6 @@ class MultiIndex:
     @property
     def depth(self):
         return len(self.entries)
-
-    @property
-    def weight(self):
-        return sum(self.entries)
 
     def __repr__(self):
         return f"MultiIndex{self.entries}"
@@ -138,7 +138,7 @@ class SpiralShift:
         if len(self.m) != base.depth:
             raise ValueError("one exponent per coordinate")
 
-    def validate(self, tol=1e-9):
+    def validate(self):
         """The spiral family through the base must avoid 1: no coordinate
         and no coordinate ratio may lie on a real q-power."""
         tau = complex(self.context.tau)
@@ -156,7 +156,7 @@ class SpiralShift:
             v = cmath.log(w) / (2j * math.pi)
             c = v.imag / tau.imag
             k = v.real - c * tau.real
-            if abs(k - round(k)) < tol:
+            if abs(k - round(k)) < Q_POWER_TOL:
                 raise Inadmissible(
                     f"{w} lies on a real q-power (offset {k - round(k):.2e})"
                 )
@@ -207,7 +207,7 @@ def _simplicial_nested(ts, orders, tol):
     return complex(f.sum())
 
 
-def eval_classical(idx, pt, mode="li_series", path=None, delta=DEFAULT_MARGIN, tol=1e-14):
+def eval_classical(idx, pt, mode="li_series", path=None, delta=DEFAULT_MARGIN):
     """Evaluate Li_{n_1..n_r} / I_{n_1..n_r} at a simplicial point.
 
     li_series sums over the ratio arguments x_i = t_i/t_{i+1};
@@ -221,11 +221,11 @@ def eval_classical(idx, pt, mode="li_series", path=None, delta=DEFAULT_MARGIN, t
         xs = pt.ratios()
         if any(abs(x) > 1.0 - delta for x in xs):
             raise OutOfRegion(f"|x| too close to 1 (margin {delta})")
-        return _li_nested(xs, idx.entries, tol)
+        return _li_nested(xs, idx.entries, CLASSICAL_TOL)
     if mode == "simplicial_series":
         if any(abs(t) > 1.0 - delta for t in pt.ts):
             raise OutOfRegion(f"|t| too close to 1 (margin {delta})")
-        return _simplicial_nested(pt.ts, idx.entries, tol)
+        return _simplicial_nested(pt.ts, idx.entries, CLASSICAL_TOL)
     if mode == "iterated_integral":
         rho = []
         for t, n in zip(pt.ts, idx.entries):
@@ -334,7 +334,7 @@ def _spread_col(col, K):
     return np.tensordot(col[..., :K], _binomials(K)[0], axes=1)
 
 
-def debye_lambda(r, pt, K, delta=DEFAULT_MARGIN, tol=1e-15):
+def debye_lambda(r, pt, K, delta=DEFAULT_MARGIN):
     """Generating series at a point of the convergence polydisk.
 
     Depth 1: sum_m Li_m(t) b^{m-1} times t^{-b}.  Depth 2: the nested-sum
@@ -351,7 +351,7 @@ def debye_lambda(r, pt, K, delta=DEFAULT_MARGIN, tol=1e-15):
     if r == 1:
         (t,) = pt.ts
         lt = cmath.log(t) if t != 0 else 0.0
-        return DebyeSeries(pt, _debye_column(t, K, tol), (lt,))
+        return DebyeSeries(pt, _debye_column(t, K, SERIES_TOL), (lt,))
     if r == 2:
         t1, t2 = pt.ts
         if t1 == 0 or t2 == 0:
@@ -360,10 +360,10 @@ def debye_lambda(r, pt, K, delta=DEFAULT_MARGIN, tol=1e-15):
         # re-expanding (b1, b1+b2) -> (b1, b2) pulls in totals up to 2K-2,
         # so the rectangle is only exact when built at padded order
         Kp = 2 * K - 1
-        body = _spread(_nested_table(t1, t2, Kp, tol), Kp)
+        body = _spread(_nested_table(t1, t2, Kp, SERIES_TOL), Kp)
         pref = np.outer(_exp_coeffs(l1, Kp), _exp_coeffs(l2, Kp))
         coeffs = _conv(pref, body)[:K, :K]
-        channels = (_debye_column(t1, Kp, tol), _debye_column(t2, Kp, tol))
+        channels = (_debye_column(t1, Kp, SERIES_TOL), _debye_column(t2, Kp, SERIES_TOL))
         return DebyeSeries(pt, coeffs, (l1, l2), channels)
     raise ValueError("depth 1 or 2 only")
 
@@ -401,9 +401,6 @@ class _RatioArc:
     def log_point(self, u):
         return self.arc.log_point(u) - self.den_log
 
-    def end_log(self):
-        return self.log_point(1.0)
-
     def suggested_panels(self):
         return self.arc.suggested_panels()
 
@@ -426,16 +423,13 @@ class _InvRatioArc:
     def log_point(self, u):
         return self.num_log - self.arc.log_point(u)
 
-    def end_log(self):
-        return self.log_point(1.0)
-
     def suggested_panels(self):
         return self.arc.suggested_panels()
 
 
-def _check_clear(arcs, clearance):
+def _check_clear(arcs):
     for arc in arcs:
-        PathSpec([arc], singular=(1.0,), clearance=clearance).validate()
+        PathSpec([arc], singular=(1.0,), clearance=CLEARANCE).validate()
 
 
 def _spine(arcs):
@@ -443,12 +437,12 @@ def _spine(arcs):
     return PathSpec([best])
 
 
-def _single(path, form, tol):
-    return np.asarray(path_integral(path, form, tol=tol))
+def _single(path, form):
+    return np.asarray(path_integral(path, form, tol=DEFAULT_TOL))
 
 
-def _double(path, outer, inner, tol):
-    return np.asarray(iterated_integral(path, [outer, inner], tol=tol))
+def _double(path, outer, inner):
+    return np.asarray(iterated_integral(path, [outer, inner], tol=DEFAULT_TOL))
 
 
 def _rebase(arc, t, l):
@@ -460,11 +454,11 @@ def _rebase(arc, t, l):
     if isinstance(arc, SpiralArc):
         if abs(arc.point(0.0) - t) > 1e-9 * max(1.0, abs(t)):
             raise ValueError("arc does not start at the current point")
-        return SpiralArc(t, arc.m, arc.log_q / (2j * math.pi), s0=arc.s0, s1=arc.s1, log_t=l)
+        return SpiralArc(t, arc.m, arc.log_q / (2j * math.pi), log_t=l)
     raise TypeError(f"unsupported arc type {type(arc).__name__}")
 
 
-def _advance(series, path, arcs, tag, tol, coeffs=None):
+def _advance(series, path, arcs, tag, coeffs=None):
     """The series with the depth-1 column of every moving coordinate (arc
     not None) integrated along its arc, and that coordinate's log and point
     moved to the arc end.  The column is the series' coeffs at depth 1 and
@@ -473,8 +467,8 @@ def _advance(series, path, arcs, tag, tol, coeffs=None):
     logs, ts = list(series.logs), list(series.point.ts)
     for i, arc in enumerate(arcs):
         if arc is not None:
-            cols[i] = cols[i] + _single(path, _form(arc, len(cols[i])), tol)
-            logs[i] = arc.end_log()
+            cols[i] = cols[i] + _single(path, _form(arc, len(cols[i])))
+            logs[i] = arc.log_point(1.0)
             ts[i] = arc.point(1.0)
     pt = SimplicialPoint(ts)
     if series.depth == 1:
@@ -482,13 +476,13 @@ def _advance(series, path, arcs, tag, tol, coeffs=None):
     return DebyeSeries(pt, coeffs, logs, tuple(cols), tag)
 
 
-def _leg_depth1(series, arc, tag, tol, clearance):
+def _leg_depth1(series, arc, tag):
     arc = _rebase(arc, series.point.ts[0], series.logs[0])
-    _check_clear([arc], clearance)
-    return _advance(series, _spine([arc]), [arc], tag, tol)
+    _check_clear([arc])
+    return _advance(series, _spine([arc]), [arc], tag)
 
 
-def _leg2(series, arc1, arc2, arc_a, arc_c, tag, tol, clearance):
+def _leg2(series, arc1, arc2, arc_a, arc_c, tag):
     """Advance a depth-2 series along arc1 (t1) and arc2 (t2), with arc_a and
     arc_c the matching paths of t1/t2 and t2/t1.  None marks a coordinate
     that stays fixed: the terms whose form sits on it integrate to 0 and
@@ -501,24 +495,24 @@ def _leg2(series, arc1, arc2, arc_a, arc_c, tag, tol, clearance):
     if Kp < 2 * K - 1:
         raise ValueError("channels shorter than 2K-1: rectangle would go stale")
     arcs = [a for a in (arc1, arc2, arc_a, arc_c) if a is not None]
-    _check_clear(arcs, clearance)
+    _check_clear(arcs)
     path = _spine(arcs)
     ga = _form(arc_a, Kp, _embed_rows)
     gc = _form(arc_c, Kp, _embed_cols)
-    d = _conv(_single(path, ga, tol), _spread_col(c2, Kp))
+    d = _conv(_single(path, ga), _spread_col(c2, Kp))
     if arc2 is not None:
         gb = _form(arc2, Kp, _embed_cols)
-        d = d + _double(path, ga, _form(arc2, Kp, _spread_col), tol)
-        d = d + _conv(_single(path, gb, tol), _embed_rows(c1, Kp))
+        d = d + _double(path, ga, _form(arc2, Kp, _spread_col))
+        d = d + _conv(_single(path, gb), _embed_rows(c1, Kp))
         if arc1 is not None:
-            d = d + _double(path, gb, _form(arc1, Kp, _embed_rows), tol)
-    d = d - _conv(_single(path, gc, tol), _spread_col(c1, Kp))
+            d = d + _double(path, gb, _form(arc1, Kp, _embed_rows))
+    d = d - _conv(_single(path, gc), _spread_col(c1, Kp))
     if arc1 is not None:
-        d = d - _double(path, gc, _form(arc1, Kp, _spread_col), tol)
-    return _advance(series, path, [arc1, arc2], tag, tol, series.coeffs + d[:K, :K])
+        d = d - _double(path, gc, _form(arc1, Kp, _spread_col))
+    return _advance(series, path, [arc1, arc2], tag, series.coeffs + d[:K, :K])
 
 
-def _leg_axis(series, j, arc, tag, tol, clearance):
+def _leg_axis(series, j, arc, tag):
     """Move one coordinate of a depth-2 series along an arc."""
     (l1, l2), (t1, t2) = series.logs, series.point.ts
     if j == 1:
@@ -529,10 +523,10 @@ def _leg_axis(series, j, arc, tag, tol, clearance):
         arcs = (None, arc2, _InvRatioArc(t1, l1, arc2), _RatioArc(arc2, t1, l1))
     else:
         raise ValueError("coordinate index must be 1 or 2")
-    return _leg2(series, *arcs, tag, tol, clearance)
+    return _leg2(series, *arcs, tag)
 
 
-def _leg_diag(series, m, tau, tag, tol, clearance):
+def _leg_diag(series, m, tau, tag):
     """Move both coordinates simultaneously along their spirals."""
     (l1, l2), (t1, t2) = series.logs, series.point.ts
     return _leg2(
@@ -542,12 +536,10 @@ def _leg_diag(series, m, tau, tag, tol, clearance):
         SpiralArc(t1 / t2, m[0] - m[1], tau, log_t=l1 - l2),
         SpiralArc(t2 / t1, m[1] - m[0], tau, log_t=l2 - l1),
         tag,
-        tol,
-        clearance,
     )
 
 
-def _legs(series, legs, tag, tol, clearance):
+def _legs(series, legs, tag):
     """The leg loop: arcs (depth 1) or (j, arc) pairs (depth 2), taken in
     order.  Every leg's result carries tag, so the last one is the answer;
     without legs it is a fresh series at the same state."""
@@ -555,31 +547,35 @@ def _legs(series, legs, tag, tol, clearance):
         return DebyeSeries(series.point, series.coeffs, series.logs, series.channels, tag)
     for leg in legs:
         if series.depth == 1:
-            series = _leg_depth1(series, leg, tag, tol, clearance)
+            series = _leg_depth1(series, leg, tag)
         else:
-            series = _leg_axis(series, *leg, tag, tol, clearance)
+            series = _leg_axis(series, *leg, tag)
     return series
 
 
-def continue_debye(series, legs, tol=DEFAULT_TOL, clearance=1e-3):
+def continue_debye(series, legs):
     """Continue a Debye series along coordinate legs.
 
     legs: for depth 1 a list of arcs; for depth 2 a list of (j, arc) with
     j in {1, 2} naming the moving coordinate.  Branch data is taken from
     the series; each arc must start at the current coordinate value.  The
-    input series is left as it was.
+    input series is left as it was.  Every leg integrates to DEFAULT_TOL,
+    and every arc must keep CLEARANCE from 1.
     """
     tag = series.branch_tag + f" -> continued[{len(legs)} legs]"
-    return _legs(series, legs, tag, tol, clearance)
+    return _legs(series, legs, tag)
 
 
-def transport_debye(shift, K, route="diagonal", tol=DEFAULT_TOL, clearance=1e-3):
-    """Transport the Debye series along the spiral t_i -> q^{m_i} t_i.
+def transport_debye(shift, K, route="diagonal"):
+    """Transport the Debye series along the spiral t_i -> q^{m_i} t_i, to
+    DEFAULT_TOL, with every arc CLEARANCE away from 1.
 
-    route (depth 2 only): "diagonal" moves both coordinates at once,
-    "axes" moves t_1 first and then t_2.  Both must agree for admissible
-    shifts (path homotopy invariance).
+    route (depth 2 only, checked at any depth): "diagonal" moves both
+    coordinates at once, "axes" moves t_1 first and then t_2.  Both must
+    agree for admissible shifts (path homotopy invariance).
     """
+    if route not in ("diagonal", "axes"):
+        raise ValueError(f"unknown route {route!r}")
     shift.validate()
     base = debye_lambda(shift.base.depth, shift.base, K)
     tau = complex(shift.context.tau)
@@ -587,20 +583,19 @@ def transport_debye(shift, K, route="diagonal", tol=DEFAULT_TOL, clearance=1e-3)
     if base.depth == 1:
         legs = [SpiralArc(base.point.ts[0], shift.m[0], tau)]
     elif route == "diagonal":
-        return _leg_diag(base, shift.m, tau, tag, tol, clearance)
-    elif route == "axes":
-        legs = [(j, SpiralArc(t, m, tau)) for j, t, m in zip((1, 2), base.point.ts, shift.m)]
+        return _leg_diag(base, shift.m, tau, tag)
     else:
-        raise ValueError(f"unknown route {route!r}")
-    return _legs(base, legs, tag, tol, clearance)
+        legs = [(j, SpiralArc(t, m, tau)) for j, t, m in zip((1, 2), base.point.ts, shift.m)]
+    return _legs(base, legs, tag)
 
 
-def transport_ray(pt, j, factor, K, tol=DEFAULT_TOL, clearance=1e-3, delta=DEFAULT_MARGIN):
-    """Continue the depth-2 series radially: t_j -> factor * t_j."""
-    base = debye_lambda(2, pt, K, delta=delta)
+def transport_ray(pt, j, factor, K):
+    """Continue the depth-2 series radially: t_j -> factor * t_j, to
+    DEFAULT_TOL, with the ray CLEARANCE away from 1."""
+    base = debye_lambda(2, pt, K)
     t = pt.ts[j - 1]
     arc = LineArc(t, factor * t)
-    return continue_debye(base, [(j, arc)], tol=tol, clearance=clearance)
+    return continue_debye(base, [(j, arc)])
 
 
 # ------------------------------------------------------------- asymptotics
@@ -679,30 +674,30 @@ def _asymptotic_terms(r, J):
     return tuple(hopf.assemble_asymptotic(hopf.canonical_symbol(r + 1), J))
 
 
-def asymptotic_eval(r, J, pt, K, constants=None, symbolic=False, delta=DEFAULT_MARGIN):
+def asymptotic_eval(r, J, pt, K, constants=None):
     """Prediction for the generating series when the coordinates in J grow.
 
-    Symbolic mode returns the exact classified term list from the string
-    coproduct (any depth).  Numeric mode (depth <= 2) assembles a
+    Realizes (depth <= 2) hopf's classified string-coproduct term list as a
     MultiSeries in the label variables: leading monomials with their
     partial-sum denominators, regular series at the surviving ratio
     arguments, and boundary constants C evaluated on the essential tails.
-    pt supplies the actual coordinate values (large along J); ratios of
-    J-coordinates stay finite.  constants: 1-variable MultiSeries for C.
+    pt supplies the actual coordinate values (large along J) and has depth
+    r; ratios of J-coordinates stay finite.  constants: 1-variable
+    MultiSeries for C.
 
-    Ratio arguments beyond the unit disk are inverted with the
-    upper-crossing constant.  A fixed ratio in the lower half-plane sits
-    one sheet below that choice: the prediction is offset by 2*pi*i
-    times the tail constant at the merged label.
+    Ratio arguments within DEFAULT_MARGIN of the unit circle are refused;
+    those beyond the unit disk are inverted with the upper-crossing
+    constant.  A fixed ratio in the lower half-plane sits one sheet below
+    that choice: the prediction is offset by 2*pi*i times the tail
+    constant at the merged label.
     """
+    if r != pt.depth:
+        raise ValueError("depth mismatch")
     if not J:
         raise ValueError("J must be non-empty")
     J = frozenset(J)
     if not J <= set(range(1, r + 1)):
         raise ValueError("J must index the first r coordinates")
-    terms = _asymptotic_terms(r, J)
-    if symbolic:
-        return list(terms)
     if r > 2:
         raise ValueError("numeric asymptotics implemented for depth <= 2")
     if constants is None:
@@ -732,7 +727,7 @@ def asymptotic_eval(r, J, pt, K, constants=None, symbolic=False, delta=DEFAULT_M
         return reg + c_pole * _inv_linear([complex(c) for c in lab], vars, K)
 
     def lam_series(ratio, lab):
-        return _compose_linear(_debye_column(ratio, M + 1, 1e-15), lab, vars, M)
+        return _compose_linear(_debye_column(ratio, M + 1, SERIES_TOL), lab, vars, M)
 
     def lam_realize(s):
         """Depth-1 value at the surviving ratio argument; outside the unit
@@ -742,9 +737,9 @@ def asymptotic_eval(r, J, pt, K, constants=None, symbolic=False, delta=DEFAULT_M
         num_i, den_i = pair
         ratio = ts[num_i - 1] / ts[den_i - 1]
         lab = [complex(c) for c in lab]
-        if abs(ratio) <= 1.0 - delta:
+        if abs(ratio) <= 1.0 - DEFAULT_MARGIN:
             return lam_series(ratio, lab)
-        if abs(ratio) >= 1.0 / (1.0 - delta):
+        if abs(ratio) >= 1.0 / (1.0 - DEFAULT_MARGIN):
             flipped = lam_series(1.0 / ratio, [-c for c in lab])
             pole = _inv_linear(lab, vars, K)
             pref = _compose_linear(_exp_coeffs(cmath.log(ratio), M + 1), lab, vars, M)
@@ -764,7 +759,7 @@ def asymptotic_eval(r, J, pt, K, constants=None, symbolic=False, delta=DEFAULT_M
         )
 
     total = None
-    for coeff, phi_slot, lam_slot, c_slot in terms:
+    for coeff, phi_slot, lam_slot, c_slot in _asymptotic_terms(r, J):
         val = MultiSeries.const(vars, complex(coeff), (M,) * len(vars))
         for s in phi_slot:
             val = val * phi_realize(s)

@@ -1,7 +1,7 @@
 """Complex path quadrature and iterated integrals.
 
 Paths are chains of smooth arcs: straight segments and q-power spirals
-u -> q^(s(u)*m) * t (the continuation paths used by the lattice-shift
+u -> q^(u*m) * t (the continuation paths used by the lattice-shift
 transports; their logarithm is linear in the parameter, which is what makes
 branch tracking trivial).  Every arc exposes point / velocity / log_point,
 and a PathSpec bundles arcs with the singular set it promised to avoid.
@@ -14,9 +14,9 @@ are computed panel by panel with the "innermost first" recursion: on each
 panel all forms are sampled once at the nodes, prefix integrals at the nodes
 come from a spectral integration matrix (Legendre expansion, exact on
 polynomials through the node count), and the running inner values carry over
-to the next panel.  Each panel is evaluated at orders n and n+4; on
-disagreement it is bisected, and QuadratureDiverged is raised when the depth
-limit is hit.
+to the next panel.  Each panel is evaluated at orders PANEL_ORDER and
+PANEL_ORDER + 4; on disagreement it is bisected, and QuadratureDiverged is
+raised when the depth limit is hit.
 
 Plain form callables receive (z, v), the point and v = dz/du, one node at a
 time and return f(z)*v: a scalar or a numpy array of truncated power-series
@@ -35,6 +35,9 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
 
 from .errors import PathTooClose, QuadratureDiverged
+
+PANEL_ORDER = 16
+CLEARANCE_SAMPLES = 33  # points per arc at which PathSpec.validate measures clearance
 
 
 @lru_cache(maxsize=32)
@@ -75,39 +78,30 @@ class LineArc:
             raise ValueError("arc carries no branch data")
         return self.start_log + np.log(self.point(u) / self.z0)
 
-    def end_log(self):
-        return self.log_point(1.0)
-
     def suggested_panels(self):
         return 1
 
 
 class SpiralArc:
-    """u -> exp(log_t + (s0 + (s1-s0) u) * m * log_q), the q-power spiral
-    through t with integer (or real) exponent slope m."""
+    """u -> exp(log_t + u * m * log_q), the q-power spiral from t to q^m t
+    with integer (or real) exponent slope m."""
 
-    def __init__(self, t, m, tau, s0=0.0, s1=1.0, log_t=None):
+    def __init__(self, t, m, tau, log_t=None):
         self.log_q = 2j * np.pi * complex(tau)
         self.log_t = complex(log_t) if log_t is not None else complex(np.log(complex(t)))
         self.m = m
-        self.s0 = s0
-        self.s1 = s1
 
     def log_point(self, u):
-        s = self.s0 + (self.s1 - self.s0) * u
-        return self.log_t + s * self.m * self.log_q
+        return self.log_t + u * self.m * self.log_q
 
     def point(self, u):
         return np.exp(self.log_point(u))
 
     def velocity(self, u):
-        return self.point(u) * ((self.s1 - self.s0) * self.m * self.log_q)
-
-    def end_log(self):
-        return self.log_point(1.0)
+        return self.point(u) * (self.m * self.log_q)
 
     def suggested_panels(self):
-        span = abs((self.s1 - self.s0) * self.m) * abs(self.log_q) / (2 * np.pi)
+        span = abs(self.m) * abs(self.log_q) / (2 * np.pi)
         return max(1, int(np.ceil(span)))
 
 
@@ -119,10 +113,10 @@ class PathSpec:
         self.singular = [complex(s) for s in singular]
         self.clearance = float(clearance)
 
-    def validate(self, samples=33):
+    def validate(self):
         if not self.singular:
             return self
-        us = np.linspace(0.0, 1.0, samples)
+        us = np.linspace(0.0, 1.0, CLEARANCE_SAMPLES)
         for arc in self.arcs:
             pts = arc.point(us)
             for s in self.singular:
@@ -133,32 +127,6 @@ class PathSpec:
                         f"(clearance {self.clearance:.2e})"
                     )
         return self
-
-    def reversed(self):
-        rev = []
-        for arc in reversed(self.arcs):
-            rev.append(_ReversedArc(arc))
-        return PathSpec(rev, self.singular, self.clearance)
-
-
-class _ReversedArc:
-    def __init__(self, arc):
-        self.arc = arc
-
-    def point(self, u):
-        return self.arc.point(1.0 - u)
-
-    def velocity(self, u):
-        return -self.arc.velocity(1.0 - u)
-
-    def log_point(self, u):
-        return self.arc.log_point(1.0 - u)
-
-    def end_log(self):
-        return self.arc.log_point(0.0)
-
-    def suggested_panels(self):
-        return self.arc.suggested_panels()
 
 
 class BranchedForm:
@@ -207,7 +175,7 @@ def _diff(a, b):
     return float(np.max(np.abs(d)))
 
 
-def iterated_integral(path, forms, order=16, tol=1e-11, max_depth=12):
+def iterated_integral(path, forms, tol=1e-11, max_depth=12):
     """Iterated integral of `forms` along `path` (w_1 outermost).
 
     With a single form this is the ordinary contour integral; an empty form
@@ -221,8 +189,8 @@ def iterated_integral(path, forms, order=16, tol=1e-11, max_depth=12):
         stack = [(k / p, (k + 1) / p, 0) for k in reversed(range(p))]
         while stack:
             u0, u1, depth = stack.pop()
-            lo = _panel_pass(forms, arc, u0, u1, inner, order)
-            hi = _panel_pass(forms, arc, u0, u1, inner, order + 4)
+            lo = _panel_pass(forms, arc, u0, u1, inner, PANEL_ORDER)
+            hi = _panel_pass(forms, arc, u0, u1, inner, PANEL_ORDER + 4)
             err = max(_diff(a, b) for a, b in zip(lo[1:], hi[1:]))
             scale = max(1.0, max(float(np.max(np.abs(np.asarray(v)))) for v in hi[1:]))
             if err > tol * scale:
@@ -238,9 +206,9 @@ def iterated_integral(path, forms, order=16, tol=1e-11, max_depth=12):
     return inner[-1]
 
 
-def path_integral(path, form, order=16, tol=1e-11, max_depth=12):
+def path_integral(path, form, tol=1e-11, max_depth=12):
     """Ordinary contour integral of a single form."""
-    return iterated_integral(path, [form], order=order, tol=tol, max_depth=max_depth)
+    return iterated_integral(path, [form], tol=tol, max_depth=max_depth)
 
 
 def convolve_product(f, g):

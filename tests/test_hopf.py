@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from epolylog import hopf
 from epolylog.errors import SizeBudgetExceeded
 from epolylog.hopf import (
     ASymbol,
@@ -318,20 +319,10 @@ def test_assemble_depth2_term_structure():
     }
 
 
-def test_assemble_with_realizers():
-    sym = canonical_symbol(3)
-    realizers = {
-        "phi": lambda s: 2,
-        "lambda_reg": lambda s: 3,
-        "C": lambda s: 5,
-    }
-    val = assemble_asymptotic(sym, {1, 2}, realizers=realizers)
-    assert val == 2 + 5 + 2 * 5 + 3 * 5 - 3 * 5
-
-
-def test_size_budget():
+def test_size_budget(monkeypatch):
+    monkeypatch.setattr(hopf, "DEFAULT_SIZE_BUDGET", 3)
     with pytest.raises(SizeBudgetExceeded):
-        coproduct_delta_prime(canonical_symbol(5), budget=3)
+        coproduct_delta_prime(canonical_symbol(5))
 
 
 def test_element_algebra():

@@ -7,7 +7,7 @@ import numpy as np
 import numpy.linalg as la
 import pytest
 
-from epolylog import polylog
+from epolylog import hopf, polylog
 from epolylog.errors import Inadmissible, MissingConstants, OutOfRegion
 from epolylog.kronecker import LatticeContext, zeta_even
 from epolylog.polylog import (
@@ -470,6 +470,15 @@ def test_spiral_zero_coordinate_rejected(ctx):
         SpiralShift((1,), SimplicialPoint((0.0,)), ctx).validate()
 
 
+# the last point lies on a real q-power: the route is checked before the shift
+@pytest.mark.parametrize("ts", [(0.23 + 0.11j,), (0.25 + 0.1j, 0.5 - 0.2j),
+                                (cmath.exp(2j * math.pi * 0.6 * TAU),)])
+def test_transport_rejects_unknown_route(ctx, ts):
+    shift = SpiralShift((-1,) * len(ts), SimplicialPoint(ts), ctx)
+    with pytest.raises(ValueError, match="unknown route"):
+        transport_debye(shift, 4, route="no-such-route")
+
+
 # ------------------------------------------------------- asymptotic predictions
 
 
@@ -481,6 +490,10 @@ def test_region_argument_checks():
         asymptotic_eval(2, {3}, SimplicialPoint((2.0, 3.0)), 4, constants=C)
     with pytest.raises(ValueError):
         asymptotic_eval(3, {1}, SimplicialPoint((2.0, 3.0, 4.0)), 4, constants=C)
+    with pytest.raises(ValueError, match="depth mismatch"):
+        asymptotic_eval(1, {1}, SimplicialPoint((20.0, 3.0)), 4, constants=C)
+    with pytest.raises(ValueError, match="depth mismatch"):
+        asymptotic_eval(2, {1}, SimplicialPoint((20.0,)), 4, constants=C)
     with pytest.raises(MissingConstants):
         asymptotic_eval(2, {1, 2}, SimplicialPoint((20.0, 30.0)), 4)
     short = MultiSeries(("b",), {(-1,): -1.0 + 0j, (0,): 1j * math.pi}, (1,), (-1,))
@@ -491,19 +504,11 @@ def test_region_argument_checks():
 def test_symbolic_term_list_structure():
     from fractions import Fraction
 
-    terms = asymptotic_eval(3, {1}, SimplicialPoint((2.0, 3.0, 4.0)), 3, symbolic=True)
+    terms = hopf.assemble_asymptotic(hopf.canonical_symbol(4), {1})
     assert isinstance(terms, list) and len(terms) == 2
     for term in terms:
         assert len(term) == 4
         assert isinstance(term[0], Fraction)
-
-
-def test_symbolic_term_list_is_a_fresh_list():
-    pt = SimplicialPoint((2.0, 3.0))
-    first = asymptotic_eval(2, {1}, pt, 4, symbolic=True)
-    n = len(first)
-    first.clear()
-    assert len(asymptotic_eval(2, {1}, pt, 4, symbolic=True)) == n > 0
 
 
 def _compose_reference(coeffs, lab, M):

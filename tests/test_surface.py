@@ -3,7 +3,8 @@
 Deleting a feature should not leave its private helpers or its error class
 behind: every module-level private function or class in the package must be
 referenced outside its own definition, and every EpolylogError subclass must
-be raised somewhere.
+be raised somewhere.  Options only grow on purpose: the count of defaulted
+parameters on the public surface may not rise above DEFAULTED_PARAMETERS.
 """
 
 import ast
@@ -13,6 +14,7 @@ import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "epolylog"
 MODULES = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in sorted(PACKAGE.glob("*.py"))}
+DEFAULTED_PARAMETERS = 34
 
 
 def _names(node):
@@ -69,3 +71,34 @@ def test_error_classes_found():
 @pytest.mark.parametrize("name", list(_error_classes()))
 def test_error_class_is_raised(name):
     assert name in _raised(), f"{name} is never raised in src/epolylog"
+
+
+def _defaulted(fn):
+    """Names of the parameters of a function definition that carry a default."""
+    a = fn.args
+    pos = a.posonlyargs + a.args
+    out = [p.arg for p in pos[len(pos) - len(a.defaults):]] if a.defaults else []
+    return out + [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+
+
+def _public_functions():
+    """(qualified name, definition) of every public function and of every
+    public or dunder method of a public class."""
+    for mod, tree in MODULES.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                yield f"{mod}.{node.name}", node
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for fn in node.body:
+                    if isinstance(fn, ast.FunctionDef) and (
+                        not fn.name.startswith("_") or fn.name.endswith("__")
+                    ):
+                        yield f"{mod}.{node.name}.{fn.name}", fn
+
+
+def test_defaulted_parameter_ratchet():
+    found = [f"{name}({p})" for name, fn in _public_functions() for p in _defaulted(fn)]
+    assert len(found) <= DEFAULTED_PARAMETERS, (
+        f"{len(found)} defaulted public parameters, at most {DEFAULTED_PARAMETERS}: "
+        + ", ".join(found)
+    )
