@@ -1,11 +1,12 @@
 """String Hopf algebra on ordered point sequences.
 
-Symbols (t_{i_1}:...:t_{i_l}; labels) with exact rational labels summing to
-zero, directed consecutive strings, admissible collections, the reduced
-coproduct and its one-star / star-one components, iterated coproducts, the
-divisor-asymptotics assembly, and the partial-fraction identities used for
-residue bookkeeping.  Everything here is exact; numeric realizations are
-supplied by callers as callbacks.
+Symbols (t_{i_1}:...:t_{i_l}; labels) with integer labels summing to zero
+(a non-integral label entry stays an exact Fraction), directed consecutive
+strings, admissible collections, the reduced coproduct and its one-star /
+star-one components, iterated coproducts, the divisor-asymptotics assembly,
+and the partial-fraction identities used for residue bookkeeping.
+Everything here is exact; numeric realizations are supplied by callers as
+callbacks.
 """
 
 from fractions import Fraction
@@ -16,10 +17,18 @@ from .rational import Poly, rational_sum
 DEFAULT_SIZE_BUDGET = 10**6
 
 
+def _exact(c):
+    """One exact label entry: an int, or a Fraction when it is not integral."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def _vec(width, entries=None):
-    v = [Fraction(0)] * width
+    v = [0] * width
     for i, c in (entries or {}).items():
-        v[i] = Fraction(c)
+        v[i] = _exact(c)
     return tuple(v)
 
 
@@ -56,14 +65,17 @@ class ASymbol:
     `ts` are 1-based point indices into the ambient tuple (index n is the
     slot fixed at 1 in realizations).  Labels are exact vectors over a free
     basis b_1..b_w and must sum to zero; the last label of a string symbol
-    is minus the sum of the others by construction.
+    is minus the sum of the others by construction.  An integral entry is
+    stored as an int (Fraction(1) == 1 with the same hash, so keys, order
+    and reprs do not depend on how it was given); any other entry stays an
+    exact Fraction.
     """
 
     __slots__ = ("ts", "labels")
 
     def __init__(self, ts, labels):
         self.ts = tuple(int(i) for i in ts)
-        self.labels = tuple(tuple(Fraction(c) for c in lab) for lab in labels)
+        self.labels = tuple(tuple(map(_exact, lab)) for lab in labels)
         if len(self.ts) < 2:
             raise ValueError("symbol needs at least two slots")
         if len(self.labels) != len(self.ts):
@@ -214,17 +226,18 @@ def string_symbol(sym, string):
     return ASymbol(ts, body + [_vec_neg(beta_s)])
 
 
-def quotient_symbol(sym, collection):
-    """The quotient of `sym` by an admissible collection, or None if fewer
-    than two positions remain."""
+def _remaining(total, collection):
+    """Sorted positions of a length-`total` symbol left by a collection: the
+    uncovered ones and the last position of every string."""
     covered = set()
     for s in collection:
         covered.update(s.positions)
-    remaining = sorted(
-        (set(range(1, sym.length + 1)) - covered) | {s.last for s in collection}
-    )
-    if len(remaining) < 2:
-        return None
+    return sorted((set(range(1, total + 1)) - covered) | {s.last for s in collection})
+
+
+def _quotient_at(sym, collection, remaining):
+    """The quotient of `sym` by an admissible collection on its remaining
+    positions (two or more)."""
     labels = []
     for p in remaining:
         lab = sym.labels[p - 1]
@@ -295,19 +308,25 @@ class HopfElement:
         return " + ".join(bits) if bits else "0"
 
 
-def _delta_prime_symbol(sym):
+def _delta_prime_symbol(sym, keep=lambda cut, rest: True):
     """[(coeff, left_slot, right_symbol)] for the reduced coproduct of one
-    symbol: signed admissible collections against their quotients."""
+    symbol: signed admissible collections against their quotients.  Only the
+    collections that pass `keep(cut, rest)` are taken, where cut lists the
+    point indices of each string and rest those of the quotient; a rejected
+    collection builds no symbol."""
     out = []
     for coll in admissible_collections(sym.length):
-        q = quotient_symbol(sym, coll)
-        if q is None:
+        remaining = _remaining(sym.length, coll)
+        if len(remaining) < 2:
+            continue
+        cut = [[sym.ts[p - 1] for p in s.positions] for s in coll]
+        if not keep(cut, [sym.ts[p - 1] for p in remaining]):
             continue
         coeff = 1
         for s in coll:
             coeff *= s.sign
         left = tuple(sorted(string_symbol(sym, s) for s in coll))
-        out.append((Fraction(coeff), left, q))
+        out.append((coeff, left, _quotient_at(sym, coll, remaining)))
     return out
 
 
@@ -399,18 +418,25 @@ def monomial_exponent(slots):
     return {i: v for i, v in out.items() if any(c != 0 for c in v)}
 
 
+def _essential_ts(ts, J):
+    return ts[-1] not in J and all(i in J for i in ts[:-1])
+
+
+def _regular_ts(ts, J):
+    inside = [i in J for i in ts]
+    return all(inside) or not any(inside)
+
+
 def essential(sym, J):
     """A string symbol is essential when every slot but the last goes to
-    infinity and the last one stays finite."""
-    J = set(J)
-    return sym.ts[-1] not in J and all(i in J for i in sym.ts[:-1])
+    infinity and the last one stays finite.  J is taken as given (a set or
+    frozenset of point indices)."""
+    return _essential_ts(sym.ts, J)
 
 
 def regular(sym, J):
     """Regular symbols have all slots inside J or all outside."""
-    J = set(J)
-    inside = [i in J for i in sym.ts]
-    return all(inside) or not any(inside)
+    return _regular_ts(sym.ts, J)
 
 
 def phi_parts(sym):
@@ -434,30 +460,61 @@ def lambda_args(sym):
     return tuple((i, last) for i in sym.ts[:-1]), sym.labels[:-1]
 
 
+def _kept_factor_terms(sym, J):
+    """Full coproduct terms (coeff, left, right) of one symbol whose left slot
+    is all essential and whose right slot is all regular."""
+    out = []
+    if essential(sym, J):
+        out.append((1, (sym,), ()))
+    if regular(sym, J):
+        out.append((1, (), (sym,)))
+
+    def keep(cut, rest):
+        return _regular_ts(rest, J) and all(_essential_ts(ts, J) for ts in cut)
+
+    for c, left, q in _delta_prime_symbol(sym, keep):
+        out.append((c, left, (q,)))
+    return out
+
+
 def assemble_asymptotic(sym, J):
     """The terms of mu_3 (Phi (x) Lambda^reg (x) C) Delta^(3) relative to the
     set J of indices sent to infinity.
 
-    Returns the classified term list [(coeff, phi_slot, lambda_slot, c_slot)]:
-    terms whose slots fail the essential / regular / essential classification
-    drop out.  Callers realize the slots and multiply the values per term
-    (polylog.asymptotic_eval does so numerically).
+    Returns the classified term list [(coeff, phi_slot, lambda_slot, c_slot)]
+    in key order: the terms of the iterated coproduct whose phi and C slots
+    are all essential and whose Lambda slot is all regular.  Only those terms
+    are built.  The first coproduct keeps the terms with an all-essential
+    right slot, and a collection is rejected from its remaining point indices
+    before any symbol is cut out.  The left slot is then expanded factor by
+    factor, each factor's coproduct filtered to (essential, regular) before
+    the product over factors; the classification is a conjunction over
+    factors, so nothing that survives is dropped.  The tests hold the full
+    Delta^(3)-then-filter path as the oracle.  Callers realize the slots and
+    multiply the values per term (polylog.asymptotic_eval does so
+    numerically).
     """
     if not J:
         raise ValueError("J must be a non-empty set of point indices")
     J = frozenset(J)
-    el = delta_components(sym, "iterated", 3)
-    kept = []
-    for key, coeff in el.sorted_terms():
-        phi_slot, lam_slot, c_slot = key
-        if not all(essential(s, J) for s in phi_slot):
-            continue
-        if not all(regular(s, J) for s in lam_slot):
-            continue
-        if not all(essential(s, J) for s in c_slot):
-            continue
-        kept.append((coeff, phi_slot, lam_slot, c_slot))
-    return kept
+    firsts = [(1, (sym,), ())]
+    if essential(sym, J):
+        firsts.append((1, (), (sym,)))
+    for c, left, q in _delta_prime_symbol(sym, lambda cut, rest: _essential_ts(rest, J)):
+        firsts.append((c, left, (q,)))
+    el = HopfElement()
+    for c0, left, c_slot in firsts:
+        acc = [(c0, (), ())]
+        for f in left:
+            kept = _kept_factor_terms(f, J)
+            acc = [
+                (c * c1, phi + phi1, lam + lam1)
+                for c, phi, lam in acc
+                for c1, phi1, lam1 in kept
+            ]
+        for c, phi, lam in acc:
+            el.add((tuple(sorted(phi)), tuple(sorted(lam)), c_slot), c)
+    return [(coeff, *key) for key, coeff in el.sorted_terms()]
 
 
 def _beta_run(vars, lo, hi):

@@ -674,7 +674,7 @@ def _asymptotic_terms(r, J):
     return tuple(hopf.assemble_asymptotic(hopf.canonical_symbol(r + 1), J))
 
 
-def asymptotic_eval(r, J, pt, K, constants=None):
+def asymptotic_eval(r, J, pt, K, constants):
     """Prediction for the generating series when the coordinates in J grow.
 
     Realizes (depth <= 2) hopf's classified string-coproduct term list as a
@@ -682,8 +682,9 @@ def asymptotic_eval(r, J, pt, K, constants=None):
     partial-sum denominators, regular series at the surviving ratio
     arguments, and boundary constants C evaluated on the essential tails.
     pt supplies the actual coordinate values (large along J) and has depth
-    r; ratios of J-coordinates stay finite.  constants: 1-variable
-    MultiSeries for C.
+    r; ratios of J-coordinates stay finite.  constants: the 1-variable
+    MultiSeries for C, with at least constants_order(K) regular orders
+    (MissingConstants otherwise).
 
     Ratio arguments within DEFAULT_MARGIN of the unit circle are refused;
     those beyond the unit disk are inverted with the upper-crossing
@@ -700,8 +701,6 @@ def asymptotic_eval(r, J, pt, K, constants=None):
         raise ValueError("J must index the first r coordinates")
     if r > 2:
         raise ValueError("numeric asymptotics implemented for depth <= 2")
-    if constants is None:
-        raise MissingConstants("supply the C(beta) series")
     M = constants_order(K)
     if constants.max_order[0] < M:
         raise MissingConstants(

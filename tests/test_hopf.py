@@ -1,4 +1,6 @@
+import itertools
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -15,11 +17,13 @@ from epolylog.hopf import (
     coproduct_delta_prime,
     delta_components,
     enumerate_strings,
+    essential,
     kid_identity,
     kid_terms,
     lambda_args,
     monomial_exponent,
     phi_parts,
+    regular,
     verify_identities,
 )
 from epolylog.rational import rational_sum
@@ -317,6 +321,93 @@ def test_assemble_depth2_term_structure():
         (F(1), (), (sym2(1, 2, b1, w),), (sym2(2, 3, b12, w),)),
         (F(-1), (), (sym2(2, 1, b2, w),), (sym2(1, 3, b12, w),)),
     }
+
+
+@lru_cache(maxsize=None)
+def _full_delta3(sym):
+    return delta_components(sym, "iterated", 3)
+
+
+def _classified(key, J):
+    phi_slot, lam_slot, c_slot = key
+    return (
+        all(essential(s, J) for s in phi_slot)
+        and all(regular(s, J) for s in lam_slot)
+        and all(essential(s, J) for s in c_slot)
+    )
+
+
+def full_delta3_then_filter(sym, J):
+    """Oracle: the whole iterated coproduct, then the essential / regular /
+    essential classification over its sorted terms."""
+    J = frozenset(J)
+    return [(coeff, *key) for key, coeff in _full_delta3(sym).sorted_terms() if _classified(key, J)]
+
+
+def _all_J(n):
+    return [J for k in range(1, n) for J in itertools.combinations(range(1, n), k)]
+
+
+def assert_same_terms(got, want):
+    assert got == want
+    assert [tuple(map(repr, t)) for t in got] == [tuple(map(repr, t)) for t in want]
+    assert all(type(t[0]) is Fraction for t in got)
+    assert [hash(t[1:]) for t in got] == [hash(t[1:]) for t in want]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_assemble_matches_full_delta3(n):
+    sym = canonical_symbol(n)
+    for J in _all_J(n):
+        assert_same_terms(assemble_asymptotic(sym, set(J)), full_delta3_then_filter(sym, J))
+
+
+def test_assemble_matches_full_delta3_rational_labels():
+    half = F(1, 2)
+    labels = [(half, 0, 0), (0, 1, 0), (0, 0, F(3, 2)), (-half, -1, F(-3, 2))]
+    sym = ASymbol((1, 2, 3, 4), labels)
+    for J in _all_J(4):
+        got = assemble_asymptotic(sym, set(J))
+        assert_same_terms(got, full_delta3_then_filter(sym, J))
+    assert any(type(c) is Fraction for t in got for slot in t[1:] for s in slot for lab in s.labels for c in lab)
+
+
+@pytest.mark.parametrize("J", [{1, 3}, set(range(1, 7))])
+def test_assemble_builds_only_surviving_terms(monkeypatch, J):
+    """No key that the classification drops ever reaches an accumulator:
+    building the whole Delta^(3) and filtering afterwards fails here."""
+    inserted = []
+    add = HopfElement.add
+
+    def spy(self, key, coeff):
+        inserted.append(key)
+        return add(self, key, coeff)
+
+    monkeypatch.setattr(HopfElement, "add", spy)
+    kept = assemble_asymptotic(canonical_symbol(7), J)
+    frozen = frozenset(J)
+    dropped = [key for key in inserted if len(key) != 3 or not _classified(key, frozen)]
+    assert not dropped, f"{len(dropped)} dropped keys inserted, e.g. {dropped[0]}"
+    assert {t[1:] for t in kept} == set(inserted)
+
+
+def test_labels_are_ints_with_exact_rational_fallback():
+    for n in (2, 5):
+        assert all(type(c) is int for lab in canonical_symbol(n).labels for c in lab)
+    by_int = ASymbol((1, 2, 3), [(1, 0), (0, 1), (-1, -1)])
+    by_frac = ASymbol((1, 2, 3), [(F(1), F(0)), (F(0), F(1)), (F(-1), F(-1))])
+    assert by_frac == by_int == canonical_symbol(3)
+    assert hash(by_frac) == hash(by_int)
+    assert repr(by_frac) == repr(by_int)
+    assert all(type(c) is int for lab in by_frac.labels for c in lab)
+    halves = ASymbol((1, 2), [(F(1, 2),), (F(-1, 2),)])
+    assert halves.labels == ((F(1, 2),), (F(-1, 2),))
+    assert type(halves.labels[0][0]) is Fraction
+    assert repr(halves) == "(t1:t2; 1/2*b1, -1/2*b1)"
+    with pytest.raises(ValueError):
+        ASymbol((1, 2), [(1,), (1,)])
+    with pytest.raises(ValueError):
+        ASymbol((1, 2), [(F(1, 2),), (F(-1, 3),)])
 
 
 def test_size_budget(monkeypatch):

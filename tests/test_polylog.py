@@ -494,7 +494,7 @@ def test_region_argument_checks():
         asymptotic_eval(1, {1}, SimplicialPoint((20.0, 3.0)), 4, constants=C)
     with pytest.raises(ValueError, match="depth mismatch"):
         asymptotic_eval(2, {1}, SimplicialPoint((20.0,)), 4, constants=C)
-    with pytest.raises(MissingConstants):
+    with pytest.raises(TypeError):
         asymptotic_eval(2, {1, 2}, SimplicialPoint((20.0, 30.0)), 4)
     short = MultiSeries(("b",), {(-1,): -1.0 + 0j, (0,): 1j * math.pi}, (1,), (-1,))
     with pytest.raises(MissingConstants):
