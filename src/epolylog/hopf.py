@@ -205,16 +205,20 @@ def admissible_collections(total):
     sharing exactly a common last position)."""
     strings = enumerate_strings(total)
     out = []
-
-    def extend(start, chosen):
+    # depth-first, children in string order: each entry is (first string
+    # index left to try, collection so far); a found extension goes on top of
+    # the stack above the search for its next sibling
+    stack = [(0, ())]
+    while stack:
+        start, chosen = stack.pop()
         for i in range(start, len(strings)):
             s = strings[i]
             if all(_compatible(s, c) and _compatible(c, s) for c in chosen):
                 combo = chosen + (s,)
                 out.append(combo)
-                extend(i + 1, combo)
-
-    extend(0, ())
+                stack.append((i + 1, chosen))
+                stack.append((i + 1, combo))
+                break
     return out
 
 

@@ -103,13 +103,14 @@ class EllipticPoint:
     def __neg__(self):
         return EllipticPoint(-self.s, -self.r)
 
-    def shift(self, ds=0, dr=0):
-        return EllipticPoint(self.s + ds, self.r + dr)
+    def shift(self, dr):
+        """The point moved by dr periods tau."""
+        return EllipticPoint(self.s, self.r + dr)
 
-    def is_lattice(self, tol=_LATTICE_TOL):
+    def is_lattice(self):
         ds = abs(self.s - round(self.s))
         dr = abs(self.r - round(self.r))
-        return ds < tol and dr < tol
+        return ds < _LATTICE_TOL and dr < _LATTICE_TOL
 
     def __repr__(self):
         return f"EllipticPoint(s={self.s!r}, r={self.r!r})"
@@ -208,14 +209,25 @@ def theta_prime0(ctx):
 # ------------------------------------------------------------- eisenstein
 
 
-def _inner_row(j, x, ctx):
-    """sum over the integer direction of 1/(x + m)^j, in closed form."""
-    c = ctx.prec.cot_pi(x)
-    coeffs = _cot_poly(j)
-    acc = ctx.prec.complex(0)
-    for coef in reversed(coeffs):
-        acc = acc * c + float(coef)
-    return ctx.prec.pi**j * acc
+def _row_constants(j, prec):
+    """(coefficients of P_j high to low, pi^j) in the context's scalar type,
+    each exact coefficient rounded once; built once per precision context."""
+    row = prec.cache.get(j)
+    if row is None:
+        coeffs = tuple(prec.real(c) for c in reversed(_cot_poly(j)))
+        row = prec.cache[j] = (coeffs, prec.pi**j)
+    return row
+
+
+def _inner_row(row, x, prec):
+    """sum over the integer direction of 1/(x + m)^j, in closed form, from
+    the row constants of j."""
+    coeffs, pi_j = row
+    c = prec.cot_pi(x)
+    acc = prec.zero
+    for coef in coeffs:
+        acc = acc * c + coef
+    return pi_j * acc
 
 
 def eisenstein_E(j, p, ctx):
@@ -226,13 +238,16 @@ def eisenstein_E(j, p, ctx):
     if p.is_lattice():
         raise OnLattice(f"E_{j} pole at {p!r}")
     tau = ctx.tau
-    total = _inner_row(j, p.s + p.r * tau, ctx)
-    eps = 10.0 ** (-(ctx.prec.digits + 2))
+    prec = ctx.prec
+    row = _row_constants(j, prec)
+    total = _inner_row(row, p.s + p.r * tau, prec)
+    eps = 10.0 ** (-(prec.digits + 2))
     settled = 0
     n_min = int(abs(p.r)) + 1
+    r = prec.real(p.r)  # r -/+ n in the context's type, not rounded to a double
     for n in range(1, ctx.lattice_cutoff[1] + n_min):
-        inc = _inner_row(j, p.s + (p.r + n) * tau, ctx) + _inner_row(
-            j, p.s + (p.r - n) * tau, ctx
+        inc = _inner_row(row, p.s + (r + n) * tau, prec) + _inner_row(
+            row, p.s + (r - n) * tau, prec
         )
         total += inc
         if n >= n_min and abs(inc) < eps * (abs(total) + 1):
@@ -252,11 +267,15 @@ def lattice_constant(j, ctx):
         return ctx.prec.complex(0)
     if j in ctx._e_cache:
         return ctx._e_cache[j]
-    total = ctx.prec.complex(2 * zeta_even(j))
-    eps = 10.0 ** (-(ctx.prec.digits + 2))
+    prec = ctx.prec
+    row = _row_constants(j, prec)
+    # 2 zeta(j) from the Bernoulli closed form, its rational factor rounded once
+    factor = (-1) ** (j // 2 + 1) * _bernoulli(j) * Fraction(2) ** j / math.factorial(j)
+    total = prec.complex(prec.real(factor) * row[1])
+    eps = 10.0 ** (-(prec.digits + 2))
     settled = 0
     for n in range(1, ctx.lattice_cutoff[1] + 1):
-        inc = 2 * _inner_row(j, n * ctx.tau, ctx)  # even j: n and -n agree
+        inc = 2 * _inner_row(row, n * ctx.tau, prec)  # even j: n and -n agree
         total += inc
         if abs(inc) < eps * (abs(total) + 1):
             settled += 1
@@ -348,7 +367,7 @@ def _F_series(xi, K, ctx):
     for j in range(1, K + 1):
         ej = lattice_constant(j, ctx)
         val = eisenstein_E(j, xi, ctx) - ej
-        terms[(j,)] = -((-1) ** j) * ctx.prec.to_complex(val) / j
+        terms[(j,)] = -((-1) ** j) * val / j
     arg = MultiSeries(("alpha",), terms, K)
     pole = MultiSeries(("alpha",), {(-1,): 1.0}, INF, -1)
     return pole * arg.exp()
@@ -369,18 +388,15 @@ def kronecker_F_value(xi, eta, ctx, definition="theta_ratio", order=None):
 
 def omega_coefficients(p, K, ctx):
     """Values of the one-form coefficients at the point p: entry k is the
-    dxi-coefficient of the alpha^(k-1) term of e(alpha*r) F(xi; alpha)."""
+    dxi-coefficient of the alpha^(k-1) term of e(alpha*r) F(xi; alpha).
+    The series are expanded in the context's scalar type and only the
+    returned values are collapsed to machine complex numbers."""
     fser = _F_series(p, K + 1, ctx)
-    r2pi = complex(ctx.prec.two_pi_i) * p.r
-    ecf = {}
-    fact = 1.0
-    for k in range(K + 2):
-        if k:
-            fact *= k
-        ecf[(k,)] = r2pi**k / fact
+    r2pi = ctx.prec.two_pi_i * p.r
+    ecf = {(k,): r2pi**k / math.factorial(k) for k in range(K + 2)}
     eser = MultiSeries(("alpha",), ecf, K + 1)
     prod = fser * eser
-    return [prod.coeff((k - 1,)) for k in range(K + 1)]
+    return [ctx.prec.to_complex(prod.coeff((k - 1,))) for k in range(K + 1)]
 
 
 def omega_expand(i, j, K, ctx, points):

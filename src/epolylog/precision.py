@@ -7,6 +7,14 @@ an integer digit count).  Only the scalar entry points of the special
 function evaluators consult the context; series coefficients stay in
 whatever scalar type the context produces, since Python's arithmetic
 operators dispatch transparently between complex and mpmath.mpc.
+
+There is one context per digit count: get_context returns the same shared
+object for every request of that precision, so the mpmath context behind
+the extended mode is cloned once.  The constants pi, 2*pi*i, 0, 1 and i are
+built once, in the context's own scalar type, when the context is made, and
+`cache` holds the constants that evaluators derive from them (kronecker
+keeps its cotangent-polynomial rows there), so those too are built once per
+precision.  The double-precision context never imports mpmath.
 """
 
 from __future__ import annotations
@@ -14,12 +22,13 @@ from __future__ import annotations
 import cmath
 import math
 import os
+from functools import lru_cache
 
 
 class PrecisionContext:
-    """Bundle of scalar ops at a chosen precision."""
+    """Bundle of scalar ops and constants at a chosen precision."""
 
-    def __init__(self, digits=15):
+    def __init__(self, digits):
         self.digits = digits
         self.extended = digits > 16
         if self.extended:
@@ -27,7 +36,16 @@ class PrecisionContext:
 
             self._mp = mpmath.mp.clone()
             self._mp.dps = digits
-            self._mpmath = mpmath
+            self.pi = +self._mp.pi
+            self.exp = self._mp.exp
+        else:
+            self.pi = math.pi
+            self.exp = cmath.exp
+        self.two_pi_i = self.complex(0.0, 2.0) * self.pi
+        self.zero = self.complex(0.0)
+        self.one = self.complex(1.0)
+        self.i = self.complex(0.0, 1.0)
+        self.cache = {}
 
     # -- scalar constructors ------------------------------------------------
     def complex(self, x, y=0.0):
@@ -35,22 +53,14 @@ class PrecisionContext:
             return self._mp.mpc(x, y)
         return complex(x, y)
 
-    @property
-    def pi(self):
+    def real(self, x):
+        """An exact rational (int, float or Fraction) as this context's real
+        scalar, rounded once."""
         if self.extended:
-            return self._mp.pi
-        return math.pi
+            return self._mp.convert(x)
+        return float(x)
 
-    @property
-    def two_pi_i(self):
-        return self.complex(0.0, 2.0) * self.pi
-
-    # -- elementary functions ----------------------------------------------
-    def exp(self, z):
-        if self.extended:
-            return self._mp.exp(z)
-        return cmath.exp(z)
-
+    # -- elementary functions (and exp, bound per mode above) ---------------
     def e(self, z):
         """e(z) = exp(2*pi*i*z), the unit-period exponential."""
         return self.exp(self.two_pi_i * z)
@@ -58,36 +68,37 @@ class PrecisionContext:
     def cot_pi(self, w):
         """cot(pi*w), computed from the side with the decaying exponential."""
         # cot(pi w) = i (e(w) + 1) / (e(w) - 1); for Im(w) < 0 use 1/e(w).
-        im = self.im(w)
-        one = self.complex(1.0)
-        i_ = self.complex(0.0, 1.0)
-        if im >= 0:
+        one = self.one
+        if self.im(w) >= 0:
             t = self.e(w)  # |t| <= 1
-            return i_ * (t + one) / (t - one)
+            return self.i * (t + one) / (t - one)
         t = self.e(-w)
-        return -i_ * (t + one) / (t - one)
+        return -self.i * (t + one) / (t - one)
 
     # -- helpers -------------------------------------------------------------
     def im(self, z):
         if self.extended:
-            return float(self._mpmath.im(z))
+            return float(z.imag)
         return z.imag if isinstance(z, complex) else float(z) * 0.0
 
     def to_complex(self, z):
         """Collapse to a machine complex (for reporting / JSON output)."""
         if self.extended:
-            return complex(float(self._mpmath.re(z)), float(self._mpmath.im(z)))
+            return complex(float(z.real), float(z.imag))
         return complex(z)
 
 
-_DOUBLE = PrecisionContext(15)
+@lru_cache(maxsize=None)
+def _shared(digits):
+    return PrecisionContext(digits)
 
 
 def get_context(spec=None) -> PrecisionContext:
-    """Resolve a precision context.
+    """Resolve a precision context: the one shared context of the requested
+    digit count (every count up to 16 is double precision).
 
     spec: None (consult ELLIP_PRECISION, default double), "double",
-    "extended", an int digit count, or an existing context.
+    "extended" (30 digits), an int digit count, or an existing context.
     """
     if isinstance(spec, PrecisionContext):
         return spec
@@ -95,11 +106,10 @@ def get_context(spec=None) -> PrecisionContext:
         spec = os.environ.get("ELLIP_PRECISION", "double")
     if isinstance(spec, str):
         s = spec.strip().lower()
-        if s in ("", "double", "15"):
-            return _DOUBLE
-        if s == "extended":
-            return PrecisionContext(30)
-        spec = int(s)
-    if int(spec) <= 16:
-        return _DOUBLE
-    return PrecisionContext(int(spec))
+        if s in ("", "double"):
+            spec = 15
+        elif s == "extended":
+            spec = 30
+        else:
+            spec = int(s)
+    return _shared(int(spec) if int(spec) > 16 else 15)

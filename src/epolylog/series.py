@@ -182,8 +182,9 @@ class MultiSeries:
     def exp(self):
         """exp of a series with no constant term and no poles: the powers of
         the series up to _budget or until one vanishes, summed in one
-        accumulator; 1/k! stays exact on a Fraction power and becomes a
-        float otherwise."""
+        accumulator.  1/k! becomes a float when the coefficients are all
+        machine numbers and stays an exact Fraction otherwise, so Fraction
+        and mpmath coefficients keep their own precision."""
         if any(m < 0 for m in self.min_order) or any(
             e == (0,) * len(self.vars) for e in self.terms
         ):
@@ -192,13 +193,13 @@ class MultiSeries:
             raise TruncationTooSmall("exp of a series untruncated in a variable it contains")
         acc = {(0,) * len(self.vars): 1}
         term = MultiSeries.const(self.vars, 1, self.max_order, 0)
+        machine = all(isinstance(v, (int, float, complex)) for v in self.terms.values())
         inv_fact = (Fraction(1, f) for f in accumulate(count(1), mul))
         for c in islice(inv_fact, _budget(self)):
             term = term * self
             if term.is_zero():
                 break
-            exact = all(isinstance(v, Fraction) for v in term.terms.values())
-            for e, v in (term * (c if exact else float(c))).terms.items():
+            for e, v in (term * (float(c) if machine else c)).terms.items():
                 acc[e] = acc.get(e, 0) + v
         out = MultiSeries.zero(self.vars, self.max_order, 0)
         out.terms = {e: v for e, v in acc.items() if not _is_zero(v)}

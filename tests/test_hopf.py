@@ -1,3 +1,4 @@
+import gc
 import itertools
 from fractions import Fraction
 from functools import lru_cache
@@ -78,6 +79,38 @@ def test_admissibility_dichotomy():
     colls = admissible_collections(4)
     assert any(set(x) == {a, b} for x in colls if len(x) == 2)
     assert not any(set(x) == {a, c} for x in colls if len(x) == 2)
+
+
+def _collections_by_recursion(total):
+    """Reference order: depth first, each collection extended by the later
+    compatible strings in string order."""
+    strings = enumerate_strings(total)
+
+    def extend(start, chosen):
+        for i in range(start, len(strings)):
+            s = strings[i]
+            if all(hopf._compatible(s, c) and hopf._compatible(c, s) for c in chosen):
+                yield chosen + (s,)
+                yield from extend(i + 1, chosen + (s,))
+
+    return list(extend(0, ()))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_admissible_collections_order(n):
+    assert admissible_collections(n) == _collections_by_recursion(n)
+
+
+def test_assembly_leaves_no_reference_cycles():
+    """The collections are enumerated without a self-referencing closure, so
+    an assembly leaves nothing for the cycle collector."""
+    gc.collect()
+    gc.disable()
+    try:
+        assemble_asymptotic(canonical_symbol(6), {1, 3})
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_depth2_coproduct_exact():

@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 
+import mpmath
 import pytest
 
 from epolylog.errors import BadModulus, OnLattice, OnSingularLocus
@@ -20,6 +21,7 @@ from epolylog.kronecker import (
     weierstrass_p_prime,
     zeta_even,
 )
+from epolylog.precision import get_context
 
 TAU = 0.1 + 0.8j
 
@@ -34,6 +36,16 @@ def F(xi, eta, ctx, definition="theta_ratio"):
 
 
 # -------------------------------------------------------------------- context
+
+
+def test_precision_context_shared_per_digit_count():
+    assert get_context(30) is get_context(30) is get_context("extended")
+    assert get_context(15) is get_context("double") is get_context(12)
+    assert get_context(40) is not get_context(30)
+    a = LatticeContext(TAU, 30)
+    b = LatticeContext(-0.2 + 0.45j, 30)
+    assert a.prec is b.prec is get_context(30)
+    assert LatticeContext(TAU, 15).prec is get_context(15)
 
 
 def test_bad_modulus_rejected():
@@ -64,12 +76,12 @@ def test_theta_odd(ctx):
 def test_theta_periods(ctx):
     p = EllipticPoint(0.31, 0.17)
     t = theta(p, ctx)
-    assert abs(theta(p.shift(ds=1), ctx) + t) < 1e-13
+    assert abs(theta(EllipticPoint(p.s + 1, p.r), ctx) + t) < 1e-13
     # shift by tau: factor -q^{-1/2} z^{-1}
     fac = -ctx.e(-ctx.tau / 2) / p.z(ctx)
     assert abs(theta(p.shift(dr=1), ctx) - fac * t) < 1e-12
     # deep reductions stay finite
-    far = theta(p.shift(ds=-3, dr=5), ctx)
+    far = theta(EllipticPoint(p.s - 3, p.r + 5), ctx)
     assert cmath.isfinite(far)
 
 
@@ -100,6 +112,55 @@ def test_lattice_constants_against_q_expansions(ctx):
     assert abs(complex(lattice_constant(2, ctx)) - math.pi**2 / 3 * E2) < 1e-12
     assert abs(complex(lattice_constant(4, ctx)) - math.pi**4 / 45 * E4) < 1e-12
     assert abs(complex(lattice_constant(6, ctx)) - 2 * math.pi**6 / 945 * E6) < 1e-11
+
+
+# The q-expansions below are the oracle at 60 digits: for 0 < r < 1 the rows
+# n >= 0 of E_j sum to z^k / (1 - q^k) and the rows n < 0 to z^-k q^k / (1 - q^k),
+# E_j = (-2 pi i)^j / (j-1)! sum_k k^(j-1) (z^k + (-1)^j z^-k q^k) / (1 - q^k),
+# minus pi i for j = 1; e_j = 2 zeta(j) + 2 (-2 pi i)^j / (j-1)! sum_k k^(j-1) q^k / (1 - q^k).
+QEXP_DPS = 60
+QEXP_TERMS = 200  # each term left out is below 1e-50 on the moduli below
+
+
+def _qexp_E(j, s, r, tau):
+    with mpmath.workdps(QEXP_DPS):
+        t = mpmath.mpc(tau.real, tau.imag)
+        q = mpmath.exp(2j * mpmath.pi * t)
+        z = mpmath.exp(2j * mpmath.pi * (mpmath.mpf(s) + mpmath.mpf(r) * t))
+        tot = mpmath.fsum(
+            k ** (j - 1) * (z**k + (-1) ** j * z**-k * q**k) / (1 - q**k)
+            for k in range(1, QEXP_TERMS)
+        )
+        val = (-2j * mpmath.pi) ** j / mpmath.factorial(j - 1) * tot
+        return val - 1j * mpmath.pi if j == 1 else val
+
+
+def _qexp_e(j, tau):
+    with mpmath.workdps(QEXP_DPS):
+        q = mpmath.exp(2j * mpmath.pi * mpmath.mpc(tau.real, tau.imag))
+        tot = mpmath.fsum(k ** (j - 1) * q**k / (1 - q**k) for k in range(1, QEXP_TERMS))
+        return 2 * mpmath.zeta(j) + 2 * (-2j * mpmath.pi) ** j / mpmath.factorial(j - 1) * tot
+
+
+def _rel_err(got, ref):
+    with mpmath.workdps(QEXP_DPS):
+        return float(abs(mpmath.mpc(got) - ref) / max(1, abs(ref)))
+
+
+@pytest.mark.parametrize("tau", [0.1 + 0.8j, -0.2 + 0.45j])
+def test_extended_eisenstein_against_q_expansion(tau):
+    """30 digits: the cotangent rows carry their exact coefficients and r -/+ n
+    in the context's type, and 2 zeta(j) comes from its closed form; rounded
+    to doubles, these held E_j near 1e-13 and e_j near 1e-12."""
+    ctx = LatticeContext(tau, 30)
+    worst_E = max(
+        _rel_err(eisenstein_E(j, EllipticPoint(s, r), ctx), _qexp_E(j, s, r, tau))
+        for s, r in ((0.31, 0.37), (0.62, 0.55))
+        for j in range(1, 10)
+    )
+    worst_e = max(_rel_err(lattice_constant(j, ctx), _qexp_e(j, tau)) for j in range(2, 9, 2))
+    assert worst_E < 1e-24
+    assert worst_e < 1e-24
 
 
 def test_zeta_even_values():
@@ -190,11 +251,15 @@ def test_kernel_quasi_periodicity(ctx):
     eta = EllipticPoint(0.22, -0.05)
     a = F(xi, eta, ctx)
     w = eta.z(ctx)
-    assert abs(F(xi.shift(ds=1), eta, ctx) - a) < 1e-12
+    assert abs(F(EllipticPoint(xi.s + 1, xi.r), eta, ctx) - a) < 1e-12
     assert abs(F(xi.shift(dr=1), eta, ctx) - a / w) < 1e-12
     # deep reduction through the q-series route, including the cross factor
     b = kronecker_F(xi.shift(dr=3), eta, ctx, "double_q_series")
     assert abs(b - a / w**3) < 1e-9 * max(1, abs(b))
+
+
+def _near_lattice(p):
+    return abs(p.s - round(p.s)) < 1e-3 and abs(p.r - round(p.r)) < 1e-3
 
 
 def test_kernel_random_cross_battery(ctx):
@@ -203,7 +268,7 @@ def test_kernel_random_cross_battery(ctx):
     while checked < 12:
         x = EllipticPoint(random.uniform(-1.5, 1.5), random.uniform(-1.5, 1.5))
         h = EllipticPoint(random.uniform(-1.5, 1.5), random.uniform(-1.5, 1.5))
-        if x.is_lattice(1e-3) or h.is_lattice(1e-3) or (x + h).is_lattice(1e-3):
+        if any(_near_lattice(p) for p in (x, h, x + h)):
             continue
         a = F(x, h, ctx)
         b = F(x, h, ctx, "double_q_series")
@@ -305,7 +370,7 @@ def test_omega_parity(ctx):
 def test_omega_lattice_invariance(ctx):
     p = EllipticPoint(0.31, 0.17)
     c = omega_coefficients(p, 4, ctx)
-    for shifted in (p.shift(dr=1), p.shift(ds=1), p.shift(ds=-2, dr=1)):
+    for shifted in (p.shift(dr=1), EllipticPoint(p.s + 1, p.r), EllipticPoint(p.s - 2, p.r + 1)):
         cs = omega_coefficients(shifted, 4, ctx)
         assert max(abs(a - b) for a, b in zip(c, cs)) < 1e-10
 
@@ -347,6 +412,45 @@ def test_omega_exterior_derivative(ctx):
         assert abs(complex(TAU) * ds - dr + 2j * cmath.pi * ck) < 1e-5
 
 
+def _omega_by_theta(s, r, tau, K):
+    """[omega_0 .. omega_K] at 50 digits: the Taylor coefficients of
+    alpha e(alpha r) F(xi, alpha), F from mpmath's theta_1, by the trapezoid
+    rule on |alpha| = 0.05 with 64 nodes (aliasing about (0.05 / 0.8)^64)."""
+    nodes, radius = 64, 0.05
+    with mpmath.workdps(50):
+        t = mpmath.mpc(tau.real, tau.imag)
+        nome = mpmath.expjpi(t)
+
+        def th(z):
+            return mpmath.jtheta(1, mpmath.pi * z, nome)
+
+        x = mpmath.mpf(s) + mpmath.mpf(r) * t
+        d0 = mpmath.pi * mpmath.jtheta(1, 0, nome, 1)
+        vals = []
+        for m in range(nodes):
+            a = radius * mpmath.expjpi(mpmath.mpf(2 * m) / nodes)
+            f = d0 * th(x + a) / (th(x) * th(a))
+            vals.append(a * mpmath.exp(2j * mpmath.pi * a * mpmath.mpf(r)) * f)
+        return [
+            mpmath.fsum(v * mpmath.expjpi(-mpmath.mpf(2 * m * k) / nodes) for m, v in enumerate(vals))
+            / nodes
+            / mpmath.mpf(radius) ** k
+            for k in range(K + 1)
+        ]
+
+
+def test_extended_omega_against_theta():
+    """30 digits: the series are expanded in the context's type and only the
+    returned values are rounded to doubles; the series used to be collapsed
+    to doubles first (errors near 1e-12 at r > 1)."""
+    ctx30 = LatticeContext(TAU, 30)
+    for s, r in ((0.31, 1.17), (0.62, -0.35)):
+        got = omega_coefficients(EllipticPoint(s, r), 8, ctx30)
+        want = _omega_by_theta(s, r, TAU, 8)
+        assert all(isinstance(v, complex) for v in got)
+        assert max(_rel_err(g, w) for g, w in zip(got, want)) < 2e-16
+
+
 def test_omega_expand_conventions(ctx):
     pts = (EllipticPoint(0.31, 0.17), EllipticPoint(-0.22, 0.41))
     same = omega_expand(1, 1, 3, ctx, pts)
@@ -359,4 +463,4 @@ def test_omega_expand_conventions(ctx):
     direct = omega_coefficients(pts[0], 3, ctx)
     assert max(abs(a[0] - b) for a, b in zip(base, direct)) < 1e-12
     with pytest.raises(OnSingularLocus):
-        omega_expand(1, 2, 3, ctx, (pts[0], pts[0].shift(ds=1, dr=-1)))
+        omega_expand(1, 2, 3, ctx, (pts[0], EllipticPoint(pts[0].s + 1, pts[0].r - 1)))

@@ -7,11 +7,13 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from epolylog.errors import PoleOverflow, TruncationTooSmall
 import epolylog
+from epolylog.precision import get_context
 from epolylog.series import INF, MultiSeries
 
 VARS = ("a", "b")
@@ -281,10 +283,28 @@ def test_power_sums_refuse_untruncated_variable():
     assert MultiSeries.zero(("a",), INF).exp().terms == {(0,): 1}
 
 
+def test_exp_keeps_extended_precision():
+    """An mpmath series keeps its 30 digits through exp: 1/k! is not rounded
+    to a double."""
+    c = get_context(30).complex(0.3, 0.2)
+    e = MultiSeries(("a",), {(1,): c}, 8).exp()
+    with mpmath.workdps(50):
+        want = mpmath.taylor(lambda x: mpmath.exp(mpmath.mpc(c) * x), 0, 8)
+        worst = max(abs(mpmath.mpc(e.coeff((k,))) - w) for k, w in enumerate(want))
+    assert worst < 1e-29
+
+
 def test_series_imports_no_numpy():
-    """kronecker -> series must stay numpy-free (start-up time and memory of
-    every caller that needs only the kernel)."""
+    """kronecker -> series must stay numpy-free, and a double-precision
+    kernel evaluation must not load mpmath either (start-up time and memory
+    of every caller that needs only the kernel)."""
     src = os.path.dirname(os.path.dirname(epolylog.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, epolylog.kronecker; sys.exit('numpy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+    code = (
+        "import sys\n"
+        "from epolylog.kronecker import EllipticPoint, LatticeContext, omega_coefficients\n"
+        "omega_coefficients(EllipticPoint(0.31, 0.17), 4, LatticeContext(0.1 + 0.8j, 15))\n"
+        "sys.exit(' '.join(sorted({'numpy', 'mpmath'} & set(sys.modules))) or None)\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], env=env, timeout=60, capture_output=True, text=True)
+    assert run.returncode == 0, f"loaded: {run.stderr.strip()}"
