@@ -121,12 +121,11 @@ class LatticeContext:
 
     Both truncations are derived from |q| and the working precision:
     q_series_cutoff bounds the number of q-powers in theta products and the
-    kernel's double series; lattice_cutoff = (M, N) records the Eisenstein
-    summation window: the inner direction is evaluated in closed form (its
-    exact M -> infinity limit), N = q_series_cutoff + 4 bounds the outer
-    symmetric sum.  Moduli with |q| > 0.7 are refused: every truncation
-    bound here assumes a reasonable decay rate, and the conditionally
-    convergent sums degrade badly as |q| -> 1.
+    kernel's double series; lattice_cutoff = q_series_cutoff + 4 bounds the
+    rows of the outer symmetric Eisenstein sum (the inner direction is
+    summed in closed form, its exact limit).  Moduli with |q| > 0.7 are
+    refused: every truncation bound here assumes a reasonable decay rate,
+    and the conditionally convergent sums degrade badly as |q| -> 1.
     """
 
     def __init__(self, tau, precision=None):
@@ -140,22 +139,15 @@ class LatticeContext:
             raise BadModulus(f"|q| = {qa:.3f} exceeds the supported range (0.7)")
         decade = -math.log10(qa)
         self.q_series_cutoff = int(math.ceil((self.prec.digits + 4) / decade)) + 2
-        self.lattice_cutoff = (INF, self.q_series_cutoff + 4)
+        self.lattice_cutoff = self.q_series_cutoff + 4
         self._e_cache = {}
         self._theta_prime0 = None
 
     def e(self, x):
         return self.prec.e(x)
 
-    def point(self, s, r):
-        return EllipticPoint(s, r)
-
     def point_from_xi(self, xi):
         return EllipticPoint.from_xi(complex(xi), complex(self.tau))
-
-    def tail_bound(self):
-        """Crude magnitude of the first neglected q-power, for reporting."""
-        return abs(self.q) ** self.q_series_cutoff
 
     def __repr__(self):
         return f"LatticeContext(tau={complex(self.tau)!r}, |q|={abs(self.q):.4g})"
@@ -245,7 +237,7 @@ def eisenstein_E(j, p, ctx):
     settled = 0
     n_min = int(abs(p.r)) + 1
     r = prec.real(p.r)  # r -/+ n in the context's type, not rounded to a double
-    for n in range(1, ctx.lattice_cutoff[1] + n_min):
+    for n in range(1, ctx.lattice_cutoff + n_min):
         inc = _inner_row(row, p.s + (r + n) * tau, prec) + _inner_row(
             row, p.s + (r - n) * tau, prec
         )
@@ -274,7 +266,7 @@ def lattice_constant(j, ctx):
     total = prec.complex(prec.real(factor) * row[1])
     eps = 10.0 ** (-(prec.digits + 2))
     settled = 0
-    for n in range(1, ctx.lattice_cutoff[1] + 1):
+    for n in range(1, ctx.lattice_cutoff + 1):
         inc = 2 * _inner_row(row, n * ctx.tau, prec)  # even j: n and -n agree
         total += inc
         if abs(inc) < eps * (abs(total) + 1):

@@ -684,7 +684,8 @@ def asymptotic_eval(r, J, pt, K, constants):
     pt supplies the actual coordinate values (large along J) and has depth
     r; ratios of J-coordinates stay finite.  constants: the 1-variable
     MultiSeries for C, with at least constants_order(K) regular orders
-    (MissingConstants otherwise).
+    (MissingConstants otherwise) and at most a simple pole (ValueError
+    otherwise): only its regular orders and its (-1,) coefficient are read.
 
     Ratio arguments within DEFAULT_MARGIN of the unit circle are refused;
     those beyond the unit disk are inverted with the upper-crossing
@@ -701,6 +702,10 @@ def asymptotic_eval(r, J, pt, K, constants):
         raise ValueError("J must index the first r coordinates")
     if r > 2:
         raise ValueError("numeric asymptotics implemented for depth <= 2")
+    if len(constants.vars) != 1:
+        raise ValueError("constants must be a series in one variable")
+    if any(e < -1 for (e,) in constants.terms):
+        raise ValueError("constants may have at most a simple pole")
     M = constants_order(K)
     if constants.max_order[0] < M:
         raise MissingConstants(

@@ -501,6 +501,131 @@ def test_region_argument_checks():
         asymptotic_eval(2, {1, 2}, SimplicialPoint((20.0, 30.0)), 4, constants=short)
 
 
+# Recorded predictions of asymptotic_eval, K = 3, which a change of its
+# series arithmetic must reproduce: (case, r, J, ts, (min_order,
+# max_order), the coefficients on [0, K)^r in row-major order, polar
+# terms).  Polar terms None: no term below exponent 0, the pole terms cancel
+# exactly.  Otherwise the genuine polar terms (|c| > 1e-9); any other term
+# below exponent 0 is a rounding residue of the cancellation, at most 1e-15
+# of the largest regular coefficient.
+GOLDEN_K = 3
+GOLDEN = [
+    (
+        'depth 1', 1, {1},
+        ((15.29684374568977+12.88435374475382j),),
+        ((-1,), (16,)),
+        [
+            (-2.995732273553991+2.441592653589793j), (7.532074061102934+2.0970125914877933j),
+            (-3.746868131250726-3.0838774825178703j),
+        ],
+        None,
+    ),
+    (
+        'J = {1}', 2, {1},
+        ((15.54024920676661+19.583172740687086j), (-0.2403430846640801+0.17954164323118696j)),
+        ((-1, 0), (16, 17)),
+        [
+            (0.17118278136695286-0.8082694761400385j), (-1.897312117152599-2.101378967735724j),
+            (-5.027703846724504+0.2348097358088146j), (-1.578870759172902+0.3683258152063762j),
+            (-2.212035757412772+4.867184793810651j), (3.5429170696422454+8.225129355644777j),
+            (0.7109436004038194+0.345918314705985j), (2.01426979010321-1.0694233406304008j),
+            (0.4417413420906051-2.915724182760325j),
+        ],
+        None,
+    ),
+    (
+        'J = {2}', 2, {2},
+        ((0.18648299048119932+0.234998072888245j), (-20.028590388673344+14.961803602598915j)),
+        ((0, -1), (17, 16)),
+        [
+            (-0.17820206661037363-0.257858231576902j), (-0.25394340013692207+1.0292150334508858j),
+            (1.496849645842182-0.9545828583371658j), (-0.8124391409894838-0.6426799601232402j),
+            (0.011926339650394358+3.246078521844833j), (3.3930038093944335-3.6940165844263104j),
+            (-1.7747977676653317-0.8750133008883942j), (0.7681505054454174+5.576439342432765j),
+            (4.143755877801538-6.506355507641764j),
+        ],
+        None,
+    ),
+    (
+        'J = {1, 2}', 2, {1, 2},
+        ((-16.022872310938673+11.96944288207913j), (18.64829904811993+23.499807288824503j)),
+        ((-6, -1), (11, 3)),
+        [
+            (5.197720482890878-3.1047397091716187j), (-15.305327894207508+0.13494058283309585j),
+            (18.500821334806474+6.42382247174346j), (-10.194914667753896-15.082305886425265j),
+            (5.92577516401656+41.4472467602974j), (3.860363488466948-52.46741883171317j),
+            (-16.112477921695593+12.06193362618376j), (35.3150807968248-14.620098858093641j),
+            (-43.68675490817489+20.845637342156245j),
+        ],
+        {},
+    ),
+    (
+        'ratio outside the unit disk', 2, {1},
+        ((15.54024920676661+19.583172740687086j), (-2.403430846640801+1.7954164323118698j)),
+        ((-6, -1), (11, 4)),
+        [
+            (1.4651097691708035-3.702022035941783j), (-11.225869468774638-4.009416168914301j),
+            (-6.913090941458942+14.922017037680895j), (-7.803025877588825-0.007877380263172418j),
+            (0.40102503773869547+21.711614259026135j), (25.502435894023723+1.9711573019632265j),
+            (2.3736544967757123+2.4983948810161585j), (4.644561060739655-6.2860490770643835j),
+            (-8.431733009802452-0.8141079914938523j),
+        ],
+        {},
+    ),
+    (
+        'lower half-plane sheet', 2, {1, 2},
+        ((310659640.7289723-468179283.2755821j), (399694534.79131746+282365815.2033294j)),
+        ((-6, -1), (11, 3)),
+        [
+            (175.2208862454215-81.54020721664675j), (-2742.9838643378584+734.2433029456516j),
+            (20694.599796083894-3844.2884960376796j), (-1416.2572720218698+227.40247998948942j),
+            (21095.191044965854-1794.024032294581j), (-168244.16104980162+7031.47713207348j),
+            (6762.935574504907-1338.8491456378097j), (-109199.38300699617+15955.405341922753j),
+            (914793.733296008-93565.81188693075j),
+        ],
+        {
+            (-4, 3): (-1.7208456881689926e-15+6.283185307179586j),
+            (-3, 2): (1.7208456881689926e-15-6.283185307179586j),
+            (-2, 1): (-1.7208456881689926e-15+6.283185307179586j),
+            (-1, 0): (-0-6.283185307179586j),
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[c[0] for c in GOLDEN])
+def test_asymptotic_golden_values(case):
+    _, r, J, ts, window, coeffs, polar = case
+    pred = asymptotic_eval(r, J, SimplicialPoint(ts), GOLDEN_K, constants=constants_series(GOLDEN_K))
+    assert (pred.min_order, pred.max_order) == window
+    cells = list(itertools.product(range(GOLDEN_K), repeat=r))
+    for e, want in zip(cells, coeffs):
+        assert abs(pred.coeff(e) - want) <= 1e-12 * max(1.0, abs(want)), e
+    below = {e: c for e, c in pred.terms.items() if min(e) < 0}
+    if polar is None:
+        assert not below
+        return
+    scale = max(1.0, max(abs(c) for c in coeffs))
+    for e, c in below.items():
+        want = polar.get(e, 0)
+        bound = 1e-12 * max(1.0, abs(want)) if e in polar else 1e-15 * scale
+        assert abs(c - want) <= bound, e
+    assert set(polar) <= set(below)
+
+
+def test_constants_refused_when_misread():
+    """asymptotic_eval reads C's regular orders and its simple pole only: a
+    deeper pole or a second variable is refused, not ignored."""
+    C = constants_series(4)
+    pt = SimplicialPoint((20.0, 30.0))
+    deep = MultiSeries(("b",), {**C.terms, (-2,): 1.0}, C.max_order, (-2,))
+    with pytest.raises(ValueError, match="simple pole"):
+        asymptotic_eval(2, {1, 2}, pt, 4, constants=deep)
+    two = MultiSeries(("b", "c"), {(e, 0): c for (e,), c in C.terms.items()}, C.max_order * 2, (-1, 0))
+    with pytest.raises(ValueError, match="one variable"):
+        asymptotic_eval(2, {1, 2}, pt, 4, constants=two)
+
+
 def test_symbolic_term_list_structure():
     from fractions import Fraction
 
