@@ -2,9 +2,9 @@
 
 Symbols (t_{i_1}:...:t_{i_l}; labels) with integer labels summing to zero
 (a non-integral label entry stays an exact Fraction), directed consecutive
-strings, admissible collections, the reduced coproduct and its one-star /
-star-one components, iterated coproducts, the divisor-asymptotics assembly,
-and the partial-fraction identities used for residue bookkeeping.
+strings, admissible collections, the reduced coproduct of one symbol, the
+divisor-asymptotics assembly built from it, and the partial-fraction
+identities used for residue bookkeeping.
 Everything here is exact; numeric realizations are supplied by callers as
 callbacks.
 """
@@ -253,17 +253,16 @@ def _quotient_at(sym, collection, remaining):
 
 
 class HopfElement:
-    """Formal sum of tensors of symbol products with exact coefficients.
+    """Accumulator for a formal sum of tensors of symbol products with exact
+    coefficients: it starts empty and grows by add.
 
     Keys are tuples of slots; a slot is a sorted tuple of ASymbol (the empty
     tuple is the algebra unit).  An element may hold at most
     DEFAULT_SIZE_BUDGET terms.
     """
 
-    def __init__(self, terms=None):
+    def __init__(self):
         self.terms = {}
-        for key, c in (terms or {}).items():
-            self.add(key, c)
 
     def add(self, key, coeff):
         coeff = Fraction(coeff)
@@ -277,27 +276,8 @@ class HopfElement:
             if len(self.terms) > DEFAULT_SIZE_BUDGET:
                 raise SizeBudgetExceeded(f"element exceeds {DEFAULT_SIZE_BUDGET} terms")
 
-    @property
-    def rank(self):
-        return len(next(iter(self.terms))) if self.terms else 0
-
-    def is_zero(self):
-        return not self.terms
-
     def __eq__(self, other):
         return isinstance(other, HopfElement) and self.terms == other.terms
-
-    def __add__(self, other):
-        out = HopfElement(self.terms)
-        for key, c in other.terms.items():
-            out.add(key, c)
-        return out
-
-    def __sub__(self, other):
-        out = HopfElement(self.terms)
-        for key, c in other.terms.items():
-            out.add(key, -c)
-        return out
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0])
@@ -312,7 +292,7 @@ class HopfElement:
         return " + ".join(bits) if bits else "0"
 
 
-def _delta_prime_symbol(sym, keep=lambda cut, rest: True):
+def _delta_prime_symbol(sym, keep):
     """[(coeff, left_slot, right_symbol)] for the reduced coproduct of one
     symbol: signed admissible collections against their quotients.  Only the
     collections that pass `keep(cut, rest)` are taken, where cut lists the
@@ -332,94 +312,6 @@ def _delta_prime_symbol(sym, keep=lambda cut, rest: True):
         left = tuple(sorted(string_symbol(sym, s) for s in coll))
         out.append((coeff, left, _quotient_at(sym, coll, remaining)))
     return out
-
-
-def coproduct_delta_prime(sym):
-    """Reduced coproduct of a single symbol as a rank-2 element."""
-    el = HopfElement()
-    for coeff, left, q in _delta_prime_symbol(sym):
-        el.add((left, (q,)), coeff)
-    return el
-
-
-def _delta_symbol_full(sym):
-    terms = [(Fraction(1), (sym,), ()), (Fraction(1), (), (sym,))]
-    terms.extend((c, left, (q,)) for c, left, q in _delta_prime_symbol(sym))
-    return terms
-
-
-def _delta_slot(slot):
-    """Full coproduct of a product slot: expand factorwise."""
-    acc = [(Fraction(1), (), ())]
-    for sym in slot:
-        nxt = []
-        for c0, l0, r0 in acc:
-            for c1, l1, r1 in _delta_symbol_full(sym):
-                nxt.append(
-                    (
-                        c0 * c1,
-                        tuple(sorted(l0 + l1)),
-                        tuple(sorted(r0 + r1)),
-                    )
-                )
-        acc = nxt
-    return acc
-
-
-def apply_delta(element, slot_index):
-    """Replace one tensor slot by its full coproduct, raising the rank by 1."""
-    out = HopfElement()
-    for key, coeff in element.terms.items():
-        for c, left, right in _delta_slot(key[slot_index]):
-            new_key = key[:slot_index] + (left, right) + key[slot_index + 1 :]
-            out.add(new_key, coeff * c)
-    return out
-
-
-def delta_components(sym, which, m=None):
-    """Components of the coproduct of one symbol.
-
-    one_star: single length-2 strings on the left.
-    star_one: collections whose quotient has exactly two slots.
-    iterated: the m-fold coproduct (m >= 2) of the symbol.
-    """
-    if which == "one_star":
-        el = HopfElement()
-        if sym.length == 2:
-            el.add(((sym,), ()), 1)
-        for coeff, left, q in _delta_prime_symbol(sym):
-            if len(left) == 1 and left[0].length == 2:
-                el.add((left, (q,)), coeff)
-        return el
-    if which == "star_one":
-        el = HopfElement()
-        if sym.length == 2:
-            el.add(((), (sym,)), 1)
-        for coeff, left, q in _delta_prime_symbol(sym):
-            if q.length == 2:
-                el.add((left, (q,)), coeff)
-        return el
-    if which == "iterated":
-        if m is None or m < 2:
-            raise ValueError("iterated coproduct needs m >= 2")
-        el = HopfElement({((sym,),): Fraction(1)})
-        for _ in range(m - 1):
-            el = apply_delta(el, 0)
-        return el
-    raise ValueError(f"unknown component {which!r}")
-
-
-def monomial_exponent(slots):
-    """Exponent vectors of the monomial character, per point index.
-
-    Sends each symbol to prod t_{i_k}^{label_k} and multiplies; returns a
-    dict index -> label vector.
-    """
-    out = {}
-    for sym in slots:
-        for i, lab in zip(sym.ts, sym.labels):
-            out[i] = _vec_add(out[i], lab) if i in out else lab
-    return {i: v for i, v in out.items() if any(c != 0 for c in v)}
 
 
 def _essential_ts(ts, J):
@@ -493,8 +385,8 @@ def assemble_asymptotic(sym, J):
     before any symbol is cut out.  The left slot is then expanded factor by
     factor, each factor's coproduct filtered to (essential, regular) before
     the product over factors; the classification is a conjunction over
-    factors, so nothing that survives is dropped.  The tests hold the full
-    Delta^(3)-then-filter path as the oracle.  Callers realize the slots and
+    factors, so nothing that survives is dropped.  The test oracles hold the
+    full Delta^(3)-then-filter path.  Callers realize the slots and
     multiply the values per term (polylog.asymptotic_eval does so
     numerically).
     """

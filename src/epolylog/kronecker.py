@@ -7,15 +7,17 @@ the decomposition explicit fixes branches (z^(1/2) = e(xi/2)) and makes the
 non-holomorphic coordinate r available to the one-form machinery (nu is
 2*pi*i*dr).
 
-The kernel F(xi, eta) has three interchangeable evaluators:
+The kernel F(xi, eta) has two interchangeable evaluators:
 
 * theta_ratio       theta'(0) theta(xi+eta) / (theta(xi) theta(eta))
 * double_q_series   the absolutely convergent double q-series, after
-                    reducing r-coordinates into [0, 1) by quasi-periodicity
-                    (each tau-shift of xi contributes a factor 1/e(eta)) and
-                    resumming the inner geometric series
-* exp_eisenstein    a Laurent series in a formal second slot, with a simple
-                    pole and exponential of weighted Eisenstein functions
+                    reducing r-coordinates into [-1/2, 1/2) by
+                    quasi-periodicity (each tau-shift of xi contributes a
+                    factor 1/e(eta)) and resumming the inner geometric series
+
+Its Laurent expansion in a formal second slot alpha -- a simple pole times
+the exponential of weighted Eisenstein functions -- is the generating
+series of the one-form coefficients (omega_coefficients).
 
 Eisenstein sums use the conditionally convergent double-sum order: the inner
 (integer) direction is summed in closed form via cotangent polynomials,
@@ -29,7 +31,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import BadModulus, OnLattice, OnSingularLocus
+from .errors import BadModulus, OnLattice, OnSingularLocus, TruncationTooSmall
 from .precision import get_context
 from .series import INF, MultiSeries
 
@@ -80,16 +82,6 @@ class EllipticPoint:
     def __init__(self, s, r):
         self.s = float(s)
         self.r = float(r)
-
-    @classmethod
-    def from_xi(cls, xi, tau):
-        xi = complex(xi)
-        tau = complex(tau)
-        r = xi.imag / tau.imag
-        return cls(xi.real - r * tau.real, r)
-
-    def xi(self, tau):
-        return self.s + self.r * complex(tau)
 
     def z(self, ctx):
         return ctx.prec.e(self.s + self.r * ctx.tau)
@@ -145,9 +137,6 @@ class LatticeContext:
 
     def e(self, x):
         return self.prec.e(x)
-
-    def point_from_xi(self, xi):
-        return EllipticPoint.from_xi(complex(xi), complex(self.tau))
 
     def __repr__(self):
         return f"LatticeContext(tau={complex(self.tau)!r}, |q|={abs(self.q):.4g})"
@@ -279,33 +268,18 @@ def lattice_constant(j, ctx):
     return total
 
 
-def weierstrass_p(p, ctx):
-    return eisenstein_E(2, p, ctx) - lattice_constant(2, ctx)
-
-
-def weierstrass_p_prime(p, ctx):
-    return -2 * eisenstein_E(3, p, ctx)
-
-
 # ----------------------------------------------------------------- kernel
 
 
-def kronecker_F(xi, eta_or_alpha, ctx, definition="theta_ratio"):
-    """The elliptic kernel F.
-
-    definition:
-      * "theta_ratio" / "double_q_series": eta_or_alpha is an EllipticPoint,
-        returns a complex value.
-      * "exp_eisenstein": eta_or_alpha is a truncation order K, returns a
-        Laurent MultiSeries in the formal variable "alpha" with window
-        [-1, K-1].
-    """
+def kronecker_F(xi, eta, ctx, definition="theta_ratio"):
+    """The elliptic kernel F(xi, eta) at two EllipticPoints, by the
+    evaluator named by definition: "theta_ratio" or "double_q_series"
+    (OnSingularLocus on the lattice, TruncationTooSmall when the q-series
+    does not settle within its cutoff)."""
     if definition == "theta_ratio":
-        return _F_theta(xi, eta_or_alpha, ctx)
+        return _F_theta(xi, eta, ctx)
     if definition == "double_q_series":
-        return _F_qseries(xi, eta_or_alpha, ctx)
-    if definition == "exp_eisenstein":
-        return _F_series(xi, int(eta_or_alpha), ctx)
+        return _F_qseries(xi, eta, ctx)
     raise ValueError(f"unknown definition {definition!r}")
 
 
@@ -349,10 +323,14 @@ def _F_qseries(xi, eta, ctx):
         total += inc
         if abs(inc) < eps * (abs(total) + 1):
             break
+    else:
+        raise TruncationTooSmall(f"kernel q-series unsettled after {n} terms")
     return -ctx.prec.two_pi_i * total * factor
 
 
 def _F_series(xi, K, ctx):
+    """Laurent MultiSeries of F(xi, alpha) in the formal variable "alpha",
+    window [-1, K-1]."""
     if xi.is_lattice():
         raise OnSingularLocus("kernel pole: xi on the lattice")
     terms = {}
@@ -363,16 +341,6 @@ def _F_series(xi, K, ctx):
     arg = MultiSeries(("alpha",), terms, K)
     pole = MultiSeries(("alpha",), {(-1,): 1.0}, INF, -1)
     return pole * arg.exp()
-
-
-def kronecker_F_value(xi, eta, ctx, definition="theta_ratio", order=None):
-    """Numeric value of F(xi, eta) under any definition; exp_eisenstein is
-    summed at the given truncation order (default from ctx)."""
-    if definition == "exp_eisenstein":
-        K = order or (ctx.prec.digits + 10)
-        ser = _F_series(xi, K, ctx)
-        return ser.eval_at({"alpha": complex(eta.xi(ctx.tau))})
-    return kronecker_F(xi, eta, ctx, definition)
 
 
 # ---------------------------------------------------------------- one-forms
@@ -389,18 +357,3 @@ def omega_coefficients(p, K, ctx):
     eser = MultiSeries(("alpha",), ecf, K + 1)
     prod = fser * eser
     return [ctx.prec.to_complex(prod.coeff((k - 1,))) for k in range(K + 1)]
-
-
-def omega_expand(i, j, K, ctx, points):
-    """One-form coefficient values for the point pair (i, j), as
-    (dxi-component, dr-component) pairs for k = 0..K.  Index 0 refers to the
-    marked basepoint; points[m-1] is the m-th coordinate."""
-    pi_ = EllipticPoint(0.0, 0.0) if i == 0 else points[i - 1]
-    pj_ = EllipticPoint(0.0, 0.0) if j == 0 else points[j - 1]
-    if i == j:
-        return [(0.0, 0.0)] * (K + 1)
-    d = pi_ - pj_
-    if d.is_lattice():
-        raise OnSingularLocus("coincident points")
-    vals = omega_coefficients(d, K, ctx)
-    return [(v, 0.0) for v in vals]

@@ -1,9 +1,8 @@
-"""Multiple polylogarithms and their Debye generating series.
+"""Debye generating series of multiple polylogarithms.
 
-Convergent series evaluation (direct and nested-sum forms), the iterated
-integral route, transport of the generating series along spiral or line
-paths with explicit log-branch bookkeeping, and divisor asymptotics
-assembled through the string coproduct.
+The series at a point of the convergence polydisk (depth 1 and 2), its
+transport along spiral or line paths with explicit log-branch bookkeeping,
+and divisor asymptotics assembled through the string coproduct.
 
 A DebyeSeries' coefficient array is its state: each transport leg returns a
 new series built from new arrays.  Its MultiSeries value is a view, built
@@ -35,38 +34,16 @@ from .series import INF, MultiSeries
 
 DEFAULT_MARGIN = 0.05
 DEFAULT_TOL = 1e-10  # transport legs
-QUAD_TOL = 1e-11  # eval_classical's iterated-integral mode
 SERIES_TOL = 1e-15  # tail of the Debye series sums
-CLASSICAL_TOL = 1e-14  # tail of eval_classical's series modes
 Q_POWER_TOL = 1e-9  # how close to a real q-power SpiralShift.validate refuses
 CLEARANCE = 1e-3  # distance every transport arc keeps from 1
-
-
-class MultiIndex:
-    """Exponent tuple (n_1..n_r), all entries >= 1."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        self.entries = tuple(int(n) for n in entries)
-        if not self.entries:
-            raise ValueError("empty index")
-        if any(n < 1 for n in self.entries):
-            raise ValueError("index entries must be >= 1")
-
-    @property
-    def depth(self):
-        return len(self.entries)
-
-    def __repr__(self):
-        return f"MultiIndex{self.entries}"
 
 
 class SimplicialPoint:
     """Arguments (t_1..t_r) with the conventions t_{r+1} = 1, t_0 = 0.
 
     Zero coordinates are allowed at construction; operations that need
-    ratios or logs check lazily.
+    logs or coordinate ratios check lazily.
     """
 
     __slots__ = ("ts",)
@@ -79,16 +56,6 @@ class SimplicialPoint:
     @property
     def depth(self):
         return len(self.ts)
-
-    def ratios(self):
-        """x_i = t_i / t_{i+1} with t_{r+1} = 1."""
-        ext = self.ts + (1.0 + 0.0j,)
-        out = []
-        for a, b in zip(ext, ext[1:]):
-            if b == 0:
-                raise OutOfRegion("ratio hits a zero coordinate")
-            out.append(a / b)
-        return tuple(out)
 
     def __repr__(self):
         return f"SimplicialPoint{self.ts}"
@@ -172,75 +139,6 @@ def _tail_length(mod, tol, lo=24, hi=20000):
     if n > hi:
         raise OutOfRegion(f"|x| = {mod} needs {n} terms for tolerance {tol:.1e} (limit {hi})")
     return n
-
-
-def _li_nested(xs, orders, tol):
-    """sum over 0 < k_1 < ... < k_r of prod x_i^{k_i} / k_i^{n_i}."""
-    mods = [abs(x) for x in xs]
-    if min(mods) == 0.0:
-        return 0.0 + 0.0j
-    N = _tail_length(max(mods), tol)
-    k = np.arange(1, N + 1, dtype=float)
-    prev = None
-    for x, n in zip(xs, orders):
-        a = x ** k / k ** n
-        if prev is not None:
-            shifted = np.concatenate(([0.0 + 0.0j], np.cumsum(prev)[:-1]))
-            a = a * shifted
-        prev = a
-    return complex(prev.sum())
-
-
-def _simplicial_nested(ts, orders, tol):
-    """sum over a_i >= 1 of prod t_i^{a_i} / (a_1)^{n_1} (a_1+a_2)^{n_2} ..."""
-    mods = [abs(t) for t in ts]
-    if min(mods) == 0.0:
-        return 0.0 + 0.0j
-    N = _tail_length(max(mods), tol)
-    A = np.arange(1, N + 1, dtype=float)
-    f = ts[0] ** A / A ** orders[0]
-    for t, n in zip(ts[1:], orders[1:]):
-        g = np.zeros(N, dtype=complex)
-        for B in range(1, N):
-            g[B] = t * (g[B - 1] + f[B - 1])
-        f = g / A ** n
-    return complex(f.sum())
-
-
-def eval_classical(idx, pt, mode="li_series", path=None, delta=DEFAULT_MARGIN):
-    """Evaluate Li_{n_1..n_r} / I_{n_1..n_r} at a simplicial point.
-
-    li_series sums over the ratio arguments x_i = t_i/t_{i+1};
-    simplicial_series uses the nested form in the t_i directly;
-    iterated_integral integrates dsigma/(sigma - rho_k) along a path from
-    0 to 1 (default: the straight segment).
-    """
-    if idx.depth != pt.depth:
-        raise ValueError("index and point depth differ")
-    if mode == "li_series":
-        xs = pt.ratios()
-        if any(abs(x) > 1.0 - delta for x in xs):
-            raise OutOfRegion(f"|x| too close to 1 (margin {delta})")
-        return _li_nested(xs, idx.entries, CLASSICAL_TOL)
-    if mode == "simplicial_series":
-        if any(abs(t) > 1.0 - delta for t in pt.ts):
-            raise OutOfRegion(f"|t| too close to 1 (margin {delta})")
-        return _simplicial_nested(pt.ts, idx.entries, CLASSICAL_TOL)
-    if mode == "iterated_integral":
-        rho = []
-        for t, n in zip(pt.ts, idx.entries):
-            if t == 0:
-                raise OutOfRegion("iterated integral needs nonzero t_i")
-            rho.extend([1.0 / t] + [0.0] * (n - 1))
-        arcs = path if path is not None else [LineArc(0.0, 1.0)]
-        spec = PathSpec(arcs, singular=[r for r in rho if r != 0], clearance=delta / 2)
-        spec.validate()
-        forms = []
-        for r in reversed(rho):
-            forms.append(lambda z, v, r=r: v / (z - r))
-        val = iterated_integral(spec, forms, tol=QUAD_TOL)
-        return (-1) ** idx.depth * complex(val)
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 def _li_column(t, K, tol):
@@ -334,7 +232,7 @@ def _spread_col(col, K):
     return np.tensordot(col[..., :K], _binomials(K)[0], axes=1)
 
 
-def debye_lambda(r, pt, K, delta=DEFAULT_MARGIN):
+def debye_lambda(r, pt, K):
     """Generating series at a point of the convergence polydisk.
 
     Depth 1: sum_m Li_m(t) b^{m-1} times t^{-b}.  Depth 2: the nested-sum
@@ -342,12 +240,15 @@ def debye_lambda(r, pt, K, delta=DEFAULT_MARGIN):
     the partial sums a1 and a1+a2 carry the matching partial sums of the
     deformation variables -- then re-expanded against (b1, b2) and dressed
     with both prefactors.  Prefactor exponentials are expanded into the
-    coefficients (principal logs).
+    coefficients (principal logs).  Coordinates must keep DEFAULT_MARGIN
+    from the unit circle, and K >= 1 coefficients are kept per variable.
     """
     if r != pt.depth:
         raise ValueError("depth mismatch")
-    if any(abs(t) > 1.0 - delta for t in pt.ts):
-        raise OutOfRegion(f"|t| too close to 1 (margin {delta})")
+    if K < 1:
+        raise ValueError(f"order K = {K} must be at least 1")
+    if any(abs(t) > 1.0 - DEFAULT_MARGIN for t in pt.ts):
+        raise OutOfRegion(f"|t| too close to 1 (margin {DEFAULT_MARGIN})")
     if r == 1:
         (t,) = pt.ts
         lt = cmath.log(t) if t != 0 else 0.0
@@ -587,15 +488,6 @@ def transport_debye(shift, K, route="diagonal"):
     else:
         legs = [(j, SpiralArc(t, m, tau)) for j, t, m in zip((1, 2), base.point.ts, shift.m)]
     return _legs(base, legs, tag)
-
-
-def transport_ray(pt, j, factor, K):
-    """Continue the depth-2 series radially: t_j -> factor * t_j, to
-    DEFAULT_TOL, with the ray CLEARANCE away from 1."""
-    base = debye_lambda(2, pt, K)
-    t = pt.ts[j - 1]
-    arc = LineArc(t, factor * t)
-    return continue_debye(base, [(j, arc)])
 
 
 # ------------------------------------------------------------- asymptotics

@@ -16,7 +16,7 @@ come from a spectral integration matrix (Legendre expansion, exact on
 polynomials through the node count), and the running inner values carry over
 to the next panel.  Each panel is evaluated at orders PANEL_ORDER and
 PANEL_ORDER + 4; on disagreement it is bisected, and QuadratureDiverged is
-raised when the depth limit is hit.
+raised when a panel would be bisected beyond MAX_DEPTH.
 
 Plain form callables receive (z, v), the point and v = dz/du, one node at a
 time and return f(z)*v: a scalar or a numpy array of truncated power-series
@@ -37,6 +37,7 @@ from numpy.polynomial.legendre import leggauss, legvander
 from .errors import PathTooClose, QuadratureDiverged
 
 PANEL_ORDER = 16
+MAX_DEPTH = 12  # bisections of one starting panel before QuadratureDiverged
 CLEARANCE_SAMPLES = 33  # points per arc at which PathSpec.validate measures clearance
 
 
@@ -175,7 +176,7 @@ def _diff(a, b):
     return float(np.max(np.abs(d)))
 
 
-def iterated_integral(path, forms, tol=1e-11, max_depth=12):
+def iterated_integral(path, forms, tol=1e-11):
     """Iterated integral of `forms` along `path` (w_1 outermost).
 
     With a single form this is the ordinary contour integral; an empty form
@@ -194,7 +195,7 @@ def iterated_integral(path, forms, tol=1e-11, max_depth=12):
             err = max(_diff(a, b) for a, b in zip(lo[1:], hi[1:]))
             scale = max(1.0, max(float(np.max(np.abs(np.asarray(v)))) for v in hi[1:]))
             if err > tol * scale:
-                if depth >= max_depth:
+                if depth >= MAX_DEPTH:
                     raise QuadratureDiverged(
                         f"panel [{u0:.4g},{u1:.4g}] error {err:.2e} at depth {depth}"
                     )
@@ -206,9 +207,9 @@ def iterated_integral(path, forms, tol=1e-11, max_depth=12):
     return inner[-1]
 
 
-def path_integral(path, form, tol=1e-11, max_depth=12):
+def path_integral(path, form, tol=1e-11):
     """Ordinary contour integral of a single form."""
-    return iterated_integral(path, [form], tol=tol, max_depth=max_depth)
+    return iterated_integral(path, [form], tol=tol)
 
 
 def convolve_product(f, g):

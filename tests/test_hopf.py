@@ -12,22 +12,19 @@ from epolylog.hopf import (
     HopfElement,
     StringSym,
     admissible_collections,
-    apply_delta,
     assemble_asymptotic,
     canonical_symbol,
-    coproduct_delta_prime,
-    delta_components,
     enumerate_strings,
     essential,
     kid_identity,
     kid_terms,
     lambda_args,
-    monomial_exponent,
     phi_parts,
     regular,
     verify_identities,
 )
 from epolylog.rational import rational_sum
+from oracles import apply_delta, delta_prime, iterated_delta, monomial_exponent
 
 F = Fraction
 
@@ -119,38 +116,43 @@ def test_depth2_coproduct_exact():
     b1 = vec(w, {0: 1})
     b2 = vec(w, {1: 1})
     b12 = vec(w, {0: 1, 1: 1})
-    expected = HopfElement(
-        {
-            ((sym2(1, 2, b1, w),), (sym2(2, 3, b12, w),)): F(1),
-            ((sym2(2, 1, b2, w),), (sym2(1, 3, b12, w),)): F(-1),
-            ((sym2(2, 3, b2, w),), (sym2(1, 3, b1, w),)): F(1),
-        }
-    )
-    assert coproduct_delta_prime(sym) == expected
+    expected = {
+        ((sym2(1, 2, b1, w),), (sym2(2, 3, b12, w),)): F(1),
+        ((sym2(2, 1, b2, w),), (sym2(1, 3, b12, w),)): F(-1),
+        ((sym2(2, 3, b2, w),), (sym2(1, 3, b1, w),)): F(1),
+    }
+    assert delta_prime(sym).terms == expected
 
 
 def test_monomial_character_invariant():
     for n in (3, 4, 5):
         sym = canonical_symbol(n)
         target = monomial_exponent((sym,))
-        for key, _ in coproduct_delta_prime(sym).sorted_terms():
+        for key, _ in delta_prime(sym).sorted_terms():
             assert monomial_exponent(key[0] + key[1]) == target
 
 
 def test_grading_invariant():
     for n in (3, 4, 5):
         sym = canonical_symbol(n)
-        for key, _ in coproduct_delta_prime(sym).sorted_terms():
+        for key, _ in delta_prime(sym).sorted_terms():
             total = sum(s.length - 1 for slot in key for s in slot)
             assert total == n - 1
 
 
+def pair_component(sym, side):
+    """Terms of the full coproduct whose left (side 0: one-star) or right
+    (side 1: star-one) slot is a single length-2 symbol."""
+    terms = iterated_delta(sym, 2).terms
+    return {k: c for k, c in terms.items() if len(k[side]) == 1 and k[side][0].length == 2}
+
+
 def test_one_star_component():
     sym = canonical_symbol(4)
-    comp = delta_components(sym, "one_star")
-    assert len(comp.terms) == 5
+    comp = pair_component(sym, 0)
+    assert len(comp) == 5
     pairs = set()
-    for key, coeff in comp.sorted_terms():
+    for key, coeff in sorted(comp.items()):
         (left,) = key[0]
         assert left.length == 2
         pairs.add(left.ts)
@@ -164,18 +166,16 @@ def test_one_star_component():
 
 def test_one_star_primitive_base_case():
     sym = canonical_symbol(2)
-    comp = delta_components(sym, "one_star")
-    assert comp.terms == {((sym,), ()): F(1)}
-    comp2 = delta_components(sym, "star_one")
-    assert comp2.terms == {((), (sym,)): F(1)}
+    assert pair_component(sym, 0) == {((sym,), ()): F(1)}
+    assert pair_component(sym, 1) == {((), (sym,)): F(1)}
 
 
 def test_star_one_count_and_shape():
     for n in (3, 4, 5):
         sym = canonical_symbol(n)
-        comp = delta_components(sym, "star_one")
-        assert len(comp.terms) == (n - 1) + (n - 1) * (n - 2) // 2
-        for key, _ in comp.sorted_terms():
+        comp = pair_component(sym, 1)
+        assert len(comp) == (n - 1) + (n - 1) * (n - 2) // 2
+        for key in sorted(comp):
             (q,) = key[1]
             assert q.length == 2
             assert q.ts[1] == n
@@ -185,7 +185,7 @@ def test_star_one_count_and_shape():
 def test_star_one_families_n5():
     n, w = 5, 4
     sym = canonical_symbol(n)
-    comp = delta_components(sym, "star_one")
+    comp = pair_component(sym, 1)
     b1234 = vec(w, {0: 1, 1: 1, 2: 1, 3: 1})
     b12 = vec(w, {0: 1, 1: 1})
     b123 = vec(w, {0: 1, 1: 1, 2: 1})
@@ -227,13 +227,13 @@ def test_star_one_families_n5():
         ((tuple(sorted((sym2(1, 2, vec(w, {0: 1}), w), tail_345))), (sym2(2, 5, b12, w),)), F(1)),
     ]
     for key, coeff in cases:
-        assert comp.terms.get(key) == coeff
+        assert comp.get(key) == coeff
 
 
 def test_delta_prime_typical_term_n6():
     n, w = 6, 5
     sym = canonical_symbol(n)
-    el = coproduct_delta_prime(sym)
+    el = delta_prime(sym)
     head = ASymbol(
         (1, 2, 3), [vec(w, {0: 1}), vec(w, {1: 1}), vec(w, {0: -1, 1: -1})]
     )
@@ -249,13 +249,13 @@ def test_delta_prime_typical_term_n6():
 
 def test_coassociativity():
     for n in (3, 4, 5):
-        el = delta_components(canonical_symbol(n), "iterated", 2)
+        el = iterated_delta(canonical_symbol(n), 2)
         assert apply_delta(el, 0) == apply_delta(el, 1)
 
 
 def test_iterated_delta3_n3():
     sym = canonical_symbol(3)
-    el = delta_components(sym, "iterated", 3)
+    el = iterated_delta(sym, 3)
     assert len(el.terms) == 12
     unit_patterns = sorted(
         tuple(not slot for slot in key) for key in el.terms
@@ -358,7 +358,7 @@ def test_assemble_depth2_term_structure():
 
 @lru_cache(maxsize=None)
 def _full_delta3(sym):
-    return delta_components(sym, "iterated", 3)
+    return iterated_delta(sym, 3)
 
 
 def _classified(key, J):
@@ -446,13 +446,4 @@ def test_labels_are_ints_with_exact_rational_fallback():
 def test_size_budget(monkeypatch):
     monkeypatch.setattr(hopf, "DEFAULT_SIZE_BUDGET", 3)
     with pytest.raises(SizeBudgetExceeded):
-        coproduct_delta_prime(canonical_symbol(5))
-
-
-def test_element_algebra():
-    sym = canonical_symbol(3)
-    a = coproduct_delta_prime(sym)
-    z = a - a
-    assert z.is_zero()
-    assert (a + z) == a
-    assert a.rank == 2
+        assemble_asymptotic(canonical_symbol(5), {1, 2, 3, 4})

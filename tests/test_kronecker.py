@@ -5,23 +5,21 @@ import random
 import mpmath
 import pytest
 
-from epolylog.errors import BadModulus, OnLattice, OnSingularLocus
+from epolylog import kronecker
+from epolylog.errors import BadModulus, OnLattice, OnSingularLocus, TruncationTooSmall
 from epolylog.kronecker import (
     EllipticPoint,
     LatticeContext,
     eisenstein_E,
     kronecker_F,
-    kronecker_F_value,
     lattice_constant,
     omega_coefficients,
-    omega_expand,
     theta,
     theta_prime0,
-    weierstrass_p,
-    weierstrass_p_prime,
     zeta_even,
 )
 from epolylog.precision import get_context
+from oracles import point_from_xi
 
 TAU = 0.1 + 0.8j
 
@@ -56,9 +54,9 @@ def test_bad_modulus_rejected():
 
 
 def test_point_roundtrip(ctx):
-    p = EllipticPoint.from_xi(0.31 + 0.17 * TAU, TAU)
+    p = point_from_xi(0.31 + 0.17 * TAU, TAU)
     assert abs(p.s - 0.31) < 1e-12 and abs(p.r - 0.17) < 1e-12
-    assert abs(p.xi(TAU) - (0.31 + 0.17 * TAU)) < 1e-14
+    assert abs(p.s + p.r * TAU - (0.31 + 0.17 * TAU)) < 1e-14
 
 
 # ---------------------------------------------------------------------- theta
@@ -171,7 +169,7 @@ def test_zeta_even_values():
 
 def test_E1_laurent_expansion(ctx):
     a = EllipticPoint(0.03, 0.02)
-    alpha = a.xi(TAU)
+    alpha = a.s + a.r * TAU
     want = (
         1 / alpha
         - lattice_constant(2, ctx) * alpha
@@ -205,8 +203,8 @@ def test_E_recursion(ctx):
 
 def test_weierstrass_equation(ctx):
     p = EllipticPoint(0.31, 0.17)
-    wp = weierstrass_p(p, ctx)
-    wpp = weierstrass_p_prime(p, ctx)
+    wp = eisenstein_E(2, p, ctx) - lattice_constant(2, ctx)
+    wpp = -2 * eisenstein_E(3, p, ctx)
     g2 = 60 * lattice_constant(4, ctx)
     g3 = 140 * lattice_constant(6, ctx)
     assert abs(wpp**2 - (4 * wp**3 - g2 * wp - g3)) < 1e-7
@@ -225,7 +223,7 @@ def test_kernel_definitions_agree(ctx):
     eta = EllipticPoint(0.22, -0.05)
     a = F(xi, eta, ctx)
     b = F(xi, eta, ctx, "double_q_series")
-    c = kronecker_F_value(xi, eta, ctx, "exp_eisenstein", order=40)
+    c = kronecker._F_series(xi, 40, ctx).eval_at({"alpha": eta.s + eta.r * TAU})
     assert abs(a - b) < 1e-9
     assert abs(a - c) < 1e-9
 
@@ -240,7 +238,7 @@ def test_kernel_symmetric_and_odd(ctx):
 
 def test_kernel_series_leading_term(ctx):
     xi = EllipticPoint(0.31, 0.17)
-    ser = kronecker_F(xi, 6, ctx, "exp_eisenstein")
+    ser = kronecker._F_series(xi, 6, ctx)
     assert ser.min_order == (-1,)
     assert abs(ser.coeff((-1,)) - 1.0) < 1e-14
     assert abs(ser.coeff((0,)) - complex(eisenstein_E(1, xi, ctx))) < 1e-12
@@ -325,7 +323,7 @@ def test_mixed_heat_equation(ctx):
 
     def val(xic, etac, t):
         c = LatticeContext(t)
-        return kronecker_F(c.point_from_xi(xic), c.point_from_xi(etac), c)
+        return kronecker_F(point_from_xi(xic, t), point_from_xi(etac, t), c)
 
     def residual(h):
         dtau = (val(xi_c, eta_c, TAU + h) - val(xi_c, eta_c, TAU - h)) / (2 * h)
@@ -346,7 +344,18 @@ def test_singular_locus_rejected(ctx):
     with pytest.raises(OnSingularLocus):
         F(EllipticPoint(0.0, 1.0), EllipticPoint(0.2, 0.1), ctx)
     with pytest.raises(OnSingularLocus):
-        kronecker_F(EllipticPoint(2.0, 0.0), 5, ctx, "exp_eisenstein")
+        kronecker._F_series(EllipticPoint(2.0, 0.0), 5, ctx)
+
+
+def test_unsettled_q_series_refused():
+    """A cutoff too short for the q-series raises instead of returning the
+    partial sum."""
+    short = LatticeContext(TAU)
+    short.q_series_cutoff = 1
+    xi = EllipticPoint(0.31, 0.17)
+    eta = EllipticPoint(0.22, -0.05)
+    with pytest.raises(TruncationTooSmall):
+        kronecker_F(xi, eta, short, "double_q_series")
 
 
 # ------------------------------------------------------------------ one-forms
@@ -384,7 +393,7 @@ def test_omega_residues(ctx):
             th = 2 * cmath.pi * i / n
             xi = eps * cmath.exp(1j * th)
             dxi = eps * 1j * cmath.exp(1j * th) * (2 * cmath.pi / n)
-            tot += omega_coefficients(ctx.point_from_xi(xi), k, ctx)[k] * dxi
+            tot += omega_coefficients(point_from_xi(xi, TAU), k, ctx)[k] * dxi
         return tot
 
     for k in range(3):
@@ -449,18 +458,3 @@ def test_extended_omega_against_theta():
         want = _omega_by_theta(s, r, TAU, 8)
         assert all(isinstance(v, complex) for v in got)
         assert max(_rel_err(g, w) for g, w in zip(got, want)) < 2e-16
-
-
-def test_omega_expand_conventions(ctx):
-    pts = (EllipticPoint(0.31, 0.17), EllipticPoint(-0.22, 0.41))
-    same = omega_expand(1, 1, 3, ctx, pts)
-    assert all(v == (0.0, 0.0) for v in same)
-    pair = omega_expand(1, 2, 3, ctx, pts)
-    assert all(dr == 0.0 for _, dr in pair)
-    assert abs(pair[0][0] - 1.0) < 1e-13
-    # base-point entry uses xi_0 = 0
-    base = omega_expand(1, 0, 3, ctx, pts)
-    direct = omega_coefficients(pts[0], 3, ctx)
-    assert max(abs(a[0] - b) for a, b in zip(base, direct)) < 1e-12
-    with pytest.raises(OnSingularLocus):
-        omega_expand(1, 2, 3, ctx, (pts[0], EllipticPoint(pts[0].s + 1, pts[0].r - 1)))

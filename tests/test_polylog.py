@@ -7,23 +7,21 @@ import numpy as np
 import numpy.linalg as la
 import pytest
 
+import oracles
 from epolylog import hopf, polylog
 from epolylog.errors import Inadmissible, MissingConstants, OutOfRegion
 from epolylog.kronecker import LatticeContext, zeta_even
 from epolylog.polylog import (
     DebyeSeries,
-    MultiIndex,
     SimplicialPoint,
     SpiralShift,
     asymptotic_eval,
     constants_order,
     continue_debye,
     debye_lambda,
-    eval_classical,
     transport_debye,
-    transport_ray,
 )
-from epolylog.quadrature import LineArc
+from epolylog.quadrature import LineArc, PathSpec, iterated_integral
 from epolylog.series import MultiSeries
 
 TAU = 0.1 + 0.8j
@@ -71,17 +69,25 @@ def constants_split(lab, K):
     return out
 
 
-# --------------------------------------------------------- classical evaluator
+# ------------------------------------------------------ nested sums, integrals
+
+
+def simplicial_integral(ts, orders, arcs=(LineArc(0.0, 1.0),)):
+    """(-1)^r times the iterated integral from 0 to 1 of the forms
+    dz/(z - rho), rho running over 1/t_i followed by n_i - 1 zeros: the
+    integral representation of the nested sum I_{n_1..n_r}(t_1..t_r)."""
+    rho = []
+    for t, n in zip(ts, orders):
+        rho.extend([1.0 / t] + [0.0] * (n - 1))
+    forms = [lambda z, v, r=r: v / (z - r) for r in reversed(rho)]
+    return (-1) ** len(ts) * complex(iterated_integral(PathSpec(arcs), forms, tol=1e-11))
 
 
 @pytest.mark.parametrize("idx", [(1, 1), (2, 1), (1, 2)])
 def test_modes_agree(idx):
-    pt = SimplicialPoint((0.06, 0.3))
-    a = eval_classical(MultiIndex(idx), pt, mode="li_series")
-    b = eval_classical(MultiIndex(idx), pt, mode="simplicial_series")
-    c = eval_classical(MultiIndex(idx), pt, mode="iterated_integral")
-    assert abs(a - b) < 1e-13
-    assert abs(a - c) < 1e-11
+    ts = (0.06, 0.3)
+    want = oracles.simplicial_nested(ts, idx, 1e-14)
+    assert abs(simplicial_integral(ts, idx) - want) < 1e-11
 
 
 def test_double_sum_matches_brute():
@@ -91,49 +97,35 @@ def test_double_sum_matches_brute():
         for a in range(1, 201)
         for b in range(1, 201)
     )
-    got = eval_classical(
-        MultiIndex((1, 1)), SimplicialPoint((t1, t2)), mode="simplicial_series"
-    )
+    got = oracles.simplicial_nested((t1, t2), (1, 1), 1e-14)
     assert abs(brute - got) < 1e-13
 
 
 @pytest.mark.parametrize("ab", [(1, 1), (2, 1)])
 def test_stuffle_identity(ab):
+    """Li_a(x) Li_b(y) = Li_{a,b}(x, y) + Li_{b,a}(y, x) + Li_{a+b}(xy), with
+    the depth-2 values read from the nested table at (xy, y) and (xy, x)."""
     a, b = ab
     x, y = 0.2, 0.3
-    La = eval_classical(MultiIndex((a,)), SimplicialPoint((x,)))
-    Lb = eval_classical(MultiIndex((b,)), SimplicialPoint((y,)))
-    Lab = eval_classical(MultiIndex((a, b)), SimplicialPoint((x * y, y)))
-    Lba = eval_classical(MultiIndex((b, a)), SimplicialPoint((x * y, x)))
-    Lsum = eval_classical(MultiIndex((a + b,)), SimplicialPoint((x * y,)))
+    La = polylog._li_column(x, a, 1e-15)[a - 1]
+    Lb = polylog._li_column(y, b, 1e-15)[b - 1]
+    Lab = polylog._nested_table(x * y, y, 2, 1e-15)[a - 1, b - 1]
+    Lba = polylog._nested_table(x * y, x, 2, 1e-15)[b - 1, a - 1]
+    Lsum = polylog._li_column(x * y, a + b, 1e-15)[a + b - 1]
     assert abs(La * Lb - (Lab + Lba + Lsum)) < 1e-13
 
 
 def test_integral_path_detour():
-    pt = SimplicialPoint((0.06, 0.3))
-    direct = eval_classical(MultiIndex((1, 1)), pt, mode="iterated_integral")
-    detour = eval_classical(
-        MultiIndex((1, 1)),
-        pt,
-        mode="iterated_integral",
-        path=[LineArc(0.0, 0.4 - 0.3j), LineArc(0.4 - 0.3j, 1.0)],
-    )
+    ts = (0.06, 0.3)
+    direct = simplicial_integral(ts, (1, 1))
+    detour = simplicial_integral(ts, (1, 1), (LineArc(0.0, 0.4 - 0.3j), LineArc(0.4 - 0.3j, 1.0)))
     assert abs(direct - detour) < 1e-11
-
-
-def test_classical_argument_checks():
-    with pytest.raises(OutOfRegion):
-        eval_classical(MultiIndex((1,)), SimplicialPoint((0.999,)))
-    with pytest.raises(ValueError):
-        eval_classical(MultiIndex((1, 1)), SimplicialPoint((0.3,)))
-    with pytest.raises(ValueError):
-        eval_classical(MultiIndex((1,)), SimplicialPoint((0.3,)), mode="bogus")
 
 
 def test_series_too_long_for_tolerance_refused():
     # |x| = 0.9999 needs ~4e5 terms for 1e-14; a clamped sum would be off by ~5e-2
     with pytest.raises(OutOfRegion):
-        eval_classical(MultiIndex((1,)), SimplicialPoint((0.9999,)), delta=1e-6)
+        polylog._tail_length(0.9999, 1e-14)
 
 
 # --------------------------------------------------------- generating series
@@ -174,6 +166,10 @@ def test_series_argument_checks():
     with pytest.raises(ValueError):
         debye_lambda(3, SimplicialPoint((0.1, 0.1, 0.1)), 4)
     assert debye_lambda(1, SimplicialPoint((0.0,)), 5).value.is_zero()
+    # K < 1 leaves an empty window, which would read as known zero coefficients
+    for ts in ((0.3,), (0.3, 0.2)):
+        with pytest.raises(ValueError, match="at least 1"):
+            debye_lambda(len(ts), SimplicialPoint(ts), 0)
 
 
 @pytest.mark.parametrize("ts", [(0.4 - 0.1j,), (0.2, 0.35 + 0.1j)])
@@ -405,11 +401,18 @@ def test_transport_matches_direct_sum(ctx, route):
         assert abs(got - brute) < 1e-10
 
 
+def ray(pt, j, factor, K):
+    """The depth-2 series at pt continued radially, t_j -> factor * t_j;
+    the base series comes through polylog, where a test may patch it."""
+    t = pt.ts[j - 1]
+    return continue_debye(polylog.debye_lambda(2, pt, K), [(j, LineArc(t, factor * t))])
+
+
 @pytest.mark.parametrize("j", [1, 2])
 def test_transport_ray_matches_direct_sum(j):
     K = 10
     ts = (0.2, 0.35)
-    tr = transport_ray(SimplicialPoint(ts), j, 1.5, K)
+    tr = ray(SimplicialPoint(ts), j, 1.5, K)
     e1, e2 = tr.point.ts
     assert abs(tr.point.ts[j - 1] - 1.5 * ts[j - 1]) < 1e-14
     assert tr.point.ts[2 - j] == ts[2 - j]
@@ -439,11 +442,11 @@ def test_transport_leaves_base_untouched(ctx, monkeypatch, ts, route):
     monkeypatch.setattr(polylog, "debye_lambda", kept)
     shift = SpiralShift((-1,) * len(ts), SimplicialPoint(ts), ctx)
     tr = transport_debye(shift, 4, route=route)
-    ray = transport_ray(SimplicialPoint((0.2, 0.35)), 1, 1.5, 4)
+    cont = ray(SimplicialPoint((0.2, 0.35)), 1, 1.5, 4)
     assert len(bases) == 2
     for s, snap in bases:
         _assert_unchanged(s, snap)
-    assert tr.branch_tag.startswith("transported[") and "continued" in ray.branch_tag
+    assert tr.branch_tag.startswith("transported[") and "continued" in cont.branch_tag
 
 
 def test_route_homotopy_agreement(ctx):
@@ -680,18 +683,19 @@ def test_nested_table_blocks_agree(monkeypatch):
     assert np.max(np.abs(blocked - whole)) <= 1e-14 * max(1.0, np.max(np.abs(whole)))
 
 
-def test_depth2_near_unit_circle_memory_bounded():
+def test_depth2_near_unit_circle_memory_bounded(monkeypatch):
     """|t| = 0.99 needs N = 3899 terms: the nested table must not hold
     N x N arrays (about 120 MB each)."""
     pt = SimplicialPoint((0.99, 0.5 * cmath.exp(1j)))
+    monkeypatch.setattr(polylog, "DEFAULT_MARGIN", 0.005)
     tracemalloc.start()
     try:
-        s = debye_lambda(2, pt, 4, delta=0.005)
+        s = debye_lambda(2, pt, 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
-    direct = eval_classical(MultiIndex((1, 1)), pt, mode="simplicial_series", delta=0.005)
+    direct = oracles.simplicial_nested(pt.ts, (1, 1), 1e-14)
     assert abs(s.value.coeff((0, 0)) - direct) < 1e-10 * max(1.0, abs(direct))
 
 

@@ -3,6 +3,7 @@ import cmath
 import numpy as np
 import pytest
 
+from epolylog import quadrature
 from epolylog.errors import PathTooClose, QuadratureDiverged
 from epolylog.quadrature import (
     BranchedForm,
@@ -176,11 +177,12 @@ def test_clearance_validation():
     ok.validate()
 
 
-def test_divergence_reported():
+def test_divergence_reported(monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_DEPTH", 6)
     p = line(0.0, 1.0)
     f = lambda z, v: v / (z - (0.5 + 1e-12j))
     with pytest.raises(QuadratureDiverged):
-        path_integral(p, f, tol=1e-13, max_depth=6)
+        path_integral(p, f, tol=1e-13)
 
 
 def test_vector_valued_single_form():
