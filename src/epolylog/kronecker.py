@@ -89,12 +89,6 @@ class EllipticPoint:
     def __add__(self, other):
         return EllipticPoint(self.s + other.s, self.r + other.r)
 
-    def __sub__(self, other):
-        return EllipticPoint(self.s - other.s, self.r - other.r)
-
-    def __neg__(self):
-        return EllipticPoint(-self.s, -self.r)
-
     def shift(self, dr):
         """The point moved by dr periods tau."""
         return EllipticPoint(self.s, self.r + dr)

@@ -212,24 +212,27 @@ def _embed_cols(c, K):
 
 @lru_cache(maxsize=8)
 def _binomials(K):
-    """T[i, j, i+k, j-k] = C(j, k): b1^i s^j re-expanded with s = b1 + b2."""
+    """B[i*K + j, (i+k)*K + j-k] = C(j, k): b1^i s^j re-expanded with
+    s = b1 + b2, as a K^2 x K^2 matrix on flattened K x K tables."""
     i, j, k = np.indices((K, K, K))
     keep = (k <= j) & (i + k < K)
     i, j, k = i[keep], j[keep], k[keep]
     T = np.zeros((K,) * 4)
     T[i, j, i + k, j - k] = [math.comb(a, b) for a, b in zip(j, k)]
-    return T
+    return T.reshape(K * K, K * K)
 
 
 def _spread(tab, K):
     """Re-expand a K x K table in (b1, s = b1 + b2) against (b1, b2)."""
-    return np.tensordot(tab, _binomials(K), axes=2)
+    return (tab.reshape(-1, K * K) @ _binomials(K)).reshape(tab.shape)
 
 
 def _spread_col(col, K):
     """Re-expand columns in s alone (trailing axis, the b1^0 row of a table)
-    against (b1, b2): K x K blocks."""
-    return np.tensordot(col[..., :K], _binomials(K)[0], axes=1)
+    against (b1, b2): K x K blocks.  The b1^0 rows of the matrix are its
+    first K."""
+    flat = col[..., :K].reshape(-1, K) @ _binomials(K)[:K]
+    return flat.reshape(col.shape[:-1] + (K, K))
 
 
 def debye_lambda(r, pt, K):

@@ -11,12 +11,15 @@ Integration is composite Gauss-Legendre.  Iterated integrals
     int_gamma w_1 w_2 ... w_n   (w_1 attached to the path endpoint)
 
 are computed panel by panel with the "innermost first" recursion: on each
-panel all forms are sampled once at the nodes, prefix integrals at the nodes
-come from a spectral integration matrix (Legendre expansion, exact on
-polynomials through the node count), and the running inner values carry over
-to the next panel.  Each panel is evaluated at orders PANEL_ORDER and
+panel all forms are sampled once at the nodes, and the running inner values
+carry over to the next panel.  Each level takes one real matmul of a stacked
+rule against the level's node block: the spectral prefix-integration matrix
+(Legendre expansion, exact on polynomials through the node count) gives the
+prefix integrals at the nodes, and the Gauss weight row under it gives the
+panel integral.  Each panel is evaluated at orders PANEL_ORDER and
 PANEL_ORDER + 4; on disagreement it is bisected, and QuadratureDiverged is
-raised when a panel would be bisected beyond MAX_DEPTH.
+raised when a panel would be bisected beyond MAX_DEPTH or has non-finite
+values.
 
 Plain form callables receive (z, v), the point and v = dz/du, one node at a
 time and return f(z)*v: a scalar or a numpy array of truncated power-series
@@ -24,7 +27,9 @@ coefficients.  A BranchedForm gets (arc, us) once per panel pass, us the
 whole node vector, and returns a node-first block.  A single form integrates
 componentwise; an iterated integral multiplies each form into the running
 inner value with convolve_product, which convolves the trailing coefficient
-axes and is the pointwise product for scalar forms.
+axes and is the pointwise product for scalar forms.  It convolves one axis
+by batched matmuls against lower-triangular Toeplitz blocks of the form, so
+the one-row and one-column forms of the transport cost one matmul each.
 """
 
 from __future__ import annotations
@@ -43,8 +48,9 @@ CLEARANCE_SAMPLES = 33  # points per arc at which PathSpec.validate measures cle
 
 @lru_cache(maxsize=32)
 def _panel_rule(order):
-    """Nodes on [-1,1], weights, and the prefix-integration matrix M with
-    (M g)_i = int_{-1}^{x_i} g for the degree-(order-1) interpolant."""
+    """Nodes on [-1,1] and the stacked rule: the prefix-integration matrix M,
+    (M g)_i = int_{-1}^{x_i} g for the degree-(order-1) interpolant, with the
+    weight row w under it, shape (order+1) x order."""
     x, w = leggauss(order)
     V = legvander(x, order)  # P_0..P_order at the nodes
     A = np.empty((order, order))
@@ -54,8 +60,7 @@ def _panel_rule(order):
     B[:, 0] = V[:, 1] + 1.0
     for k in range(1, order):
         B[:, k] = (V[:, k + 1] - V[:, k - 1]) / (2 * k + 1)
-    M = B @ A
-    return x, w, M
+    return x, np.vstack([B @ A, w])
 
 
 class LineArc:
@@ -155,7 +160,7 @@ def _panel_pass(forms, arc, u0, u1, inner_start, order):
     inner integral at the panel start (k = 0 is the constant 1).  Returns
     the list of end values."""
     n = len(forms)
-    x, w, M = _panel_rule(order)
+    x, rule = _panel_rule(order)
     h = (u1 - u0) / 2.0
     us = u0 + (u1 - u0) * (x + 1.0) / 2.0
     samples = [_eval_nodes(w, arc, us) for w in forms]
@@ -164,10 +169,12 @@ def _panel_pass(forms, arc, u0, u1, inner_start, order):
     for k in range(1, n + 1):
         f = samples[n - k]  # innermost form first
         g = f * inner_start[0] if k == 1 else convolve_product(f, prev_nodes)
-        node_vals = np.tensordot(M, g, axes=1) * h + np.asarray(inner_start[k])
-        end_val = inner_start[k] + np.tensordot(w, g, axes=1) * h
-        prev_nodes = node_vals
-        ends.append(end_val)
+        # real rule on the (re, im) pairs of g: rows 0..order-1 are the prefix
+        # integrals at the nodes, row order the integral over the panel
+        flat = np.ascontiguousarray(g, dtype=complex).view(float).reshape(order, -1)
+        vals = (rule @ flat).view(complex).reshape((order + 1,) + g.shape[1:]) * h
+        prev_nodes = vals[:order] + np.asarray(inner_start[k])
+        ends.append(inner_start[k] + vals[order])
     return ends
 
 
@@ -181,6 +188,13 @@ def iterated_integral(path, forms, tol=1e-11):
 
     With a single form this is the ordinary contour integral; an empty form
     list integrates to 1.
+
+    tol is a panel-wise test, not a bound on the returned value's error: a
+    panel is accepted when the largest |order-16 - order-20| difference over
+    all levels and coefficients is at most tol * max(1, largest |order-20
+    value|), and bisected otherwise.  QuadratureDiverged is raised when a
+    panel would be bisected beyond MAX_DEPTH, or when any level's value or
+    difference on a panel is not finite.
     """
     if not forms:
         return 1.0
@@ -192,8 +206,11 @@ def iterated_integral(path, forms, tol=1e-11):
             u0, u1, depth = stack.pop()
             lo = _panel_pass(forms, arc, u0, u1, inner, PANEL_ORDER)
             hi = _panel_pass(forms, arc, u0, u1, inner, PANEL_ORDER + 4)
-            err = max(_diff(a, b) for a, b in zip(lo[1:], hi[1:]))
-            scale = max(1.0, max(float(np.max(np.abs(np.asarray(v)))) for v in hi[1:]))
+            errs = [_diff(a, b) for a, b in zip(lo[1:], hi[1:])]
+            sizes = [float(np.max(np.abs(np.asarray(v)))) for v in hi[1:]]
+            if not np.all(np.isfinite(errs + sizes)):
+                raise QuadratureDiverged(f"panel [{u0:.4g},{u1:.4g}] has non-finite values")
+            err, scale = max(errs), max(1.0, max(sizes))
             if err > tol * scale:
                 if depth >= MAX_DEPTH:
                     raise QuadratureDiverged(
@@ -208,7 +225,10 @@ def iterated_integral(path, forms, tol=1e-11):
 
 
 def path_integral(path, form, tol=1e-11):
-    """Ordinary contour integral of a single form."""
+    """Ordinary contour integral of a single form; tol is the panel-wise
+    acceptance test of iterated_integral (largest |order-16 - order-20|
+    difference at most tol * max(1, largest |order-20 value|) per panel),
+    not a bound on the returned value's error."""
     return iterated_integral(path, [form], tol=tol)
 
 
@@ -216,7 +236,11 @@ def convolve_product(f, g):
     """Node-block product that convolves trailing coefficient axes, as for
     truncated power-series coefficient arrays (the result keeps the shapes'
     elementwise maximum extent, truncating away overflow orders); scalar
-    blocks (1-D) multiply pointwise."""
+    blocks (1-D) multiply pointwise.
+
+    The axis along which f has the most nonzero slices is convolved by one
+    batched matmul against lower-triangular Toeplitz blocks of f; the loop
+    runs over the nonzero slices of f on the other axes only."""
     f = np.asarray(f)
     g = np.asarray(g)
     if f.ndim == 1 and g.ndim == 1:
@@ -226,12 +250,28 @@ def convolve_product(f, g):
     f = f.reshape(f.shape[:1] + (1,) * (nd - len(nf)) + nf)
     g = g.reshape(g.shape[:1] + (1,) * (nd - len(ng)) + ng)
     out_shape = tuple(max(a, b) for a, b in zip(f.shape[1:], g.shape[1:]))
-    gp = np.zeros(g.shape[:1] + out_shape, dtype=complex)
-    gp[tuple(slice(0, s) for s in g.shape)] = g
+    gp = g
+    if g.shape[1:] != out_shape:
+        gp = np.zeros(g.shape[:1] + out_shape, dtype=complex)
+        gp[tuple(slice(0, s) for s in g.shape)] = g
     out = np.zeros(f.shape[:1] + out_shape, dtype=complex)
-    for idx in zip(*np.nonzero(np.any(f, axis=0))):
-        col = f[(slice(None),) + idx]
-        dest = tuple(slice(i, s) for i, s in zip(idx, out_shape))
-        src = tuple(slice(0, s - i) for i, s in zip(idx, out_shape))
-        out[(slice(None),) + dest] += col.reshape((-1,) + (1,) * nd) * gp[(slice(None),) + src]
+    support = np.any(f, axis=0)
+    counts = [
+        np.count_nonzero(support.any(axis=tuple(b for b in range(nd) if b != a)))
+        for a in range(nd)
+    ]
+    a = int(np.argmax(counts))  # the Toeplitz axis, swapped last below
+    m = out_shape[a]
+    fa, ga, oa = (x.swapaxes(a + 1, -1) for x in (f, gp, out))
+    # fpad[:, m + d] = f at lag d (zero outside 0 <= d < f's extent), so
+    # fpad[:, lag][:, j, i] multiplies g_j into out_i
+    fpad = np.zeros((f.shape[0], 2 * m), dtype=complex)
+    lag = m + np.arange(m)[None, :] - np.arange(m)[:, None]
+    for idx in map(tuple, np.argwhere(support.swapaxes(a, -1).any(axis=-1))):
+        fpad[:, m : m + fa.shape[-1]] = fa[(slice(None),) + idx]
+        dest = tuple(slice(i, s) for i, s in zip(idx, oa.shape[1:-1]))
+        src = tuple(slice(0, s - i) for i, s in zip(idx, oa.shape[1:-1]))
+        block = ga[(slice(None),) + src]
+        prod = block.reshape(block.shape[0], -1, m) @ fpad[:, lag]
+        oa[(slice(None),) + dest] += prod.reshape(block.shape)
     return out

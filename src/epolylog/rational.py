@@ -104,16 +104,6 @@ class Poly:
             out = out * self
         return out
 
-    def eval(self, values):
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            m = c
-            for v, n in zip(self.vars, e):
-                if n:
-                    m *= Fraction(values[v]) ** n
-            total += m
-        return total
-
     def __repr__(self):
         if not self.terms:
             return "0"

@@ -18,6 +18,9 @@ pytest's test_*.py pattern, so nothing here is collected.
   coproduct (test_monomial_character_invariant).
 * point_from_xi: an EllipticPoint from a complex xi, for the kernel tests
   that step xi or tau by finite differences (test_kronecker.py).
+* point_sub, point_neg: EllipticPoint difference and negation, for the Fay
+  identity and the parity tests of test_kronecker.py.
+* poly_value: a Poly evaluated at a rational point, for test_rational.py.
 """
 
 import math
@@ -107,3 +110,25 @@ def point_from_xi(xi, tau):
     xi, tau = complex(xi), complex(tau)
     r = xi.imag / tau.imag
     return EllipticPoint(xi.real - r * tau.real, r)
+
+
+def point_sub(a, b):
+    """The EllipticPoint a - b, pair by pair."""
+    return EllipticPoint(a.s - b.s, a.r - b.r)
+
+
+def point_neg(a):
+    """The EllipticPoint -a."""
+    return EllipticPoint(-a.s, -a.r)
+
+
+def poly_value(p, values):
+    """The Poly p at the point values (variable name -> rational)."""
+    total = Fraction(0)
+    for e, c in p.terms.items():
+        m = c
+        for v, n in zip(p.vars, e):
+            if n:
+                m *= Fraction(values[v]) ** n
+        total += m
+    return total

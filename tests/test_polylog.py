@@ -458,6 +458,60 @@ def test_route_homotopy_agreement(ctx):
     assert np.max(np.abs(da - db)) < 1e-10 * scale
 
 
+# Transported coefficients recorded before the panel pass moved onto
+# stacked-rule matmuls and Toeplitz convolution; summation order differs
+# since, so the pin is 1e-10 * max(1, |c|), not bit equality.  Rows: name,
+# base point, spiral exponents, K, route, coefficients (row-major; for the
+# K = 8 case rows 0 and 7 only).
+TRANSPORT_GOLDEN = [
+    ("depth-1 spiral", (0.6 + 0.3j,), (1,), 4, "diagonal", [
+        (0.002022366083395455+0.003914431985698741j), (0.01727255724852994+0.02294105142555647j),
+        (0.06903987940664313+0.06621779025391651j), (0.17842825146771957+0.12561206183939752j),
+    ]),
+    ("diagonal K=4", (0.45 + 0.35j, -0.3 + 0.6j), (1, 1), 4, "diagonal", [
+        (-5.6449305371741865e-06-5.966405647957109e-06j), (-4.9342516803274616e-05-2.032447668931514e-05j),
+        (-0.00017397737775093347+4.735190066162964e-06j), (-0.0003438237113800313+0.00016185928735454325j),
+        (-4.7714276649291065e-05-3.50100249143781e-05j), (-0.00037741544096800417-8.189583690032531e-05j),
+        (-0.0012402263201535257+0.00025224051637440237j), (-0.0022784803249412677+0.0015893457872377947j),
+        (-0.00019523521056302728-9.703065941557565e-05j), (-0.0014280643747538735-6.457326095254956e-05j),
+        (-0.004398739583919786+0.001681730860830677j), (-0.007472224570691632+0.007228360414037904j),
+        (-0.0005250667502235129-0.00016211321548947888j), (-0.003598583808665401+0.0004086359193486988j),
+        (-0.010417659879257801+0.005952980686638409j), (-0.016198935706807527+0.021166619730450587j),
+    ]),
+    ("axes K=4", (0.45 + 0.35j, -0.3 + 0.6j), (1, 1), 4, "axes", [
+        (-5.64493064891293e-06-5.96640579581453e-06j), (-4.934251712970794e-05-2.0324476604237363e-05j),
+        (-0.00017397737790883494+4.735190324390431e-06j), (-0.00034382371142160917+0.00016185928756748402j),
+        (-4.7714276645460796e-05-3.50100249151275e-05j), (-0.0003774154409699193-8.189583691448066e-05j),
+        (-0.0012402263201782837+0.00025224051637184886j), (-0.002278480324967691+0.0015893457872556138j),
+        (-0.00019523521056036275-9.703065941740752e-05j), (-0.0014280643747671962-6.457326096298566e-05j),
+        (-0.00439873958395931+0.0016817308608393366j), (-0.007472224570710506+0.007228360414082313j),
+        (-0.0005250667502219586-0.0001621132154920324j), (-0.0035985838086841637+0.00040863591934287014j),
+        (-0.010417659879292662+0.005952980686666498j), (-0.016198935706875583+0.021166619730497827j),
+    ]),
+    ("axes K=8", (-0.55 + 0.4j, 0.35 - 0.5j), (1, 1), 8, "axes", [
+        (-8.452480259955875e-06+2.924502390587967e-06j), (-5.1855691622471056e-05+1.4800538812593644e-05j),
+        (-0.00015960142805204747+3.631021262156045e-05j), (-0.0003289628956991558+5.65598116231969e-05j),
+        (-0.0005115164263521654+6.0600714468249384e-05j), (-0.0006410330208453212+4.293976610679137e-05j),
+        (-0.0006756682463760245+1.1777172990804982e-05j), (-0.0006174339952063467-1.860347656031298e-05j),
+        (0.0036125133357849393+0.0011240974943641513j), (0.022227718459048473+0.008696600387706033j),
+        (0.06890173589907334+0.03293784707542602j), (0.14367804046173716+0.08243139084057383j),
+        (0.22710546102980078+0.15471119584031873j), (0.290745312928141+0.2339353297456852j),
+        (0.3145689622931981+0.29870293039519125j), (0.2962991691424578+0.33316615374446146j),
+    ]),
+]
+
+
+@pytest.mark.parametrize("case", TRANSPORT_GOLDEN, ids=[c[0] for c in TRANSPORT_GOLDEN])
+def test_transport_golden_values(ctx, case):
+    _, ts, m, K, route, want = case
+    tr = transport_debye(SpiralShift(m, SimplicialPoint(ts), ctx), K, route=route)
+    got = tr.coeffs if K < 8 else tr.coeffs[[0, K - 1]]
+    got = got.ravel()
+    assert len(got) == len(want)
+    for k, (a, b) in enumerate(zip(got, want)):
+        assert abs(a - b) <= 1e-10 * max(1.0, abs(b)), k
+
+
 def test_spiral_point_on_orbit_rejected(ctx):
     t_bad = cmath.exp(2j * math.pi * 0.6 * TAU)
     with pytest.raises(Inadmissible):

@@ -169,6 +169,54 @@ def test_convolve_product_matches_brute_force(fshape, gshape, density):
         assert not np.any(got)
 
 
+def _pair_sum_convolve(f, g):
+    """Every (f index, g index) pair summed into the truncated window, as
+    one einsum against 0/1 index-sum tensors (2-D trailing axes)."""
+    window = tuple(max(a, b) for a, b in zip(f.shape[1:], g.shape[1:]))
+    hits = [
+        np.equal.outer(np.add.outer(np.arange(a), np.arange(b)), np.arange(w)).astype(float)
+        for a, b, w in zip(f.shape[1:], g.shape[1:], window)
+    ]
+    return np.einsum("nab,ncd,ack,bdl->nkl", f, g, *hits, optimize=True)
+
+
+def _transport_support(rng, kind, shape):
+    """A node block with the support of one of the transport's forms: one
+    nonzero row (a column laid along b2), one nonzero column (laid along
+    b1), a rank-1 outer product per node (the prefactor), or dense."""
+    n, p, q = shape
+    cplx = lambda *s: rng.normal(size=s) + 1j * rng.normal(size=s)
+    if kind == "rank1":
+        return cplx(n, p)[:, :, None] * cplx(n, q)[:, None, :]
+    if kind == "dense":
+        return cplx(n, p, q)
+    out = np.zeros(shape, dtype=complex)
+    if kind == "row":
+        out[:, 0, :] = cplx(n, q)
+    else:
+        out[:, :, 0] = cplx(n, p)
+    return out
+
+
+@pytest.mark.parametrize(
+    "fshape, gshape",
+    [((20, 11, 11), (20, 11, 11)), ((20, 15, 15), (20, 15, 15)), ((1, 15, 15), (1, 15, 15)),
+     ((20, 11, 7), (20, 11, 11)), ((20, 6, 15), (20, 15, 15))],
+)
+@pytest.mark.parametrize("kind", ["row", "column", "rank1", "dense"])
+def test_convolve_product_matches_brute_force_on_transport_supports(fshape, gshape, kind):
+    rng = np.random.default_rng(sum(fshape) + sum(gshape) + len(kind))
+    f = _transport_support(rng, kind, fshape)
+    g = _transport_support(rng, "dense", gshape)
+    got = convolve_product(f, g)
+    want = _pair_sum_convolve(f, g)
+    bound = 1e-14 * np.max(np.abs(want)) * fshape[-1]
+    assert got.shape == want.shape == gshape
+    assert np.max(np.abs(got - want)) <= bound
+    if fshape[1:] == gshape[1:]:  # swapping the factors convolves the other axis
+        assert np.max(np.abs(convolve_product(g, f) - want)) <= bound
+
+
 def test_clearance_validation():
     p = PathSpec([LineArc(0.0, 1.0)], singular=[0.5 + 1e-5j], clearance=1e-3)
     with pytest.raises(PathTooClose):
@@ -183,6 +231,18 @@ def test_divergence_reported(monkeypatch):
     f = lambda z, v: v / (z - (0.5 + 1e-12j))
     with pytest.raises(QuadratureDiverged):
         path_integral(p, f, tol=1e-13)
+
+
+def test_non_finite_panel_refused():
+    p = line(0.0, 1.0)
+    nan_half = lambda z, v: (np.nan if z.real > 0.5 else 1.0) * v
+    inf_end = lambda z, v: (np.inf if z.real > 0.99 else 1.0) * v
+    for form in (nan_half, inf_end):
+        with pytest.raises(QuadratureDiverged):
+            path_integral(p, form)
+    # a non-finite outer level behind a finite inner one
+    with pytest.raises(QuadratureDiverged):
+        iterated_integral(p, [nan_half, lambda z, v: v])
 
 
 def test_vector_valued_single_form():

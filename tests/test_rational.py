@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from epolylog.rational import Poly, rational_sum
+from oracles import poly_value
 
 V = ("x", "y", "z")
 
@@ -20,7 +21,7 @@ def test_poly_arithmetic():
 def test_poly_eval():
     x = Poly.variable(V, "x")
     p = x**3 - 2 * x + 1
-    assert p.eval({"x": Fraction(2), "y": 0, "z": 0}) == Fraction(5)
+    assert poly_value(p, {"x": Fraction(2), "y": 0, "z": 0}) == Fraction(5)
 
 
 def test_rational_sum_telescopes():
@@ -77,15 +78,15 @@ def test_rational_sum_matches_fraction_sum(pool, picks, point):
     rational point where no factor vanishes."""
     parts = [(c, [pool[i % len(pool)] for i in idx]) for c, idx in picks]
     at = dict(zip(V, point))
-    assume(all(f.eval(at) != 0 for f in pool))
+    assume(all(poly_value(f, at) != 0 for f in pool))
     want = Fraction(0)
     for c, fs in parts:
         den = Fraction(1)
         for f in fs:
-            den *= f.eval(at)
+            den *= poly_value(f, at)
         want += c / den
     num, lcm = rational_sum(parts)
     den = Fraction(1)
     for f in lcm:
-        den *= f.eval(at)
-    assert num.eval(at) / den == want
+        den *= poly_value(f, at)
+    assert poly_value(num, at) / den == want
