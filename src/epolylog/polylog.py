@@ -5,8 +5,10 @@ transport along spiral or line paths with explicit log-branch bookkeeping,
 and divisor asymptotics assembled through the string coproduct.
 
 A DebyeSeries' coefficient array is its state: each transport leg returns a
-new series built from new arrays.  Its MultiSeries value is a view, built
-once from the array, for callers that evaluate or compare the series.
+new series built from new arrays, in one adaptive quadrature pass that
+carries the channels at padded order and the depth-2 table on its K x K
+window.  Its MultiSeries value is a view, built once from the array, for
+callers that evaluate or compare the series.
 """
 
 import cmath
@@ -23,12 +25,12 @@ from .errors import (
 )
 from .quadrature import (
     BranchedForm,
+    Levels,
     LineArc,
     PathSpec,
     SpiralArc,
     convolve_product,
     iterated_integral,
-    path_integral,
 )
 from .series import INF, MultiSeries
 
@@ -212,27 +214,28 @@ def _embed_cols(c, K):
 
 @lru_cache(maxsize=8)
 def _binomials(K):
-    """B[i*K + j, (i+k)*K + j-k] = C(j, k): b1^i s^j re-expanded with
-    s = b1 + b2, as a K^2 x K^2 matrix on flattened K x K tables."""
-    i, j, k = np.indices((K, K, K))
-    keep = (k <= j) & (i + k < K)
-    i, j, k = i[keep], j[keep], k[keep]
-    T = np.zeros((K,) * 4)
-    T[i, j, i + k, j - k] = [math.comb(a, b) for a, b in zip(j, k)]
-    return T.reshape(K * K, K * K)
-
-
-def _spread(tab, K):
-    """Re-expand a K x K table in (b1, s = b1 + b2) against (b1, b2)."""
-    return (tab.reshape(-1, K * K) @ _binomials(K)).reshape(tab.shape)
+    """Index x + y and weight C(x + y, x) of each cell (x, y) of a K x K table."""
+    x, y = np.indices((K, K))
+    return x + y, np.vectorize(math.comb)(x + y, x).astype(float)
 
 
 def _spread_col(col, K):
-    """Re-expand columns in s alone (trailing axis, the b1^0 row of a table)
-    against (b1, b2): K x K blocks.  The b1^0 rows of the matrix are its
-    first K."""
-    flat = col[..., :K].reshape(-1, K) @ _binomials(K)[:K]
-    return flat.reshape(col.shape[:-1] + (K, K))
+    """Re-expand columns in s = b1 + b2 alone (trailing axis, length at
+    least 2K-1) against (b1, b2) on the K x K window: cell (x, y) is
+    C(x+y, x) col[x+y]."""
+    idx, binom = _binomials(K)
+    return col[..., idx] * binom
+
+
+def _spread(tab, K):
+    """Re-expand a table in (b1, s = b1 + b2), with at least K rows and 2K-1
+    columns, against (b1, b2) on the K x K window: row i is the b1^i multiple
+    of a column in s."""
+    rows = _spread_col(tab[:K], K)
+    out = np.zeros((K, K), dtype=complex)
+    for i in range(K):
+        out[i:] += rows[i, : K - i]
+    return out
 
 
 def debye_lambda(r, pt, K):
@@ -262,11 +265,10 @@ def debye_lambda(r, pt, K):
             return DebyeSeries(pt, np.zeros((K, K), dtype=complex), (0.0, 0.0))
         l1, l2 = cmath.log(t1), cmath.log(t2)
         # re-expanding (b1, b1+b2) -> (b1, b2) pulls in totals up to 2K-2,
-        # so the rectangle is only exact when built at padded order
+        # so the table in (b1, b1+b2) is built at padded order
         Kp = 2 * K - 1
-        body = _spread(_nested_table(t1, t2, Kp, SERIES_TOL), Kp)
-        pref = np.outer(_exp_coeffs(l1, Kp), _exp_coeffs(l2, Kp))
-        coeffs = _conv(pref, body)[:K, :K]
+        body = _spread(_nested_table(t1, t2, Kp, SERIES_TOL), K)
+        coeffs = _conv(np.outer(_exp_coeffs(l1, K), _exp_coeffs(l2, K)), body)
         channels = (_debye_column(t1, Kp, SERIES_TOL), _debye_column(t2, Kp, SERIES_TOL))
         return DebyeSeries(pt, coeffs, (l1, l2), channels)
     raise ValueError("depth 1 or 2 only")
@@ -275,78 +277,45 @@ def debye_lambda(r, pt, K):
 # ----------------------------------------------------------------- transport
 
 
-def _form(arc, K, place=None):
-    """Coefficients of w^{-b} dw/(1-w) along an arc at a node vector: (N, K)
-    columns, or those columns laid into K x K blocks by place (_embed_rows,
-    _embed_cols or _spread_col)."""
+def _form(arc, K):
+    """Coefficients of w^{-b} dw/(1-w) along an arc at a node vector, (N, K)."""
 
     def f(_arc, us):
         dlog = arc.velocity(us) / (1.0 - arc.point(us))
-        col = _exp_coeffs(arc.log_point(us), K) * dlog[:, None]
-        return col if place is None else place(col, K)
+        return _exp_coeffs(arc.log_point(us), K) * dlog[:, None]
 
     return BranchedForm(f)
 
 
 class _RatioArc:
-    """numerator arc divided by a constant."""
+    """u -> (arc(u) / t)**s, s = +1 or -1: a coordinate ratio while one
+    coordinate moves along arc and the other stays at t (log log_t)."""
 
-    def __init__(self, arc, den, den_log):
+    def __init__(self, arc, s, t, log_t):
         self.arc = arc
-        self.den = den
-        self.den_log = den_log
+        self.s = s
+        self.t = t
+        self.log_t = log_t
 
     def point(self, u):
-        return self.arc.point(u) / self.den
+        return (self.arc.point(u) / self.t) ** self.s
 
     def velocity(self, u):
-        return self.arc.velocity(u) / self.den
+        return self.s * self.point(u) * self.arc.velocity(u) / self.arc.point(u)
 
     def log_point(self, u):
-        return self.arc.log_point(u) - self.den_log
-
-    def suggested_panels(self):
-        return self.arc.suggested_panels()
-
-
-class _InvRatioArc:
-    """constant divided by the denominator arc."""
-
-    def __init__(self, num, num_log, arc):
-        self.num = num
-        self.num_log = num_log
-        self.arc = arc
-
-    def point(self, u):
-        return self.num / self.arc.point(u)
-
-    def velocity(self, u):
-        p = self.arc.point(u)
-        return -self.num * self.arc.velocity(u) / (p * p)
-
-    def log_point(self, u):
-        return self.num_log - self.arc.log_point(u)
+        return self.s * (self.arc.log_point(u) - self.log_t)
 
     def suggested_panels(self):
         return self.arc.suggested_panels()
 
 
 def _check_clear(arcs):
-    for arc in arcs:
-        PathSpec([arc], singular=(1.0,), clearance=CLEARANCE).validate()
+    PathSpec(arcs, singular=(1.0,), clearance=CLEARANCE).validate()
 
 
 def _spine(arcs):
-    best = max(arcs, key=lambda a: a.suggested_panels())
-    return PathSpec([best])
-
-
-def _single(path, form):
-    return np.asarray(path_integral(path, form, tol=DEFAULT_TOL))
-
-
-def _double(path, outer, inner):
-    return np.asarray(iterated_integral(path, [outer, inner], tol=DEFAULT_TOL))
+    return PathSpec([max(arcs, key=lambda a: a.suggested_panels())])
 
 
 def _rebase(arc, t, l):
@@ -362,85 +331,89 @@ def _rebase(arc, t, l):
     raise TypeError(f"unsupported arc type {type(arc).__name__}")
 
 
-def _advance(series, path, arcs, tag, coeffs=None):
-    """The series with the depth-1 column of every moving coordinate (arc
-    not None) integrated along its arc, and that coordinate's log and point
-    moved to the arc end.  The column is the series' coeffs at depth 1 and
-    its channel at depth 2, where coeffs is the new table."""
-    cols = [series.coeffs] if series.depth == 1 else list(series.channels)
+def _advance(series, arcs, ratios, tag):
+    """The series after one adaptive pass along a leg: arcs[i] moves
+    coordinate i (None keeps it fixed), ratios is () at depth 1 and the
+    ratio arcs at depth 2 (see _leg2).  The channels c_i(u) = c_i + int w_i,
+    w_i the form of arc_i and 0 for a fixed coordinate, are the state; at
+    depth 1 the one channel is the coefficient column."""
+    chans = [series.coeffs] if series.depth == 1 else series.channels
+    K = series.order()
+    moving = [i for i, arc in enumerate(arcs) if arc is not None]
+    spine = [arcs[i] for i in moving] + list(ratios)
+    _check_clear(spine)
+    forms = [_form(arcs[i], len(chans[i])) for i in moving] + [_form(arc, K) for arc in ratios]
+
+    def channel(i):
+        if i in moving:
+            return lambda s, lower: s[moving.index(i)]
+        return lambda s, lower: np.zeros((len(s[0]), len(chans[i])), dtype=complex)
+
+    def table(s, lower):
+        c1, c2 = lower
+        d = convolve_product(_embed_rows(s[-2], K), _spread_col(c2, K))
+        d -= convolve_product(_embed_cols(s[-1], K), _spread_col(c1, K))
+        if 1 in moving:
+            w2 = s[moving.index(1)][:, :K]
+            d += convolve_product(_embed_cols(w2, K), _embed_rows(c1[:, :K], K))
+        return d
+
+    levels = [(c, channel(i)) for i, c in enumerate(chans)]
+    if ratios:
+        levels.append((series.coeffs, table))
+    ends = iterated_integral(_spine(spine), Levels(forms, levels), tol=DEFAULT_TOL)
     logs, ts = list(series.logs), list(series.point.ts)
-    for i, arc in enumerate(arcs):
-        if arc is not None:
-            cols[i] = cols[i] + _single(path, _form(arc, len(cols[i])))
-            logs[i] = arc.log_point(1.0)
-            ts[i] = arc.point(1.0)
-    pt = SimplicialPoint(ts)
-    if series.depth == 1:
-        return DebyeSeries(pt, cols[0], logs, branch_tag=tag)
-    return DebyeSeries(pt, coeffs, logs, tuple(cols), tag)
+    for i in moving:
+        logs[i], ts[i] = arcs[i].log_point(1.0), arcs[i].point(1.0)
+    chans = tuple(ends[:2]) if ratios else None  # at depth 1, ends[-1] is the column
+    return DebyeSeries(SimplicialPoint(ts), ends[-1], logs, chans, tag)
 
 
 def _leg_depth1(series, arc, tag):
-    arc = _rebase(arc, series.point.ts[0], series.logs[0])
-    _check_clear([arc])
-    return _advance(series, _spine([arc]), [arc], tag)
+    return _advance(series, [_rebase(arc, series.point.ts[0], series.logs[0])], (), tag)
 
 
-def _leg2(series, arc1, arc2, arc_a, arc_c, tag):
-    """Advance a depth-2 series along arc1 (t1) and arc2 (t2), with arc_a and
-    arc_c the matching paths of t1/t2 and t2/t1.  None marks a coordinate
-    that stays fixed: the terms whose form sits on it integrate to 0 and
-    are skipped."""
+def _leg2(series, arcs, ratios, tag):
+    """A depth-2 leg along arcs (arc1, arc2) of t1 and t2, None where fixed,
+    with ratios (arc_a, arc_c) the matching paths of t1/t2 and t2/t1.  One
+    adaptive pass, accepted over the whole state, carries the channels
+    c_i(u) at padded order Kp >= 2K-1 (the next leg needs them) and the
+    table on its K x K window, whose increment moves by
+
+        d' = rows(a) * spread(c2(u)) + cols(w2) * rows(c1(u)) - cols(c) * spread(c1(u))
+
+    with a, c the forms of arc_a, arc_c, * the truncated-series product,
+    rows / cols a column laid along b1 / b2, and spread its re-expansion
+    from b1 + b2 (exact on the window from the first 2K-1 entries)."""
     if series.channels is None:
         raise ValueError("depth-2 series without transport channels")
-    K = series.order()
-    c1, c2 = series.channels
-    Kp = min(len(c1), len(c2))
-    if Kp < 2 * K - 1:
+    if min(len(c) for c in series.channels) < 2 * series.order() - 1:
         raise ValueError("channels shorter than 2K-1: rectangle would go stale")
-    arcs = [a for a in (arc1, arc2, arc_a, arc_c) if a is not None]
-    _check_clear(arcs)
-    path = _spine(arcs)
-    ga = _form(arc_a, Kp, _embed_rows)
-    gc = _form(arc_c, Kp, _embed_cols)
-    d = _conv(_single(path, ga), _spread_col(c2, Kp))
-    if arc2 is not None:
-        gb = _form(arc2, Kp, _embed_cols)
-        d = d + _double(path, ga, _form(arc2, Kp, _spread_col))
-        d = d + _conv(_single(path, gb), _embed_rows(c1, Kp))
-        if arc1 is not None:
-            d = d + _double(path, gb, _form(arc1, Kp, _embed_rows))
-    d = d - _conv(_single(path, gc), _spread_col(c1, Kp))
-    if arc1 is not None:
-        d = d - _double(path, gc, _form(arc1, Kp, _spread_col))
-    return _advance(series, path, [arc1, arc2], tag, series.coeffs + d[:K, :K])
+    return _advance(series, arcs, ratios, tag)
 
 
 def _leg_axis(series, j, arc, tag):
-    """Move one coordinate of a depth-2 series along an arc."""
-    (l1, l2), (t1, t2) = series.logs, series.point.ts
-    if j == 1:
-        arc1 = _rebase(arc, t1, l1)
-        arcs = (arc1, None, _RatioArc(arc1, t2, l2), _InvRatioArc(t2, l2, arc1))
-    elif j == 2:
-        arc2 = _rebase(arc, t2, l2)
-        arcs = (None, arc2, _InvRatioArc(t1, l1, arc2), _RatioArc(arc2, t1, l1))
-    else:
+    """Move coordinate j of a depth-2 series along an arc; the ratio t1/t2
+    is (arc/t)^s, with t the other coordinate and s = +1 for j = 1, -1 for
+    j = 2, and t2/t1 its inverse."""
+    if j not in (1, 2):
         raise ValueError("coordinate index must be 1 or 2")
-    return _leg2(series, *arcs, tag)
+    ts, logs = series.point.ts, series.logs
+    s, t, l = 3 - 2 * j, ts[2 - j], logs[2 - j]
+    arc = _rebase(arc, ts[j - 1], logs[j - 1])
+    arcs = (arc, None) if j == 1 else (None, arc)
+    return _leg2(series, arcs, (_RatioArc(arc, s, t, l), _RatioArc(arc, -s, t, l)), tag)
 
 
 def _leg_diag(series, m, tau, tag):
     """Move both coordinates simultaneously along their spirals."""
     (l1, l2), (t1, t2) = series.logs, series.point.ts
-    return _leg2(
-        series,
-        SpiralArc(t1, m[0], tau, log_t=l1),
-        SpiralArc(t2, m[1], tau, log_t=l2),
+    arcs = SpiralArc(t1, m[0], tau, log_t=l1), SpiralArc(t2, m[1], tau, log_t=l2)
+    ratios = (
         SpiralArc(t1 / t2, m[0] - m[1], tau, log_t=l1 - l2),
         SpiralArc(t2 / t1, m[1] - m[0], tau, log_t=l2 - l1),
-        tag,
     )
+    return _leg2(series, arcs, ratios, tag)
 
 
 def _legs(series, legs, tag):
@@ -463,8 +436,9 @@ def continue_debye(series, legs):
     legs: for depth 1 a list of arcs; for depth 2 a list of (j, arc) with
     j in {1, 2} naming the moving coordinate.  Branch data is taken from
     the series; each arc must start at the current coordinate value.  The
-    input series is left as it was.  Every leg integrates to DEFAULT_TOL,
-    and every arc must keep CLEARANCE from 1.
+    input series is left as it was.  Every leg is one adaptive pass to
+    DEFAULT_TOL, the depth-2 table on its K x K window, and every arc must
+    keep CLEARANCE from 1 at its closest approach.
     """
     tag = series.branch_tag + f" -> continued[{len(legs)} legs]"
     return _legs(series, legs, tag)
@@ -472,7 +446,8 @@ def continue_debye(series, legs):
 
 def transport_debye(shift, K, route="diagonal"):
     """Transport the Debye series along the spiral t_i -> q^{m_i} t_i, to
-    DEFAULT_TOL, with every arc CLEARANCE away from 1.
+    DEFAULT_TOL, with every arc CLEARANCE away from 1; each leg is one
+    adaptive pass, the depth-2 table on its K x K window.
 
     route (depth 2 only, checked at any depth): "diagonal" moves both
     coordinates at once, "axes" moves t_1 first and then t_2.  Both must

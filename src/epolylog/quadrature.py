@@ -6,30 +6,29 @@ transports; their logarithm is linear in the parameter, which is what makes
 branch tracking trivial).  Every arc exposes point / velocity / log_point,
 and a PathSpec bundles arcs with the singular set it promised to avoid.
 
-Integration is composite Gauss-Legendre.  Iterated integrals
+Integration is composite Gauss-Legendre over levels.  Each level has a
+start value and an integrand computed from the panel's form samples and
+the node values of the levels before it.  The chain of forms
 
     int_gamma w_1 w_2 ... w_n   (w_1 attached to the path endpoint)
 
-are computed panel by panel with the "innermost first" recursion: on each
-panel all forms are sampled once at the nodes, and the running inner values
-carry over to the next panel.  Each level takes one real matmul of a stacked
-rule against the level's node block: the spectral prefix-integration matrix
-(Legendre expansion, exact on polynomials through the node count) gives the
-prefix integrals at the nodes, and the Gauss weight row under it gives the
-panel integral.  Each panel is evaluated at orders PANEL_ORDER and
-PANEL_ORDER + 4; on disagreement it is bisected, and QuadratureDiverged is
-raised when a panel would be bisected beyond MAX_DEPTH or has non-finite
-values.
+is the special case that multiplies w_(n-k) into level k-1 ("innermost
+first").  On each panel every form is sampled once at the nodes, and each
+level takes one real matmul of a stacked rule against its node block: the
+spectral prefix-integration matrix (Legendre expansion, exact on
+polynomials through the node count) gives the prefix integrals at the
+nodes, and the Gauss weight row under it the panel integral.  A panel is
+evaluated at orders PANEL_ORDER and PANEL_ORDER + 4, accepted by one test
+over the whole state or bisected, and QuadratureDiverged is raised beyond
+MAX_DEPTH bisections or on non-finite values.
 
 Plain form callables receive (z, v), the point and v = dz/du, one node at a
 time and return f(z)*v: a scalar or a numpy array of truncated power-series
 coefficients.  A BranchedForm gets (arc, us) once per panel pass, us the
-whole node vector, and returns a node-first block.  A single form integrates
-componentwise; an iterated integral multiplies each form into the running
-inner value with convolve_product, which convolves the trailing coefficient
-axes and is the pointwise product for scalar forms.  It convolves one axis
-by batched matmuls against lower-triangular Toeplitz blocks of the form, so
-the one-row and one-column forms of the transport cost one matmul each.
+whole node vector, and returns a node-first block.  convolve_product, the
+product of a chain, convolves the trailing coefficient axes (pointwise for
+scalar forms) by batched matmuls against lower-triangular Toeplitz blocks
+of the form, so one-row and one-column forms cost one matmul each.
 """
 
 from __future__ import annotations
@@ -43,7 +42,8 @@ from .errors import PathTooClose, QuadratureDiverged
 
 PANEL_ORDER = 16
 MAX_DEPTH = 12  # bisections of one starting panel before QuadratureDiverged
-CLEARANCE_SAMPLES = 33  # points per arc at which PathSpec.validate measures clearance
+CLEARANCE_SAMPLES = 33  # points per panel and refinement round of PathSpec.validate
+CLEARANCE_ROUNDS = 9  # refinement rounds: a 16-fold narrower bracket each
 
 
 @lru_cache(maxsize=32)
@@ -120,19 +120,36 @@ class PathSpec:
         self.clearance = float(clearance)
 
     def validate(self):
-        if not self.singular:
-            return self
-        us = np.linspace(0.0, 1.0, CLEARANCE_SAMPLES)
+        """PathTooClose if an arc's closest approach to a singular point is
+        within the clearance."""
         for arc in self.arcs:
-            pts = arc.point(us)
             for s in self.singular:
-                d = np.abs(pts - s).min()
+                d = _closest_approach(arc, s, self.clearance)
                 if d < self.clearance:
                     raise PathTooClose(
                         f"arc passes within {d:.2e} of singular point {s} "
                         f"(clearance {self.clearance:.2e})"
                     )
         return self
+
+
+def _closest_approach(arc, s, clearance, us=None, rounds=CLEARANCE_ROUNDS):
+    """Smallest |arc(u) - s| over us (CLEARANCE_SAMPLES per suggested panel
+    on [0, 1] by default), or a value above clearance: each local minimum of
+    the sampled distance is refined over its two neighbouring intervals while
+    their arc (at most twice its chords) could come within clearance."""
+    if us is None:
+        us = np.linspace(0.0, 1.0, CLEARANCE_SAMPLES * arc.suggested_panels())
+    p = arc.point(us)
+    d = np.abs(p - s)
+    pad = np.concatenate([[np.inf], d, [np.inf]])
+    best = float(d.min())
+    for k in np.flatnonzero((d < pad[:-2]) & (d <= pad[2:])) if rounds else ():
+        lo, hi = max(k - 1, 0), min(k + 1, len(us) - 1)
+        if d[k] - 2 * (abs(p[k] - p[lo]) + abs(p[hi] - p[k])) < clearance:
+            inner = np.linspace(us[lo], us[hi], CLEARANCE_SAMPLES)
+            best = min(best, _closest_approach(arc, s, clearance, inner, rounds - 1))
+    return best
 
 
 class BranchedForm:
@@ -148,6 +165,23 @@ class BranchedForm:
         return self.f(arc, us)
 
 
+class Levels:
+    """Forms sampled once per panel pass, and levels in order, each a
+    (start, integrand) pair: the level's value is start plus the integral of
+    integrand(samples, lower), samples holding one node-first block per form
+    and lower the node values of the levels before it."""
+
+    def __init__(self, forms, levels):
+        self.forms = list(forms)
+        self.levels = list(levels)
+
+
+def _link(s, lower):
+    """Level k = len(lower) of the chain w_1 ... w_n: w_(n-k) times level k-1."""
+    w = s[len(s) - 1 - len(lower)]
+    return convolve_product(w, lower[-1]) if lower else w
+
+
 def _eval_nodes(w, arc, us):
     """Node-first block of one form at the parameters us."""
     if isinstance(w, BranchedForm):
@@ -155,26 +189,22 @@ def _eval_nodes(w, arc, us):
     return np.asarray([w(arc.point(u), arc.velocity(u)) for u in us], dtype=complex)
 
 
-def _panel_pass(forms, arc, u0, u1, inner_start, order):
-    """One panel at one order.  inner_start[k] is the value of the k-fold
-    inner integral at the panel start (k = 0 is the constant 1).  Returns
-    the list of end values."""
-    n = len(forms)
+def _panel_pass(system, arc, u0, u1, state, order):
+    """One panel at one order.  state[k] is level k's value at the panel
+    start; returns the levels' values at the panel end."""
     x, rule = _panel_rule(order)
     h = (u1 - u0) / 2.0
     us = u0 + (u1 - u0) * (x + 1.0) / 2.0
-    samples = [_eval_nodes(w, arc, us) for w in forms]
-    prev_nodes = None
-    ends = [inner_start[0]]
-    for k in range(1, n + 1):
-        f = samples[n - k]  # innermost form first
-        g = f * inner_start[0] if k == 1 else convolve_product(f, prev_nodes)
+    samples = [_eval_nodes(w, arc, us) for w in system.forms]
+    nodes, ends = [], []
+    for start, (_, integrand) in zip(state, system.levels):
+        g = integrand(samples, nodes)
         # real rule on the (re, im) pairs of g: rows 0..order-1 are the prefix
         # integrals at the nodes, row order the integral over the panel
         flat = np.ascontiguousarray(g, dtype=complex).view(float).reshape(order, -1)
         vals = (rule @ flat).view(complex).reshape((order + 1,) + g.shape[1:]) * h
-        prev_nodes = vals[:order] + np.asarray(inner_start[k])
-        ends.append(inner_start[k] + vals[order])
+        nodes.append(vals[:order] + start)
+        ends.append(start + vals[order])
     return ends
 
 
@@ -184,30 +214,30 @@ def _diff(a, b):
 
 
 def iterated_integral(path, forms, tol=1e-11):
-    """Iterated integral of `forms` along `path` (w_1 outermost).
+    """Iterated integral along `path` of the chain `forms` (w_1 outermost;
+    one form is the contour integral, none integrates to 1), or the list of
+    end values of a Levels system, one per level.
 
-    With a single form this is the ordinary contour integral; an empty form
-    list integrates to 1.
-
-    tol is a panel-wise test, not a bound on the returned value's error: a
-    panel is accepted when the largest |order-16 - order-20| difference over
-    all levels and coefficients is at most tol * max(1, largest |order-20
-    value|), and bisected otherwise.  QuadratureDiverged is raised when a
-    panel would be bisected beyond MAX_DEPTH, or when any level's value or
-    difference on a panel is not finite.
+    tol is a panel-wise test over the whole state, not a bound on the
+    returned value's error: a panel is accepted when the largest
+    |order-16 - order-20| difference over all levels and coefficients is at
+    most tol * max(1, largest |order-20 value - start| over all levels), and
+    bisected otherwise.  QuadratureDiverged is raised when a panel would be
+    bisected beyond MAX_DEPTH, or has a non-finite value or difference.
     """
-    if not forms:
+    system = forms if isinstance(forms, Levels) else Levels(forms, [(0.0j, _link)] * len(forms))
+    if not system.levels:
         return 1.0
-    inner = [1.0 + 0.0j] + [0.0j] * len(forms)  # zeros broadcast to the first panel's shapes
+    state = [start for start, _ in system.levels]
     for arc in path.arcs:
         p = arc.suggested_panels()
         stack = [(k / p, (k + 1) / p, 0) for k in reversed(range(p))]
         while stack:
             u0, u1, depth = stack.pop()
-            lo = _panel_pass(forms, arc, u0, u1, inner, PANEL_ORDER)
-            hi = _panel_pass(forms, arc, u0, u1, inner, PANEL_ORDER + 4)
-            errs = [_diff(a, b) for a, b in zip(lo[1:], hi[1:])]
-            sizes = [float(np.max(np.abs(np.asarray(v)))) for v in hi[1:]]
+            lo = _panel_pass(system, arc, u0, u1, state, PANEL_ORDER)
+            hi = _panel_pass(system, arc, u0, u1, state, PANEL_ORDER + 4)
+            errs = [_diff(a, b) for a, b in zip(lo, hi)]
+            sizes = [_diff(v, s0) for v, (s0, _) in zip(hi, system.levels)]
             if not np.all(np.isfinite(errs + sizes)):
                 raise QuadratureDiverged(f"panel [{u0:.4g},{u1:.4g}] has non-finite values")
             err, scale = max(errs), max(1.0, max(sizes))
@@ -220,16 +250,8 @@ def iterated_integral(path, forms, tol=1e-11):
                 stack.append((um, u1, depth + 1))
                 stack.append((u0, um, depth + 1))
             else:
-                inner = hi
-    return inner[-1]
-
-
-def path_integral(path, form, tol=1e-11):
-    """Ordinary contour integral of a single form; tol is the panel-wise
-    acceptance test of iterated_integral (largest |order-16 - order-20|
-    difference at most tol * max(1, largest |order-20 value|) per panel),
-    not a bound on the returned value's error."""
-    return iterated_integral(path, [form], tol=tol)
+                state = hi
+    return state if system is forms else state[-1]
 
 
 def convolve_product(f, g):

@@ -9,6 +9,9 @@ pytest's test_*.py pattern, so nothing here is collected.
   the oracle of test_depth2_near_unit_circle_memory_bounded and of the
   iterated-integral check test_modes_agree, itself checked against brute
   force by test_double_sum_matches_brute (all in test_polylog.py).
+* debye_coefficients: the depth-2 Debye coefficients at a point of the unit
+  polydisk on given log branches, from simplicial_nested; the oracle of
+  test_transport_meets_default_tol (test_polylog.py).
 * delta_prime, apply_delta, iterated_delta: the full coproduct and its
   iterates.  iterated_delta(sym, 3) followed by the essential / regular /
   essential filter is the oracle of hopf.assemble_asymptotic, which builds
@@ -47,6 +50,27 @@ def simplicial_nested(ts, orders, tol):
             g[B] = t * (g[B - 1] + f[B - 1])
         f = g / A ** n
     return complex(f.sum())
+
+
+def debye_coefficients(ts, logs, K):
+    """Coefficients of b1^x b2^y (x, y < K) of
+    sum_{a,c>=1} t1^(a-b1) t2^(c-b2) / ((a - b1)(a + c - b1 - b2)), with
+    t_i^(-b_i) = exp(-b_i logs[i]).  Expanding 1/(a - b1) in b1 and
+    1/(a + c - s) in s = b1 + b2 gives the body's coefficient
+    sum_p C(p + y, p) I_{x-p+1, p+y+1}(t1, t2), I the nested double sum."""
+    body = np.zeros((K, K), dtype=complex)
+    for x in range(K):
+        for y in range(K):
+            body[x, y] = sum(
+                math.comb(p + y, p) * simplicial_nested(ts, (x - p + 1, p + y + 1), 1e-20)
+                for p in range(x + 1)
+            )
+    pref = [np.array([(-l) ** k / math.factorial(k) for k in range(K)]) for l in logs]
+    out = np.zeros((K, K), dtype=complex)
+    for u in range(K):
+        for v in range(K):
+            out[u:, v:] += pref[0][u] * pref[1][v] * body[: K - u, : K - v]
+    return out
 
 
 def _delta_full(sym):

@@ -8,8 +8,8 @@ import numpy.linalg as la
 import pytest
 
 import oracles
-from epolylog import hopf, polylog
-from epolylog.errors import Inadmissible, MissingConstants, OutOfRegion
+from epolylog import hopf, polylog, quadrature
+from epolylog.errors import Inadmissible, MissingConstants, OutOfRegion, PathTooClose
 from epolylog.kronecker import LatticeContext, zeta_even
 from epolylog.polylog import (
     DebyeSeries,
@@ -21,7 +21,7 @@ from epolylog.polylog import (
     debye_lambda,
     transport_debye,
 )
-from epolylog.quadrature import LineArc, PathSpec, iterated_integral
+from epolylog.quadrature import LineArc, PathSpec, SpiralArc, iterated_integral
 from epolylog.series import MultiSeries
 
 TAU = 0.1 + 0.8j
@@ -510,6 +510,91 @@ def test_transport_golden_values(ctx, case):
     assert len(got) == len(want)
     for k, (a, b) in enumerate(zip(got, want)):
         assert abs(a - b) <= 1e-10 * max(1.0, abs(b)), k
+
+
+# seed-0 bench inputs at K = 8, on the worst coefficient a panel rule scaled
+# by a padded table let through: (ts, route, ray on (j, factor) or None)
+TOL_CASES = [
+    ((-0.7223578398472613 - 0.4390595330357425j, -0.23869185815633476 - 0.7049619448640156j),
+     "axes", None),
+    ((0.19983086852201223 - 0.4524181417031072j, -0.18402144054551067 - 0.6257346300424599j),
+     "diagonal", (2, 32.7908281121951)),
+]
+
+
+@pytest.mark.parametrize("ts, route, ray_leg", TOL_CASES, ids=["axes", "diagonal-ray"])
+def test_transport_meets_default_tol(ctx, ts, route, ray_leg):
+    K = 8
+    out = transport_debye(SpiralShift((1, 1), SimplicialPoint(ts), ctx), K, route=route)
+    logs = [cmath.log(t) + 2j * math.pi * TAU for t in ts]
+    if ray_leg is not None:
+        j, factor = ray_leg
+        t = out.point.ts[j - 1]
+        out = continue_debye(out, [(j, LineArc(t, factor * t))])
+        logs[j - 1] += math.log(factor)
+    want = oracles.debye_coefficients([cmath.exp(l) for l in logs], logs, K)
+    err = np.abs(out.coeffs - want)
+    assert np.all(err <= polylog.DEFAULT_TOL * np.maximum(1.0, np.abs(want))), err.max()
+
+
+def test_one_pass_per_leg(ctx, monkeypatch):
+    """Every leg is one adaptive pass that evaluates each distinct column
+    once per panel and order: arc1, arc2 and both ratio arcs on a diagonal
+    leg, the moving arc and both ratio arcs on an axis leg, the one arc at
+    depth 1."""
+    sizes = []
+    call = quadrature.BranchedForm.__call__
+
+    def counted(self, arc, us):
+        sizes.append(len(us))
+        return call(self, arc, us)
+
+    monkeypatch.setattr(quadrature.BranchedForm, "__call__", counted)
+
+    def calls_per_pass(leg):
+        # the panel passes alternate between orders 16 and 20, so a run of
+        # calls on one node count is one pass
+        sizes.clear()
+        leg()
+        assert set(sizes) == {16, 20}
+        return {len(list(run)) for _, run in itertools.groupby(sizes)}
+
+    pt2 = SimplicialPoint((0.25 + 0.1j, 0.5 - 0.2j))
+    b2 = debye_lambda(2, pt2, 4)
+    b1 = debye_lambda(1, SimplicialPoint((0.3 + 0.2j,)), 6)
+    assert calls_per_pass(lambda: transport_debye(SpiralShift((1, 1), pt2, ctx), 4)) == {4}
+    for j, t in zip((1, 2), pt2.ts):
+        assert calls_per_pass(lambda: continue_debye(b2, [(j, LineArc(t, 1.5 * t))])) == {3}
+    assert calls_per_pass(lambda: continue_debye(b1, [LineArc(0.3 + 0.2j, 0.6 + 0.4j)])) == {1}
+
+
+def test_leg_crossing_between_clearance_samples_refused():
+    # the second leg passes through t = 1 at u = 1/64, between two samples
+    L = 0.6 + 1e-6j
+    z0 = 1 - L / 64
+    a = continue_debye(debye_lambda(1, SimplicialPoint((0.5,)), 4), [LineArc(0.5, z0)])
+    with pytest.raises(PathTooClose):
+        continue_debye(a, [LineArc(z0, z0 + L)])
+
+
+def _through_one(kind):
+    """An arc of each kind the transport checks, through 1 at u = 1/64."""
+    L = 0.6 + 1e-6j
+    if kind == "line":
+        return LineArc(1 - L / 64, 1 + 63 * L / 64, start_log=0.0)
+    if kind == "spiral":
+        return SpiralArc(1.0, 1, TAU, log_t=-2j * math.pi * TAU / 64)
+    t = 0.8 + 0.1j
+    line = LineArc(t - L / 64, t + 63 * L / 64, start_log=cmath.log(t - L / 64))
+    return polylog._RatioArc(line, 1 if kind == "ratio" else -1, t, cmath.log(t))
+
+
+@pytest.mark.parametrize("kind", ["line", "spiral", "ratio", "inverse-ratio"])
+def test_clearance_finds_closest_approach(kind):
+    arc = _through_one(kind)
+    assert abs(arc.point(1 / 64) - 1) < 1e-12
+    with pytest.raises(PathTooClose):
+        polylog._check_clear([arc])
 
 
 def test_spiral_point_on_orbit_rejected(ctx):

@@ -12,7 +12,6 @@ from epolylog.quadrature import (
     SpiralArc,
     convolve_product,
     iterated_integral,
-    path_integral,
 )
 
 
@@ -22,7 +21,7 @@ def line(a, b):
 
 def test_polynomial_integral_exact():
     p = line(0.2 - 0.3j, 1.1 + 0.7j)
-    val = path_integral(p, lambda z, v: z**2 * v)
+    val = iterated_integral(p, [lambda z, v: z**2 * v])
     a, b = 0.2 - 0.3j, 1.1 + 0.7j
     assert abs(val - (b**3 - a**3) / 3) < 1e-13
 
@@ -30,7 +29,7 @@ def test_polynomial_integral_exact():
 def test_winding_integral():
     # full loop around the origin picked up by a spiral with real tau
     loop = PathSpec([SpiralArc(1.0, 1, 1.0)])
-    val = path_integral(loop, lambda z, v: v / z)
+    val = iterated_integral(loop, [lambda z, v: v / z])
     assert abs(val - 2j * cmath.pi) < 1e-12
 
 
@@ -65,8 +64,8 @@ def test_shuffle_identity():
     p = line(0.1, 1.3 + 0.4j)
     f = lambda z, v: v / (1 + z)
     g = lambda z, v: z * v
-    single_f = path_integral(p, f)
-    single_g = path_integral(p, g)
+    single_f = iterated_integral(p, [f])
+    single_g = iterated_integral(p, [g])
     fg = iterated_integral(p, [f, g])
     gf = iterated_integral(p, [g, f])
     assert abs(single_f * single_g - (fg + gf)) < 1e-11
@@ -86,7 +85,7 @@ def test_reversal_antisymmetry():
     p = line(0.0, 1.0 + 0.5j)
     back = line(1.0 + 0.5j, 0.0)
     f = lambda z, v: z * v
-    assert abs(path_integral(back, f) + path_integral(p, f)) < 1e-12
+    assert abs(iterated_integral(back, [f]) + iterated_integral(p, [f])) < 1e-12
     g = lambda z, v: z**2 * v
     rev = iterated_integral(back, [f, g])
     swapped = iterated_integral(p, [g, f])
@@ -109,7 +108,7 @@ def test_branched_form_sees_arc():
     p = PathSpec([arc])
     # integrate d(log z) using the arc's own branch data
     w = BranchedForm(lambda a, u: a.velocity(u) / a.point(u))
-    val = path_integral(p, w)
+    val = iterated_integral(p, [w])
     assert abs(val - 2 * 2j * cmath.pi * tau) < 1e-11
 
 
@@ -121,7 +120,7 @@ def test_branched_form_gets_node_vector_once_per_panel_pass():
         calls.append(us)
         return np.stack([a.velocity(us) * a.point(us) ** k for k in range(3)], axis=1)
 
-    vals = path_integral(PathSpec([arc]), BranchedForm(f))
+    vals = iterated_integral(PathSpec([arc]), [BranchedForm(f)])
     b = 1.0 + 0.5j
     assert np.allclose(vals, [b, b**2 / 2, b**3 / 3], rtol=0, atol=1e-13)
     # orders 16 and 20 on the single panel
@@ -230,7 +229,7 @@ def test_divergence_reported(monkeypatch):
     p = line(0.0, 1.0)
     f = lambda z, v: v / (z - (0.5 + 1e-12j))
     with pytest.raises(QuadratureDiverged):
-        path_integral(p, f, tol=1e-13)
+        iterated_integral(p, [f], tol=1e-13)
 
 
 def test_non_finite_panel_refused():
@@ -239,7 +238,7 @@ def test_non_finite_panel_refused():
     inf_end = lambda z, v: (np.inf if z.real > 0.99 else 1.0) * v
     for form in (nan_half, inf_end):
         with pytest.raises(QuadratureDiverged):
-            path_integral(p, form)
+            iterated_integral(p, [form])
     # a non-finite outer level behind a finite inner one
     with pytest.raises(QuadratureDiverged):
         iterated_integral(p, [nan_half, lambda z, v: v])
@@ -248,7 +247,7 @@ def test_non_finite_panel_refused():
 def test_vector_valued_single_form():
     p = line(0.0, 1.0)
     f = lambda z, v: np.array([v, z * v, z**2 * v])
-    vals = path_integral(p, f)
+    vals = iterated_integral(p, [f])
     assert np.allclose(vals, [1.0, 0.5, 1.0 / 3.0])
 
 
