@@ -17,7 +17,11 @@ The kernel F(xi, eta) has two interchangeable evaluators:
 
 Its Laurent expansion in a formal second slot alpha -- a simple pole times
 the exponential of weighted Eisenstein functions -- is the generating
-series of the one-form coefficients (omega_coefficients).
+series of the one-form coefficients (omega_coefficients).  That expansion
+is one-variable, so it is kept on plain coefficient lists in the context's
+scalar type (_mul, _exp): the module needs neither numpy nor the series
+module, and a double-precision kernel evaluation loads neither numpy nor
+mpmath.
 
 Eisenstein sums use the conditionally convergent double-sum order: the inner
 (integer) direction is summed in closed form via cotangent polynomials,
@@ -33,7 +37,6 @@ from functools import lru_cache
 
 from .errors import BadModulus, OnLattice, OnSingularLocus, TruncationTooSmall
 from .precision import get_context
-from .series import INF, MultiSeries
 
 _LATTICE_TOL = 1e-12
 
@@ -322,19 +325,49 @@ def _F_qseries(xi, eta, ctx):
     return -ctx.prec.two_pi_i * total * factor
 
 
+def _mul(f, g, n):
+    """First n coefficients of the product of two power series given as
+    coefficient lists (low to high): the contributions to each coefficient
+    are summed over the nonzero entries of f in ascending order."""
+    out = [0] * n
+    for i, c in enumerate(f[:n]):
+        if c != 0:
+            for k, y in enumerate(g[: n - i], i):
+                out[k] = out[k] + c * y
+    return out
+
+
+def _exp(g):
+    """exp of the power series g (a list with g[0] == 0) to len(g)
+    coefficients: the powers of g weighted by 1/k! and summed in one
+    accumulator.  1/k! is a float when the coefficients are machine numbers
+    and stays an exact Fraction otherwise, so mpmath coefficients keep their
+    own precision."""
+    n = len(g)
+    machine = all(isinstance(c, (int, float, complex)) for c in g)
+    acc = [1] + [0] * (n - 1)
+    term = acc
+    for k in range(1, n):
+        term = _mul(term, g, n)
+        w = Fraction(1, math.factorial(k))
+        w = float(w) if machine else w
+        acc = [a + t * w if t != 0 else a for a, t in zip(acc, term)]
+    return acc
+
+
 def _F_series(xi, K, ctx):
-    """Laurent MultiSeries of F(xi, alpha) in the formal variable "alpha",
-    window [-1, K-1]."""
+    """Laurent coefficients of F(xi, alpha) in the formal variable alpha,
+    the list of alpha^-1 .. alpha^(K-1): the simple pole 1/alpha times
+    exp(sum_j -(-1)^j (E_j(xi) - e_j) alpha^j / j), so entry i is the
+    coefficient of alpha^i in the exponential."""
     if xi.is_lattice():
         raise OnSingularLocus("kernel pole: xi on the lattice")
-    terms = {}
+    arg = [0]
     for j in range(1, K + 1):
         ej = lattice_constant(j, ctx)
         val = eisenstein_E(j, xi, ctx) - ej
-        terms[(j,)] = -((-1) ** j) * val / j
-    arg = MultiSeries(("alpha",), terms, K)
-    pole = MultiSeries(("alpha",), {(-1,): 1.0}, INF, -1)
-    return pole * arg.exp()
+        arg.append(-((-1) ** j) * val / j)
+    return _exp(arg)
 
 
 # ---------------------------------------------------------------- one-forms
@@ -347,7 +380,5 @@ def omega_coefficients(p, K, ctx):
     returned values are collapsed to machine complex numbers."""
     fser = _F_series(p, K + 1, ctx)
     r2pi = ctx.prec.two_pi_i * p.r
-    ecf = {(k,): r2pi**k / math.factorial(k) for k in range(K + 2)}
-    eser = MultiSeries(("alpha",), ecf, K + 1)
-    prod = fser * eser
-    return [ctx.prec.to_complex(prod.coeff((k - 1,))) for k in range(K + 1)]
+    eser = [r2pi**k / math.factorial(k) for k in range(K + 1)]
+    return [ctx.prec.to_complex(c) for c in _mul(fser, eser, K + 1)]

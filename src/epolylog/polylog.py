@@ -7,8 +7,9 @@ and divisor asymptotics assembled through the string coproduct.
 A DebyeSeries' coefficient array is its state: each transport leg returns a
 new series built from new arrays, in one adaptive quadrature pass that
 carries the channels at padded order and the depth-2 table on its K x K
-window.  Its MultiSeries value is a view, built once from the array, for
-callers that evaluate or compare the series.
+window.  Its MultiSeries value wraps that same array, without a copy, for
+callers that evaluate or compare the series.  The asymptotic assembly
+builds its factors as MultiSeries arrays too, filled directly.
 """
 
 import cmath
@@ -71,8 +72,8 @@ class DebyeSeries:
     are the current log branches of the coordinates.  channels (depth 2)
     is the pair (c1, c2) of depth-1 columns at t_1 and t_2, at padded order
     >= 2K-1, that the transport system carries along.  value is the
-    MultiSeries view of coeffs (window [0, K-1] per variable), built once
-    here; transport never reads it.
+    MultiSeries of coeffs (window [0, K-1] per variable); it shares the
+    array, so building it copies nothing.
     """
 
     __slots__ = ("point", "coeffs", "logs", "channels", "branch_tag", "value")
@@ -84,8 +85,8 @@ class DebyeSeries:
         self.channels = channels
         self.branch_tag = branch_tag
         vars = ("b",) if coeffs.ndim == 1 else ("b1", "b2")
-        terms = {e: complex(c) for e, c in np.ndenumerate(coeffs) if c != 0}
-        self.value = MultiSeries(vars, terms, (coeffs.shape[0] - 1,) * coeffs.ndim)
+        zero = (0,) * coeffs.ndim
+        self.value = MultiSeries._of(vars, coeffs, zero, (coeffs.shape[0] - 1,) * coeffs.ndim, zero)
 
     @property
     def depth(self):
@@ -196,20 +197,6 @@ def _debye_column(t, K, tol):
     if t == 0:
         return np.zeros(K, dtype=complex)
     return _conv(_exp_coeffs(cmath.log(t), K), _li_column(t, K, tol))
-
-
-def _embed_rows(c, K):
-    """Columns (trailing axis) laid along b1 into K x K blocks."""
-    out = np.zeros(c.shape[:-1] + (K, K), dtype=complex)
-    out[..., : c.shape[-1], 0] = c
-    return out
-
-
-def _embed_cols(c, K):
-    """Columns (trailing axis) laid along b2 into K x K blocks."""
-    out = np.zeros(c.shape[:-1] + (K, K), dtype=complex)
-    out[..., 0, : c.shape[-1]] = c
-    return out
 
 
 @lru_cache(maxsize=8)
@@ -350,12 +337,14 @@ def _advance(series, arcs, ratios, tag):
         return lambda s, lower: np.zeros((len(s[0]), len(chans[i])), dtype=complex)
 
     def table(s, lower):
+        # a column as a (K, 1) block lies along b1, as a (1, K) block along b2;
+        # convolve_product pads it to the K x K window
         c1, c2 = lower
-        d = convolve_product(_embed_rows(s[-2], K), _spread_col(c2, K))
-        d -= convolve_product(_embed_cols(s[-1], K), _spread_col(c1, K))
+        d = convolve_product(s[-2][:, :, None], _spread_col(c2, K))
+        d -= convolve_product(s[-1][:, None, :], _spread_col(c1, K))
         if 1 in moving:
             w2 = s[moving.index(1)][:, :K]
-            d += convolve_product(_embed_cols(w2, K), _embed_rows(c1[:, :K], K))
+            d += convolve_product(w2[:, None, :], c1[:, :K, None])
         return d
 
     levels = [(c, channel(i)) for i, c in enumerate(chans)]
@@ -486,22 +475,23 @@ def _inv_linear(coeffs, vars, K):
     p = nz[0]
     rest = nz[1:]
     lead = complex(coeffs[p])
+    n = len(vars)
     if not rest:
-        e = tuple(-1 if i == p else 0 for i in range(len(vars)))
-        return MultiSeries(vars, {e: 1.0 / lead}, (INF,) * len(vars), e)
+        e = tuple(-1 if i == p else 0 for i in range(n))
+        return MultiSeries._of(vars, np.full((1,) * n, 1.0 / lead), e, (INF,) * n, e)
     if len(rest) > 1:
         raise NotImplementedError("more than two active variables")
     q = rest[0]
     ratio = complex(coeffs[q]) / lead
-    terms = {}
-    for k in range(K + 2):
-        e = tuple(
-            (-1 - k) if i == p else (k if i == q else 0) for i in range(len(vars))
-        )
-        terms[e] = (1.0 / lead) * (-ratio) ** k
-    max_o = tuple(K + 1 if i == q else INF for i in range(len(vars)))
-    min_o = tuple((-2 - K) if i == p else 0 for i in range(len(vars)))
-    return MultiSeries(vars, terms, max_o, min_o)
+    # the term (-ratio)^k / lead at exponent -1-k of p and k of q, k <= K+1
+    k = np.arange(K + 2)
+    a = np.zeros([K + 2 if i in (p, q) else 1 for i in range(n)], dtype=complex)
+    a[tuple(K + 1 - k if i == p else (k if i == q else 0) for i in range(n))] = (
+        (1.0 / lead) * (-ratio) ** k
+    )
+    max_o = tuple(K + 1 if i == q else INF for i in range(n))
+    min_o = tuple((-2 - K) if i == p else 0 for i in range(n))
+    return MultiSeries._of(vars, a, min_o, max_o, min_o)
 
 
 def _compose_linear(coeffs_1d, lab, vars, M):
@@ -511,31 +501,29 @@ def _compose_linear(coeffs_1d, lab, vars, M):
     if not 1 <= len(active) <= 2:
         raise NotImplementedError("one or two active variables only")
     N = min(len(coeffs_1d) - 1, M)
-    fact = [math.factorial(k) for k in range(N + 1)]
-    pw = [[complex(lab[i]) ** k for k in range(N + 1)] for i in active]
-    terms = {}
-    for n, cn in enumerate(coeffs_1d[: N + 1]):
-        if cn == 0:
-            continue
-        for k in range(n + 1) if len(active) == 2 else (n,):
-            coef = cn * fact[n]
-            e = [0] * len(vars)
-            for i, ki, p in zip(active, (k, n - k), pw):
-                coef = coef * p[ki] / fact[ki]
-                e[i] = ki
-            terms[tuple(e)] = coef
-    return MultiSeries(vars, terms, (M,) * len(vars))
+    k = np.arange(N + 1)
+    fact = np.array([math.factorial(j) for j in range(N + 1)], dtype=float)
+    cn = np.asarray(coeffs_1d[: N + 1], dtype=complex) * fact  # c_n n!
+    w = [complex(lab[i]) ** k / fact for i in active]  # lab_i^k / k!
+    if len(active) == 1:
+        a = cn * w[0]
+    else:  # cell (k1, k2) takes c_n n! at n = k1 + k2, and 0 beyond N
+        a = np.concatenate([cn, np.zeros(N, dtype=complex)])[np.add.outer(k, k)]
+        a *= np.outer(w[0], w[1])
+    zero = (0,) * len(vars)
+    shape = [N + 1 if i in active else 1 for i in range(len(vars))]
+    return MultiSeries._of(vars, a.reshape(shape), zero, (M,) * len(vars), zero)
 
 
 def _linear_series(lab, logs, vars, M):
     """sum over slots of (lab_k . beta) * log(t_{slot k}) as a linear series."""
-    terms = {}
+    n = len(vars)
+    a = np.zeros((2,) * n, dtype=complex)
     for labvec, l in zip(lab, logs):
         for i, c in enumerate(labvec):
             if c != 0 and l != 0:
-                e = tuple(1 if j == i else 0 for j in range(len(vars)))
-                terms[e] = terms.get(e, 0) + complex(c) * l
-    return MultiSeries(vars, terms, (M,) * len(vars))
+                a[tuple(int(j == i) for j in range(n))] += complex(c) * l
+    return MultiSeries._of(vars, a, (0,) * n, (M,) * n, (0,) * n)
 
 
 @lru_cache(maxsize=32)
@@ -621,16 +609,13 @@ def asymptotic_eval(r, J, pt, K, constants):
         raise OutOfRegion(f"ratio argument {ratio} too close to the unit circle")
 
     def c_realize(s):
+        """C on an essential tail: at depth <= 2 its symbol has length 2 or 3."""
         body = s.labels[:-1]
         if len(body) == 1:
             return c_linear([complex(c) for c in body[0]])
-        if len(body) == 2:
-            b2 = [complex(c) for c in body[1]]
-            b12 = [complex(x + y) for x, y in zip(body[0], body[1])]
-            return c_linear(b2) * c_linear(b12)
-        raise MissingConstants(
-            f"no boundary constants for essential symbols of length {len(body) + 1}"
-        )
+        b2 = [complex(c) for c in body[1]]
+        b12 = [complex(x + y) for x, y in zip(body[0], body[1])]
+        return c_linear(b2) * c_linear(b12)
 
     total = None
     for coeff, phi_slot, lam_slot, c_slot in _asymptotic_terms(r, J):

@@ -1,15 +1,19 @@
 """Truncated multivariate Laurent series.
 
 The generating series handled here live in a finite list of formal variables
-(expansion parameters such as weight exponents or pole coordinates) and are
-stored as a plain dict mapping exponent tuples to coefficients.  Each series
-carries, per variable, a truncation order `max_order` (coefficients above it
-are unknown and silently dropped) and a pole bound `min_order` (the series is
-guaranteed to have no terms below it; for ordinary power series this is 0).
+(the label variables of the asymptotic assembly, the coordinates' deformation
+variables of a Debye series) and are stored as one dense complex ndarray, one
+axis per variable, plus a per-variable offset `lo`: entry i along an axis is
+the coefficient of exponent lo + i.  Each series carries, per variable, a
+truncation order `max_order` (coefficients above it are unknown and silently
+dropped) and a pole bound `min_order` (the series is guaranteed to have no
+terms below it; for ordinary power series this is 0).  The array never
+reaches outside that window: lo >= min_order and lo + extent - 1 <= max_order.
 
-The operations are the ones the Kronecker expansion and the asymptotic
-assembly need: series + series, series * series, scalar * series, exp of a
-series without constant term, coefficient lookup and numeric evaluation.
+The operations are the ones the asymptotic assembly needs: series + series,
+series * series, scalar * series, exp of a series without constant term,
+coefficient lookup and numeric evaluation.  `terms` is a read-only dict view
+of the nonzero coefficients, {exponent tuple of ints: complex}.
 
 Window semantics follow the usual rules for truncated arithmetic:
 
@@ -22,20 +26,15 @@ Window semantics follow the usual rules for truncated arithmetic:
 * exact objects (constants, honest polynomials) use the sentinel order INF so
   they never degrade a window.
 
-Coefficients are whatever supports ring arithmetic: complex, Fraction,
-mpmath.mpc, numpy scalars.  Exact zero coefficients are pruned; tiny numeric
-coefficients are kept.
+A product is one slice-add per nonzero of the sparser factor: the other
+factor's array, clipped to the result window, scaled and added at the
+nonzero's offset.  exp sums the powers of its argument with 1/k! weights in
+one accumulator.
 
-Products go by rows: the right factor is bucketed into dense rows along the
-last variable, keyed by the other exponents (holes hold 0), and each left
-term adds c * row into its output row with one list comprehension.  An
-output exponent receives one contribution per left term, in left-term order,
-so the sums are those of the pairwise loop; exact zeros are pruned once, at
-the end.  exp sums the powers of its argument in one accumulator.
-
-The module is pure Python and must not import numpy: kronecker loads it and
-nothing else numeric, and a numpy-backed prototype took the kernel ladder
-benchmark from 22.2 to 35.7 MB peak RSS and from 0.19 to 0.35 s set-up.
+numpy is allowed here because kronecker, the one caller that must start
+without it, keeps its one-variable Laurent expansions on plain lists and
+does not import this module; the callers here already hold their
+coefficients in ndarrays (a DebyeSeries value wraps its array unchanged).
 
 Dropping a coefficient above max_order is sound (that knowledge was never
 claimed); dropping one below a requested min_order is not, and raises
@@ -44,17 +43,14 @@ PoleOverflow.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import accumulate, count, islice
-from operator import mul
+import math
+from types import MappingProxyType
+
+import numpy as np
 
 from .errors import PoleOverflow, TruncationTooSmall
 
 INF = 10**9  # sentinel truncation order for exact objects
-
-
-def _cap(n):
-    return INF if n >= INF else (-INF if n <= -INF else n)
 
 
 def _wsum(a, b):
@@ -70,72 +66,91 @@ def _is_zero(c):
     return c == 0
 
 
-class MultiSeries:
-    __slots__ = ("vars", "terms", "max_order", "min_order")
+def _window(order, k):
+    return (order,) * k if isinstance(order, int) else tuple(order)
 
-    def __init__(self, vars, terms, max_order, min_order=None):
-        self.vars = tuple(vars)
-        k = len(self.vars)
-        if isinstance(max_order, int):
-            max_order = (max_order,) * k
-        self.max_order = tuple(_cap(m) for m in max_order)
-        if min_order is None:
-            min_order = (0,) * k
-        elif isinstance(min_order, int):
-            min_order = (min_order,) * k
-        self.min_order = tuple(_cap(m) for m in min_order)
-        if len(self.max_order) != k or len(self.min_order) != k:
+
+class MultiSeries:
+    __slots__ = ("vars", "a", "lo", "max_order", "min_order")
+
+    def __init__(self, vars, terms, max_order, min_order=0):
+        """The series of the coefficients terms, {exponent tuple: number},
+        on the window min_order..max_order (an int or one per variable)."""
+        vars = tuple(vars)
+        k = len(vars)
+        max_order, min_order = _window(max_order, k), _window(min_order, k)
+        if len(max_order) != k or len(min_order) != k:
             raise ValueError("window length does not match variable count")
-        self.terms = {}
+        kept = {}
         for e, c in terms.items():
             if len(e) != k:
                 raise ValueError("exponent arity mismatch")
-            if _is_zero(c):
-                continue
-            if self._above(e):
-                continue  # unknown region, drop silently
-            if self._below(e):
-                raise PoleOverflow(
-                    f"term {e} below pole bound {self.min_order} in vars {self.vars}"
-                )
-            self.terms[tuple(e)] = c
+            if _is_zero(c) or any(x > m for x, m in zip(e, max_order)):
+                continue  # exact zeros and the unknown region are dropped silently
+            if any(x < m for x, m in zip(e, min_order)):
+                raise PoleOverflow(f"term {e} below pole bound {min_order} in vars {vars}")
+            kept[tuple(e)] = c
+        lo = tuple(min(x) for x in zip(*kept)) if kept else tuple(min_order)
+        hi = tuple(max(x) for x in zip(*kept)) if kept else tuple(x - 1 for x in lo)
+        a = np.zeros([h - l + 1 for l, h in zip(lo, hi)], dtype=complex)
+        for e, c in kept.items():
+            a[tuple(x - l for x, l in zip(e, lo))] = complex(c)
+        self._set(vars, a, lo, max_order, min_order)
 
-    # ------------------------------------------------------------------ util
-    def _above(self, e):
-        return any(x > m for x, m in zip(e, self.max_order))
-
-    def _below(self, e):
-        return any(x < m for x, m in zip(e, self.min_order))
-
-    @classmethod
-    def zero(cls, vars, max_order=INF, min_order=None):
-        return cls(vars, {}, max_order, min_order)
+    def _set(self, vars, a, lo, max_order, min_order):
+        self.vars = vars
+        self.a = a
+        self.lo = tuple(lo)
+        self.max_order = tuple(max_order)
+        self.min_order = tuple(min_order)
 
     @classmethod
-    def const(cls, vars, c, max_order=INF, min_order=None):
-        z = (0,) * len(tuple(vars))
-        return cls(vars, {z: c}, max_order, min_order)
+    def _of(cls, vars, a, lo, max_order, min_order):
+        """The series held by the array a, whose index 0 is the exponent lo,
+        without copying a or checking it against the window: the caller
+        places a inside min_order..max_order."""
+        out = cls.__new__(cls)
+        out._set(tuple(vars), a, lo, max_order, min_order)
+        return out
+
+    @classmethod
+    def const(cls, vars, c, max_order):
+        return cls(vars, {(0,) * len(tuple(vars)): c}, max_order)
+
+    @property
+    def terms(self):
+        """Read-only {exponent tuple: complex} of the nonzero coefficients."""
+        idx = np.nonzero(self.a)
+        exps = zip(*((i + l).tolist() for i, l in zip(idx, self.lo)))
+        return MappingProxyType(dict(zip(exps, self.a[idx].tolist())))
 
     def is_zero(self):
-        return not self.terms
+        return not self.a.any()
 
     def coeff(self, e):
         """Coefficient of the monomial with exponent tuple e (0 if absent)."""
-        e = tuple(e)
-        if self._above(e):
-            raise TruncationTooSmall(f"order {e} beyond window {self.max_order}")
-        return self.terms.get(e, 0)
+        if any(x > m for x, m in zip(e, self.max_order)):
+            raise TruncationTooSmall(f"order {tuple(e)} beyond window {self.max_order}")
+        i = tuple(x - l for x, l in zip(e, self.lo))
+        if all(0 <= x < n for x, n in zip(i, self.a.shape)):
+            return self.a[i].item()
+        return 0j
 
     def __repr__(self):
-        n = len(self.terms)
         return (
-            f"MultiSeries({self.vars}, {n} terms, "
+            f"MultiSeries({self.vars}, {np.count_nonzero(self.a)} terms, "
             f"window {self.min_order}..{self.max_order})"
         )
 
     def _check_vars(self, other):
         if self.vars != other.vars:
             raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
+
+    def _add_into(self, out, lo, w=1.0):
+        """Add w times the array, cut to the box of out (whose index 0 is the
+        exponent lo <= self.lo), into out."""
+        src = self.a[tuple(slice(0, max(0, b + n - l)) for l, b, n in zip(self.lo, lo, out.shape))]
+        out[tuple(slice(l - b, l - b + n) for l, b, n in zip(self.lo, lo, src.shape))] += w * src
 
     # ----------------------------------------------------------- arithmetic
     def __add__(self, other):
@@ -144,24 +159,17 @@ class MultiSeries:
         self._check_vars(other)
         max_o = tuple(min(a, b) for a, b in zip(self.max_order, other.max_order))
         min_o = tuple(min(a, b) for a, b in zip(self.min_order, other.min_order))
-        out = MultiSeries.zero(self.vars, max_o, min_o)
-        out.terms = dict(_clip(self, out))
-        for e, c in _clip(other, out):
-            s = out.terms.get(e, 0) + c
-            if _is_zero(s):
-                out.terms.pop(e, None)
-            else:
-                out.terms[e] = s
-        return out
+        lo = tuple(map(min, self.lo, other.lo))
+        top = [min(m, max(l1 + n1, l2 + n2) - 1) for m, l1, n1, l2, n2 in zip(
+            max_o, self.lo, self.a.shape, other.lo, other.a.shape)]
+        out = np.zeros([max(0, t - l + 1) for l, t in zip(lo, top)], dtype=complex)
+        self._add_into(out, lo)
+        other._add_into(out, lo)
+        return MultiSeries._of(self.vars, out, lo, max_o, min_o)
 
     def __mul__(self, other):
         if not isinstance(other, MultiSeries):
-            # scalar fast path
-            if _is_zero(other):
-                return MultiSeries.zero(self.vars, self.max_order, self.min_order)
-            out = MultiSeries.zero(self.vars, self.max_order, self.min_order)
-            out.terms = {e: c * other for e, c in self.terms.items()}
-            return out
+            return MultiSeries._of(self.vars, self.a * other, self.lo, self.max_order, self.min_order)
         self._check_vars(other)
         max_o = tuple(
             min(_wsum(ma, nb), _wsum(mb, na))
@@ -170,10 +178,16 @@ class MultiSeries:
             )
         )
         min_o = tuple(_wsum(a, b) for a, b in zip(self.min_order, other.min_order))
-        out = MultiSeries.zero(self.vars, max_o, min_o)
-        if self.terms and other.terms:
-            out.terms = _row_product(self.terms, other.terms, max_o)
-        return out
+        lo = tuple(map(sum, zip(self.lo, other.lo)))
+        f, g = sorted((self.a, other.a), key=np.count_nonzero)
+        shape = [max(0, min(nf + ng - 1, m - l + 1))
+                 for nf, ng, m, l in zip(f.shape, g.shape, max_o, lo)]
+        out = np.zeros(shape, dtype=complex)
+        f = f[tuple(map(slice, shape))]  # nonzeros beyond the window add nothing
+        for idx in zip(*np.nonzero(f)):
+            src = g[tuple(slice(0, n - i) for i, n in zip(idx, shape))]
+            out[tuple(slice(i, i + n) for i, n in zip(idx, src.shape))] += f[idx] * src
+        return MultiSeries._of(self.vars, out, lo, max_o, min_o)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -181,85 +195,42 @@ class MultiSeries:
     # ------------------------------------------------------- transcendental
     def exp(self):
         """exp of a series with no constant term and no poles: the powers of
-        the series up to _budget or until one vanishes, summed in one
-        accumulator.  1/k! becomes a float when the coefficients are all
-        machine numbers and stays an exact Fraction otherwise, so Fraction
-        and mpmath coefficients keep their own precision."""
-        if any(m < 0 for m in self.min_order) or any(
-            e == (0,) * len(self.vars) for e in self.terms
-        ):
+        the series up to _budget or until one vanishes, weighted by 1/k! and
+        summed in one accumulator."""
+        zero = (0,) * len(self.vars)
+        if any(m < 0 for m in self.min_order) or self.coeff(zero) != 0:
             raise ValueError("exp needs zero constant term and no poles")
         if _unbounded(self):
             raise TruncationTooSmall("exp of a series untruncated in a variable it contains")
-        acc = {(0,) * len(self.vars): 1}
-        term = MultiSeries.const(self.vars, 1, self.max_order, 0)
-        machine = all(isinstance(v, (int, float, complex)) for v in self.terms.values())
-        inv_fact = (Fraction(1, f) for f in accumulate(count(1), mul))
-        for c in islice(inv_fact, _budget(self)):
+        # a variable with an INF window appears only at exponent 0
+        acc = np.zeros([1 if m >= INF else m + 1 for m in self.max_order], dtype=complex)
+        acc[zero] = 1.0
+        term = MultiSeries.const(self.vars, 1.0, self.max_order)
+        for k in range(1, _budget(self) + 1):
             term = term * self
             if term.is_zero():
                 break
-            for e, v in (term * (float(c) if machine else c)).terms.items():
-                acc[e] = acc.get(e, 0) + v
-        out = MultiSeries.zero(self.vars, self.max_order, 0)
-        out.terms = {e: v for e, v in acc.items() if not _is_zero(v)}
-        return out
+            term._add_into(acc, zero, 1 / math.factorial(k))
+        return MultiSeries._of(self.vars, acc, zero, self.max_order, zero)
 
     # ------------------------------------------------------------ evaluation
     def eval_at(self, values):
         """Numeric evaluation; values maps every variable to a number."""
-        vals = [values[v] for v in self.vars]
-        total = 0
-        for e, c in sorted(self.terms.items()):
-            m = c
-            for x, n in zip(vals, e):
-                if n:
-                    m = m * x**n
-            total = total + m
-        return total
-
-
-def _clip(s, out):
-    """The terms of s inside the window of out.  Terms of s already lie
-    inside its own window, so only an s wider than out needs the test."""
-    if s.max_order == out.max_order:
-        return s.terms.items()
-    return [(e, c) for e, c in s.terms.items() if not out._above(e)]
+        out = self.a
+        for v, l in zip(self.vars, self.lo):
+            powers = complex(values[v]) ** np.arange(l, l + out.shape[0])
+            out = np.tensordot(powers, out, axes=(0, 0))
+        return complex(out)
 
 
 def _unbounded(u):
     """Whether u has a positive power of a variable whose window is INF; then
     no power of u leaves the window and no finite power sum is exact."""
-    inf = [i for i, m in enumerate(u.max_order) if m >= INF]
-    return any(e[i] > 0 for i in inf for e in u.terms)
+    nz = np.nonzero(u.a)
+    return any(m >= INF and (e + l > 0).any() for e, l, m in zip(nz, u.lo, u.max_order))
 
 
 def _budget(u):
     """Highest power of a series without constant term that survives its
     window, for u that is not _unbounded."""
     return sum(m for m in u.max_order if m < INF)
-
-
-def _row_product(left, right, max_o):
-    """Terms of left * right up to the orders max_o, by rows (module notes)."""
-    *pmax, top = max_o
-    buckets = {}
-    for e, c in right.items():
-        buckets.setdefault(e[:-1], {})[e[-1]] = c
-    rows = [(p, min(r), [r.get(j, 0) for j in range(min(r), max(r) + 1)])
-            for p, r in buckets.items()]
-    lo = min(e[-1] for e in left) + min(b for _, b, _ in rows)
-    hi = max(e[-1] for e in left) + max(b + len(row) - 1 for _, b, row in rows)
-    width = min(top, hi) - lo + 1
-    out, dests = {}, {}
-    for e1, c1 in left.items():
-        p1, a = e1[:-1], e1[-1]
-        if p1 not in dests:
-            keys = [(tuple(x + y for x, y in zip(p1, p2)), b, row) for p2, b, row in rows]
-            dests[p1] = [(out.setdefault(k, [0] * width), b - lo, row) for k, b, row in keys
-                         if width > 0 and all(x <= m for x, m in zip(k, pmax))]
-        for dest, off, row in dests[p1]:
-            s, n = a + off, min(len(row), width - a - off)
-            if n > 0:
-                dest[s:s + n] = [x + c1 * y for x, y in zip(dest[s:s + n], row)]
-    return {k + (lo + i,): v for k, dest in out.items() for i, v in enumerate(dest) if v != 0}

@@ -223,7 +223,8 @@ def test_kernel_definitions_agree(ctx):
     eta = EllipticPoint(0.22, -0.05)
     a = F(xi, eta, ctx)
     b = F(xi, eta, ctx, "double_q_series")
-    c = kronecker._F_series(xi, 40, ctx).eval_at({"alpha": eta.s + eta.r * TAU})
+    alpha = eta.s + eta.r * TAU
+    c = sum(coef * alpha ** (k - 1) for k, coef in enumerate(kronecker._F_series(xi, 40, ctx)))
     assert abs(a - b) < 1e-9
     assert abs(a - c) < 1e-9
 
@@ -238,10 +239,10 @@ def test_kernel_symmetric_and_odd(ctx):
 
 def test_kernel_series_leading_term(ctx):
     xi = EllipticPoint(0.31, 0.17)
-    ser = kronecker._F_series(xi, 6, ctx)
-    assert ser.min_order == (-1,)
-    assert abs(ser.coeff((-1,)) - 1.0) < 1e-14
-    assert abs(ser.coeff((0,)) - complex(eisenstein_E(1, xi, ctx))) < 1e-12
+    ser = kronecker._F_series(xi, 6, ctx)  # alpha^-1 .. alpha^5
+    assert len(ser) == 7
+    assert abs(ser[0] - 1.0) < 1e-14
+    assert abs(ser[1] - complex(eisenstein_E(1, xi, ctx))) < 1e-12
 
 
 def test_kernel_quasi_periodicity(ctx):
@@ -458,3 +459,14 @@ def test_extended_omega_against_theta():
         want = _omega_by_theta(s, r, TAU, 8)
         assert all(isinstance(v, complex) for v in got)
         assert max(_rel_err(g, w) for g, w in zip(got, want)) < 2e-16
+
+
+def test_exp_keeps_extended_precision():
+    """An mpmath series keeps its 30 digits through the kernel's list
+    exponential: 1/k! is not rounded to a double."""
+    c = get_context(30).complex(0.3, 0.2)
+    e = kronecker._exp([0, c] + [0] * 7)
+    with mpmath.workdps(50):
+        want = mpmath.taylor(lambda x: mpmath.exp(mpmath.mpc(c) * x), 0, 8)
+        worst = max(abs(mpmath.mpc(got) - w) for got, w in zip(e, want))
+    assert len(e) == 9 and worst < 1e-29

@@ -182,6 +182,17 @@ def test_value_is_the_coeffs_view(ts):
         assert ser.value.coeff(e) == ser.coeffs[e]
 
 
+def test_transported_value_shares_the_array(ctx):
+    """A K = 8 depth-2 transport: value wraps coeffs without a copy, and reads
+    as the dict of nonzero coefficients the series used to build per leg."""
+    tr = transport_debye(SpiralShift((1, 1), SimplicialPoint((-0.55 + 0.4j, 0.35 - 0.5j)), ctx), 8)
+    assert np.shares_memory(tr.value.a, tr.coeffs)
+    view = {e: complex(c) for e, c in np.ndenumerate(tr.coeffs) if c != 0}
+    assert dict(tr.value.terms) == view and len(view) == 64
+    for e in np.ndindex(tr.coeffs.shape):
+        assert tr.value.coeff(e) == view.get(e, 0)
+
+
 def test_exp_coeffs_batched_matches_scalar_recurrence():
     from epolylog.polylog import _exp_coeffs
 
@@ -766,6 +777,17 @@ def test_constants_refused_when_misread():
     two = MultiSeries(("b", "c"), {(e, 0): c for (e,), c in C.terms.items()}, C.max_order * 2, (-1, 0))
     with pytest.raises(ValueError, match="one variable"):
         asymptotic_eval(2, {1, 2}, pt, 4, constants=two)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_boundary_constant_symbols_have_length_2_or_3(r):
+    """Every C-slot symbol of the term list at depth <= 2 has length 2 or 3,
+    the two lengths asymptotic_eval realizes."""
+    want = {1: {(1,): [2]}, 2: {(1,): [2], (2,): [], (1, 2): [2, 3]}}[r]
+    for k in range(1, r + 1):
+        for J in itertools.combinations(range(1, r + 1), k):
+            lengths = [len(s.labels) for t in polylog._asymptotic_terms(r, frozenset(J)) for s in t[3]]
+            assert sorted(set(lengths)) == want[J], J
 
 
 def test_symbolic_term_list_structure():

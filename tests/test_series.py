@@ -5,15 +5,13 @@ import os
 import random
 import subprocess
 import sys
-from fractions import Fraction
 
-import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from epolylog.errors import PoleOverflow, TruncationTooSmall
 import epolylog
-from epolylog.precision import get_context
 from epolylog.series import INF, MultiSeries
 
 VARS = ("a", "b")
@@ -49,8 +47,22 @@ def test_coeff_beyond_window_raises():
 
 
 def test_zero_coefficients_pruned():
-    s = S({(1, 0): 0.0, (0, 1): Fraction(0)})
-    assert s.is_zero()
+    s = S({(1, 0): 0.0, (0, 1): 0j})
+    assert s.is_zero() and not s.terms
+
+
+def test_terms_view_types():
+    """terms is a read-only view of the nonzero coefficients: plain-int
+    exponent tuples and Python complex values, exact zeros left out."""
+    s = MultiSeries(VARS, {(2, 0): 1.5, (0, 1): -2j, (1, 1): 0.0}, 4)
+    terms = s.terms
+    assert dict(terms) == {(2, 0): 1.5, (0, 1): -2j}
+    for e, c in terms.items():
+        assert type(c) is complex
+        assert all(type(x) is int for x in e)
+    with pytest.raises(TypeError):
+        terms[(3, 0)] = 1.0
+    assert (3, 0) not in s.terms
 
 
 # -------------------------------------------------------------------- windows
@@ -79,7 +91,7 @@ def test_mul_window_laurent_rule():
 
 
 def test_const_is_exact():
-    c = MultiSeries.const(VARS, 3)
+    c = MultiSeries.const(VARS, 3, INF)
     assert c.max_order == (INF, INF)
     s = S({(1, 1): 2}, max_order=6)
     assert (s * c).max_order == (6, 6)
@@ -87,7 +99,9 @@ def test_const_is_exact():
 
 # ------------------------------------------------------------------ ring laws
 
-coeffs = st.integers(min_value=-4, max_value=4).map(Fraction)
+# small-integer complex coefficients: every sum and product below is exact
+small = st.integers(min_value=-4, max_value=4)
+coeffs = st.builds(complex, small, small)
 exponents = st.tuples(
     st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3)
 )
@@ -118,12 +132,9 @@ def test_additive_inverse(x):
 
 
 def test_exp_is_homomorphism():
-    x = S({(1, 0): Fraction(1)}, max_order=6)
-    y = S({(0, 1): Fraction(1, 2)}, max_order=6)
-    lhs = (x + y).exp()
-    rhs = x.exp() * y.exp()
-    assert lhs.max_order == rhs.max_order
-    assert lhs.terms == rhs.terms
+    x = S({(1, 0): 1 + 1j}, max_order=6)
+    y = S({(0, 1): -1 + 2j}, max_order=6)
+    _assert_same((x + y).exp(), x.exp() * y.exp(), exact=False)
 
 
 def test_exp_rejects_constant_term():
@@ -174,17 +185,22 @@ def _wadd(a, b):
 
 
 def _pairwise_product(x, y):
-    """Reference product: every term pair, the window checked per pair."""
+    """Reference product: every term pair, the window checked per pair, and
+    the pairs of each output summed in the order the product sums them
+    (over the sparser factor's terms, ascending).  Pairs are multiplied by
+    numpy's complex multiply, as in the product: it rounds differently from
+    Python's."""
     top = tuple(
         min(_wadd(ma, nb), _wadd(mb, na))
         for ma, na, mb, nb in zip(x.max_order, x.min_order, y.max_order, y.min_order)
     )
+    f, g = sorted((x, y), key=lambda s: len(s.terms))
     out = {}
-    for e1, c1 in x.terms.items():
-        for e2, c2 in y.terms.items():
+    for e1, c1 in sorted(f.terms.items()):
+        for e2, c2 in g.terms.items():
             e = tuple(a + b for a, b in zip(e1, e2))
             if all(a <= m for a, m in zip(e, top)):
-                out[e] = out.get(e, 0) + c1 * c2
+                out[e] = out.get(e, 0) + complex(np.multiply(c1, c2))
     return top, {e: c for e, c in out.items() if c != 0}
 
 
@@ -196,7 +212,7 @@ def _random_series(rng, vars, exact, density=0.4):
     for e in itertools.product(*(range(a, min(b, a + 6) + 1) for a, b in zip(lo, hi))):
         if rng.random() < density:
             if exact:
-                terms[e] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                terms[e] = complex(rng.randint(-5, 5), rng.randint(-5, 5))
             else:
                 terms[e] = complex(rng.gauss(0, 1), rng.gauss(0, 1))
     return MultiSeries(vars, terms, tuple(hi), tuple(lo))
@@ -222,8 +238,8 @@ def test_product_matches_pairwise_reference(nvars, exact):
 
 
 def test_product_prunes_exact_cancellation_and_empty_window():
-    x = S({(0, 0): Fraction(1), (1, 0): Fraction(1), (0, 2): Fraction(3)})
-    y = S({(0, 0): Fraction(1), (1, 0): Fraction(-1), (0, 2): Fraction(-3)})
+    x = S({(0, 0): 1 + 0j, (1, 0): 1 + 0j, (0, 2): 3 + 0j})
+    y = S({(0, 0): 1 + 0j, (1, 0): -1 + 0j, (0, 2): -3 + 0j})
     p = x * y  # 1 - a^2 - 6 a b^2 - 9 b^4: the a and b^2 terms cancel
     assert (1, 0) not in p.terms and (0, 2) not in p.terms
     assert p.terms == _pairwise_product(x, y)[1]
@@ -235,19 +251,18 @@ def _repeated_add(u, c0, coef):
     """Reference power sum: out = out + u^k * coef(k, u^k), copying the
     whole series at every step."""
     budget = sum(m for m in u.max_order if m < INF)
-    out = MultiSeries.const(u.vars, c0, u.max_order, 0)
-    term = MultiSeries.const(u.vars, 1, u.max_order, 0)
+    out = MultiSeries.const(u.vars, c0, u.max_order)
+    term = MultiSeries.const(u.vars, 1, u.max_order)
     for k in range(1, budget + 1):
         term = term * u
         if term.is_zero():
             break
-        out = out + term * coef(k, term)
+        out = out + term * coef(k)
     return out
 
 
-def _exp_coef(k, term):
-    c = Fraction(1, math.factorial(k))
-    return c if all(isinstance(v, Fraction) for v in term.terms.values()) else float(c)
+def _exp_coef(k):
+    return 1 / math.factorial(k)
 
 
 def _assert_same(got, want, exact):
@@ -262,7 +277,7 @@ def _assert_same(got, want, exact):
 
 @pytest.mark.parametrize("exact", [True, False])
 def test_power_sums_match_repeated_add(exact):
-    num = (lambda p, q: Fraction(p, q)) if exact else (lambda p, q: complex(p / q, q / 7))
+    num = (lambda p, q: complex(p, q)) if exact else (lambda p, q: complex(p / q, q / 7))
     u = MultiSeries(VARS, {(1, 0): num(1, 2), (0, 1): num(-2, 3), (2, 1): num(1, 5)}, (6, 4))
     _assert_same(u.exp(), _repeated_add(u, 1, _exp_coef), exact)
 
@@ -278,33 +293,23 @@ def test_power_sums_refuse_untruncated_variable():
     # a series in the finite-window variable only is unchanged
     e = MultiSeries(VARS, {(1, 0): 1.0}, (4, INF)).exp()
     assert e.max_order == (4, INF)
-    assert e.terms == {(k, 0): float(Fraction(1, math.factorial(k))) for k in range(5)}
+    assert e.terms == {(k, 0): 1 / math.factorial(k) for k in range(5)}
     # and the zero series has the exact exp 1 whatever its window
-    assert MultiSeries.zero(("a",), INF).exp().terms == {(0,): 1}
-
-
-def test_exp_keeps_extended_precision():
-    """An mpmath series keeps its 30 digits through exp: 1/k! is not rounded
-    to a double."""
-    c = get_context(30).complex(0.3, 0.2)
-    e = MultiSeries(("a",), {(1,): c}, 8).exp()
-    with mpmath.workdps(50):
-        want = mpmath.taylor(lambda x: mpmath.exp(mpmath.mpc(c) * x), 0, 8)
-        worst = max(abs(mpmath.mpc(e.coeff((k,))) - w) for k, w in enumerate(want))
-    assert worst < 1e-29
+    assert MultiSeries(("a",), {}, INF).exp().terms == {(0,): 1}
 
 
 def test_series_imports_no_numpy():
-    """kronecker -> series must stay numpy-free, and a double-precision
-    kernel evaluation must not load mpmath either (start-up time and memory
-    of every caller that needs only the kernel)."""
+    """The numpy-free rule that once held for series now holds for
+    kronecker's import path: importing kronecker and evaluating a
+    double-precision kernel loads neither numpy, nor mpmath, nor series
+    (start-up time and memory of every caller that needs only the kernel)."""
     src = os.path.dirname(os.path.dirname(epolylog.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     code = (
         "import sys\n"
         "from epolylog.kronecker import EllipticPoint, LatticeContext, omega_coefficients\n"
         "omega_coefficients(EllipticPoint(0.31, 0.17), 4, LatticeContext(0.1 + 0.8j, 15))\n"
-        "sys.exit(' '.join(sorted({'numpy', 'mpmath'} & set(sys.modules))) or None)\n"
+        "sys.exit(' '.join(sorted({'numpy', 'mpmath', 'epolylog.series'} & set(sys.modules))) or None)\n"
     )
     run = subprocess.run([sys.executable, "-c", code], env=env, timeout=60, capture_output=True, text=True)
     assert run.returncode == 0, f"loaded: {run.stderr.strip()}"
