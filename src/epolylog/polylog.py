@@ -113,16 +113,10 @@ class SpiralShift:
         and no coordinate ratio may lie on a real q-power."""
         tau = complex(self.context.tau)
         ts = self.base.ts
-        probes = list(ts)
-        for i in range(len(ts)):
-            for j in range(len(ts)):
-                if i != j:
-                    if ts[j] == 0:
-                        raise OutOfRegion("zero coordinate has no spiral")
-                    probes.append(ts[i] / ts[j])
-        for w in probes:
-            if w == 0:
-                raise OutOfRegion("zero coordinate has no spiral")
+        if 0 in ts:
+            raise OutOfRegion("zero coordinate has no spiral")
+        ratios = [ti / tj for i, ti in enumerate(ts) for j, tj in enumerate(ts) if i != j]
+        for w in list(ts) + ratios:
             v = cmath.log(w) / (2j * math.pi)
             c = v.imag / tau.imag
             k = v.real - c * tau.real
@@ -154,30 +148,19 @@ def _li_column(t, K, tol):
     return np.array([np.sum(tk / k ** m) for m in range(1, K + 1)])
 
 
-_NESTED_BLOCK = 256  # a1-rows per block of _nested_table: O(block * N) memory
-
-
 def _nested_table(t1, t2, K, tol):
-    """I_{m1,m2}(t1,t2) for 1 <= m1, m2 <= K, summed over blocks of a1."""
-    if t1 == 0 or t2 == 0:
-        return np.zeros((K, K), dtype=complex)
+    """I_{m1,m2}(t1,t2) for 1 <= m1, m2 <= K, summed over n = a1 + a2
+    (Vollinga-Weinzierl): the partial sums P_{m1}(n) = sum_{a1<n} t1^a1
+    t2^(n-a1) / a1^m1 obey P(n+1) = t2 (P(n) + t1^n / n^m1), and the table
+    is sum_n P_{m1}(n) / n^m2, one matmul; O(N K) memory."""
     N = _tail_length(max(abs(t1), abs(t2)), tol)
-    a = np.arange(1, N + 1, dtype=float)
-    t1a = t1 ** a
-    t2b = t2 ** a
-    out = np.zeros((K, K), dtype=complex)
-    for lo in range(0, N, _NESTED_BLOCK):
-        rows = slice(lo, lo + _NESTED_BLOCK)
-        ABinv = 1.0 / (a[rows, None] + a[None, :])
-        cur = np.ones_like(ABinv)
-        for m2 in range(1, K + 1):
-            cur = cur * ABinv
-            Q = cur @ t2b
-            acol = t1a[rows].copy()
-            for m1 in range(1, K + 1):
-                acol = acol / a[rows]
-                out[m1 - 1, m2 - 1] += np.sum(acol * Q)
-    return out
+    n = np.arange(1, N + 1, dtype=float)[:, None]
+    inv = 1.0 / n ** np.arange(1, K + 1)  # row n-1: 1/n^m for m = 1..K
+    step = (t1 ** n) * inv
+    P = np.zeros((N, K), dtype=complex)  # row n-1: P_{m1}(n), P(1) = 0
+    for i in range(1, N):
+        P[i] = t2 * (P[i - 1] + step[i - 1])
+    return P.T @ inv
 
 
 def _exp_coeffs(l, K):
@@ -232,9 +215,11 @@ def debye_lambda(r, pt, K):
     table is resummed against (b1, b1+b2) -- the denominators attached to
     the partial sums a1 and a1+a2 carry the matching partial sums of the
     deformation variables -- then re-expanded against (b1, b2) and dressed
-    with both prefactors.  Prefactor exponentials are expanded into the
-    coefficients (principal logs).  Coordinates must keep DEFAULT_MARGIN
-    from the unit circle, and K >= 1 coefficients are kept per variable.
+    with both prefactors, each a product along its own variable's axis.
+    Prefactor exponentials are expanded into the coefficients (principal
+    logs).  Coordinates must keep DEFAULT_MARGIN from the unit circle, and
+    K >= 1 coefficients are kept per variable.  A series at a zero
+    coordinate is zero and has no log branch, so it cannot be continued.
     """
     if r != pt.depth:
         raise ValueError("depth mismatch")
@@ -255,7 +240,7 @@ def debye_lambda(r, pt, K):
         # so the table in (b1, b1+b2) is built at padded order
         Kp = 2 * K - 1
         body = _spread(_nested_table(t1, t2, Kp, SERIES_TOL), K)
-        coeffs = _conv(np.outer(_exp_coeffs(l1, K), _exp_coeffs(l2, K)), body)
+        coeffs = _conv(_exp_coeffs(l1, K)[:, None], _conv(_exp_coeffs(l2, K)[None, :], body))
         channels = (_debye_column(t1, Kp, SERIES_TOL), _debye_column(t2, Kp, SERIES_TOL))
         return DebyeSeries(pt, coeffs, (l1, l2), channels)
     raise ValueError("depth 1 or 2 only")
@@ -411,6 +396,8 @@ def _legs(series, legs, tag):
     without legs it is a fresh series at the same state."""
     if not legs:
         return DebyeSeries(series.point, series.coeffs, series.logs, series.channels, tag)
+    if 0 in series.point.ts:
+        raise OutOfRegion("zero coordinate has no log branch to continue from")
     for leg in legs:
         if series.depth == 1:
             series = _leg_depth1(series, leg, tag)

@@ -26,9 +26,9 @@ Plain form callables receive (z, v), the point and v = dz/du, one node at a
 time and return f(z)*v: a scalar or a numpy array of truncated power-series
 coefficients.  A BranchedForm gets (arc, us) once per panel pass, us the
 whole node vector, and returns a node-first block.  convolve_product, the
-product of a chain, convolves the trailing coefficient axes (pointwise for
-scalar forms) by batched matmuls against lower-triangular Toeplitz blocks
-of the form, so one-row and one-column forms cost one matmul each.
+product of a chain, takes a form whose coefficients lie along one trailing
+axis and convolves it into the level below (pointwise for scalar forms) by
+one batched matmul against lower-triangular Toeplitz blocks of the form.
 """
 
 from __future__ import annotations
@@ -216,7 +216,9 @@ def _diff(a, b):
 def iterated_integral(path, forms, tol=1e-11):
     """Iterated integral along `path` of the chain `forms` (w_1 outermost;
     one form is the contour integral, none integrates to 1), or the list of
-    end values of a Levels system, one per level.
+    end values of a Levels system, one per level.  Every form of a chain
+    but the innermost w_n is a convolve_product factor: a scalar, or
+    coefficients along one axis.
 
     tol is a panel-wise test over the whole state, not a bound on the
     returned value's error: a panel is accepted when the largest
@@ -260,40 +262,30 @@ def convolve_product(f, g):
     elementwise maximum extent, truncating away overflow orders); scalar
     blocks (1-D) multiply pointwise.
 
-    The axis along which f has the most nonzero slices is convolved by one
-    batched matmul against lower-triangular Toeplitz blocks of f; the loop
-    runs over the nonzero slices of f on the other axes only."""
+    f's coefficients lie along at most one trailing axis: every other
+    trailing extent of f is 1 (ValueError otherwise), so the product is g,
+    padded to the result's shape, times lower-triangular Toeplitz blocks of
+    f along that axis, in one batched matmul."""
     f = np.asarray(f)
     g = np.asarray(g)
     if f.ndim == 1 and g.ndim == 1:
         return f * g
-    nf, ng = f.shape[1:], g.shape[1:]
-    nd = max(len(nf), len(ng))
-    f = f.reshape(f.shape[:1] + (1,) * (nd - len(nf)) + nf)
-    g = g.reshape(g.shape[:1] + (1,) * (nd - len(ng)) + ng)
-    out_shape = tuple(max(a, b) for a, b in zip(f.shape[1:], g.shape[1:]))
-    gp = g
-    if g.shape[1:] != out_shape:
-        gp = np.zeros(g.shape[:1] + out_shape, dtype=complex)
-        gp[tuple(slice(0, s) for s in g.shape)] = g
-    out = np.zeros(f.shape[:1] + out_shape, dtype=complex)
-    support = np.any(f, axis=0)
-    counts = [
-        np.count_nonzero(support.any(axis=tuple(b for b in range(nd) if b != a)))
-        for a in range(nd)
-    ]
-    a = int(np.argmax(counts))  # the Toeplitz axis, swapped last below
+    nd = max(f.ndim, g.ndim) - 1
+    f = f.reshape(f.shape[:1] + (1,) * (nd + 1 - f.ndim) + f.shape[1:])
+    g = g.reshape(g.shape[:1] + (1,) * (nd + 1 - g.ndim) + g.shape[1:])
+    axes = [a for a, s in enumerate(f.shape[1:]) if s > 1]
+    if len(axes) > 1:
+        raise ValueError(f"f of shape {f.shape} spans more than one coefficient axis")
+    a = axes[0] if axes else nd - 1  # the Toeplitz axis, swapped last below
+    out_shape = tuple(max(x, y) for x, y in zip(f.shape[1:], g.shape[1:]))
     m = out_shape[a]
-    fa, ga, oa = (x.swapaxes(a + 1, -1) for x in (f, gp, out))
+    gp = np.zeros(g.shape[:1] + out_shape, dtype=complex)
+    gp[tuple(slice(0, s) for s in g.shape)] = g
+    ga = gp.swapaxes(a + 1, -1)
     # fpad[:, m + d] = f at lag d (zero outside 0 <= d < f's extent), so
     # fpad[:, lag][:, j, i] multiplies g_j into out_i
     fpad = np.zeros((f.shape[0], 2 * m), dtype=complex)
+    fpad[:, m : m + f.shape[a + 1]] = f.reshape(f.shape[0], -1)
     lag = m + np.arange(m)[None, :] - np.arange(m)[:, None]
-    for idx in map(tuple, np.argwhere(support.swapaxes(a, -1).any(axis=-1))):
-        fpad[:, m : m + fa.shape[-1]] = fa[(slice(None),) + idx]
-        dest = tuple(slice(i, s) for i, s in zip(idx, oa.shape[1:-1]))
-        src = tuple(slice(0, s - i) for i, s in zip(idx, oa.shape[1:-1]))
-        block = ga[(slice(None),) + src]
-        prod = block.reshape(block.shape[0], -1, m) @ fpad[:, lag]
-        oa[(slice(None),) + dest] += prod.reshape(block.shape)
-    return out
+    prod = ga.reshape(ga.shape[0], -1, m) @ fpad[:, lag]
+    return prod.reshape(ga.shape).swapaxes(a + 1, -1)

@@ -5,10 +5,14 @@ Neither pipeline (Debye transport -> asymptotic prediction, string coproduct
 live beside the tests that use them.  The module name does not match
 pytest's test_*.py pattern, so nothing here is collected.
 
-* simplicial_nested: the nested double sum I_{n1,n2}(t1, t2) summed directly;
-  the oracle of test_depth2_near_unit_circle_memory_bounded and of the
-  iterated-integral check test_modes_agree, itself checked against brute
-  force by test_double_sum_matches_brute (all in test_polylog.py).
+* simplicial_nested: the nested sum I_{n1,n2,...}(t1, t2, ...) by partial
+  sums over a1 + ... + ak, the recurrence polylog._nested_table also uses;
+  the oracle of test_nested_table_near_unit_circle,
+  test_depth2_near_unit_circle_memory_bounded and the iterated-integral
+  check test_modes_agree.  Because it shares the table's recurrence, brute
+  force over (a1, a2) pairs keeps both honest: test_double_sum_matches_brute
+  for the oracle, test_nested_table_matches_brute_force for every cell of
+  the table (all in test_polylog.py).
 * debye_coefficients: the depth-2 Debye coefficients at a point of the unit
   polydisk on given log branches, from simplicial_nested; the oracle of
   test_transport_meets_default_tol (test_polylog.py).

@@ -319,8 +319,15 @@ def test_short_channels_rejected():
 def test_zero_coordinate_has_no_channels():
     b = debye_lambda(2, SimplicialPoint((0.0, 0.3)), 4)
     assert b.channels is None and b.value.is_zero()
-    with pytest.raises(ValueError, match="channels"):
-        continue_debye(b, [(2, LineArc(0.3, 0.6))])
+    for leg in [(2, LineArc(0.3, 0.6)), (1, LineArc(0.0, 0.5))]:
+        with pytest.raises(OutOfRegion, match="no log branch"):
+            continue_debye(b, [leg])
+
+
+def test_depth1_zero_coordinate_not_continued():
+    b = debye_lambda(1, SimplicialPoint((0.0,)), 4)
+    with pytest.raises(OutOfRegion, match="no log branch"):
+        continue_debye(b, [LineArc(0.0, 0.5)])
 
 
 def _snapshot(s):
@@ -619,8 +626,9 @@ def test_spiral_point_on_orbit_rejected(ctx):
 
 
 def test_spiral_zero_coordinate_rejected(ctx):
-    with pytest.raises(OutOfRegion):
-        SpiralShift((1,), SimplicialPoint((0.0,)), ctx).validate()
+    for ts in [(0.0,), (0.0, 0.3), (0.3, 0.0)]:
+        with pytest.raises(OutOfRegion, match="zero coordinate"):
+            SpiralShift((1,) * len(ts), SimplicialPoint(ts), ctx).validate()
 
 
 # the last point lies on a real q-power: the route is checked before the shift
@@ -836,12 +844,28 @@ def test_compose_linear_three_active_refused():
         polylog._compose_linear([1.0, 2.0], (1.0, 1.0, 1.0), ("b1", "b2", "b3"), 4)
 
 
-def test_nested_table_blocks_agree(monkeypatch):
-    t1, t2 = 0.6 * cmath.exp(0.4j), 0.75 * cmath.exp(-1.1j)
-    whole = polylog._nested_table(t1, t2, 6, 1e-15)
-    monkeypatch.setattr(polylog, "_NESTED_BLOCK", 7)
-    blocked = polylog._nested_table(t1, t2, 6, 1e-15)
-    assert np.max(np.abs(blocked - whole)) <= 1e-14 * max(1.0, np.max(np.abs(whole)))
+def test_nested_table_matches_brute_force():
+    """Every cell against the double sum over (a1, a2) pairs, which shares
+    nothing with the partial-sum recurrence of the table and the oracle."""
+    t1, t2 = 0.3 * cmath.exp(0.4j), 0.25 * cmath.exp(-1.1j)
+    K = 6
+    got = polylog._nested_table(t1, t2, K, 1e-15)
+    a = np.arange(1, 61, dtype=float)
+    pairs = np.multiply.outer(t1**a, t2**a)
+    s = np.add.outer(a, a)
+    want = np.array([[np.sum(pairs / (a[:, None] ** m1 * s**m2)) for m2 in range(1, K + 1)]
+                     for m1 in range(1, K + 1)])
+    assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+
+
+def test_nested_table_near_unit_circle():
+    """|t1| = 0.99 needs N = 3899 terms of the recurrence."""
+    t1, t2 = 0.99, 0.5 * cmath.exp(1j)
+    K = 3
+    got = polylog._nested_table(t1, t2, K, 1e-15)
+    for m1, m2 in itertools.product(range(1, K + 1), repeat=2):
+        want = oracles.simplicial_nested((t1, t2), (m1, m2), 1e-15)
+        assert abs(got[m1 - 1, m2 - 1] - want) <= 1e-13 * max(1.0, abs(want))
 
 
 def test_depth2_near_unit_circle_memory_bounded(monkeypatch):
