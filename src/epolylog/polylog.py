@@ -33,7 +33,7 @@ from .quadrature import (
     convolve_product,
     iterated_integral,
 )
-from .series import INF, MultiSeries
+from .series import INF, MultiSeries, exp_column
 
 DEFAULT_MARGIN = 0.05
 DEFAULT_TOL = 1e-10  # transport legs
@@ -46,7 +46,8 @@ class SimplicialPoint:
     """Arguments (t_1..t_r) with the conventions t_{r+1} = 1, t_0 = 0.
 
     Zero coordinates are allowed at construction; operations that need
-    logs or coordinate ratios check lazily.
+    logs or coordinate ratios check lazily.  Non-finite coordinates are
+    refused with OutOfRegion.
     """
 
     __slots__ = ("ts",)
@@ -55,6 +56,8 @@ class SimplicialPoint:
         self.ts = tuple(complex(t) for t in ts)
         if not self.ts:
             raise ValueError("need at least one coordinate")
+        if not all(cmath.isfinite(t) for t in self.ts):
+            raise OutOfRegion(f"non-finite coordinate in {self.ts}")
 
     @property
     def depth(self):
@@ -163,14 +166,6 @@ def _nested_table(t1, t2, K, tol):
     return P.T @ inv
 
 
-def _exp_coeffs(l, K):
-    """Coefficients of exp(-b*l) up to b^{K-1}, on a trailing axis after the
-    shape of l (one log or an array of them)."""
-    l = np.asarray(l, dtype=complex)[..., None]
-    steps = np.concatenate([np.ones_like(l), -l / np.arange(1, K)], axis=-1)
-    return np.cumprod(steps, axis=-1)
-
-
 def _conv(a, b):
     return convolve_product(np.asarray(a)[None], np.asarray(b)[None])[0]
 
@@ -179,7 +174,7 @@ def _debye_column(t, K, tol):
     """Depth-1 coefficients of t^{-b} sum_m Li_m(t) b^{m-1} (principal log)."""
     if t == 0:
         return np.zeros(K, dtype=complex)
-    return _conv(_exp_coeffs(cmath.log(t), K), _li_column(t, K, tol))
+    return _conv(exp_column(-cmath.log(t), K), _li_column(t, K, tol))
 
 
 @lru_cache(maxsize=8)
@@ -240,7 +235,7 @@ def debye_lambda(r, pt, K):
         # so the table in (b1, b1+b2) is built at padded order
         Kp = 2 * K - 1
         body = _spread(_nested_table(t1, t2, Kp, SERIES_TOL), K)
-        coeffs = _conv(_exp_coeffs(l1, K)[:, None], _conv(_exp_coeffs(l2, K)[None, :], body))
+        coeffs = _conv(exp_column(-l1, K)[:, None], _conv(exp_column(-l2, K)[None, :], body))
         channels = (_debye_column(t1, Kp, SERIES_TOL), _debye_column(t2, Kp, SERIES_TOL))
         return DebyeSeries(pt, coeffs, (l1, l2), channels)
     raise ValueError("depth 1 or 2 only")
@@ -254,7 +249,7 @@ def _form(arc, K):
 
     def f(_arc, us):
         dlog = arc.velocity(us) / (1.0 - arc.point(us))
-        return _exp_coeffs(arc.log_point(us), K) * dlog[:, None]
+        return exp_column(-arc.log_point(us), K) * dlog[:, None]
 
     return BranchedForm(f)
 
@@ -591,7 +586,7 @@ def asymptotic_eval(r, J, pt, K, constants):
         if abs(ratio) >= 1.0 / (1.0 - DEFAULT_MARGIN):
             flipped = lam_series(1.0 / ratio, [-c for c in lab])
             pole = _inv_linear(lab, vars, K)
-            pref = _compose_linear(_exp_coeffs(cmath.log(ratio), M + 1), lab, vars, M)
+            pref = _linear_series([lab], [-cmath.log(ratio)], vars, M).exp()
             return flipped + pole * pref + c_linear(lab)
         raise OutOfRegion(f"ratio argument {ratio} too close to the unit circle")
 

@@ -11,8 +11,10 @@ terms below it; for ordinary power series this is 0).  The array never
 reaches outside that window: lo >= min_order and lo + extent - 1 <= max_order.
 
 The operations are the ones the asymptotic assembly needs: series + series,
-series * series, scalar * series, exp of a series without constant term,
-coefficient lookup and numeric evaluation.  `terms` is a read-only dict view
+series * series, scalar * series, exp of a linear series (the leading
+monomials' exponents, linear forms in the label variables), coefficient
+lookup and numeric evaluation, plus exp_column, the one-variable exponential
+column that the transport forms share.  `terms` is a read-only dict view
 of the nonzero coefficients, {exponent tuple of ints: complex}.
 
 Window semantics follow the usual rules for truncated arithmetic:
@@ -28,8 +30,8 @@ Window semantics follow the usual rules for truncated arithmetic:
 
 A product is one slice-add per nonzero of the sparser factor: the other
 factor's array, clipped to the result window, scaled and added at the
-nonzero's offset.  exp sums the powers of its argument with 1/k! weights in
-one accumulator.
+nonzero's offset.  exp of sum_i c_i x_i is the outer product over the
+variables of the columns exp(c_i x_i), each cut at its variable's window.
 
 numpy is allowed here because kronecker, the one caller that must start
 without it, keeps its one-variable Laurent expansions on plain lists and
@@ -43,7 +45,6 @@ PoleOverflow.
 
 from __future__ import annotations
 
-import math
 from types import MappingProxyType
 
 import numpy as np
@@ -129,6 +130,8 @@ class MultiSeries:
 
     def coeff(self, e):
         """Coefficient of the monomial with exponent tuple e (0 if absent)."""
+        if len(e) != len(self.vars):
+            raise ValueError("exponent arity mismatch")
         if any(x > m for x, m in zip(e, self.max_order)):
             raise TruncationTooSmall(f"order {tuple(e)} beyond window {self.max_order}")
         i = tuple(x - l for x, l in zip(e, self.lo))
@@ -194,24 +197,26 @@ class MultiSeries:
 
     # ------------------------------------------------------- transcendental
     def exp(self):
-        """exp of a series with no constant term and no poles: the powers of
-        the series up to _budget or until one vanishes, weighted by 1/k! and
-        summed in one accumulator."""
-        zero = (0,) * len(self.vars)
-        if any(m < 0 for m in self.min_order) or self.coeff(zero) != 0:
-            raise ValueError("exp needs zero constant term and no poles")
-        if _unbounded(self):
-            raise TruncationTooSmall("exp of a series untruncated in a variable it contains")
-        # a variable with an INF window appears only at exponent 0
-        acc = np.zeros([1 if m >= INF else m + 1 for m in self.max_order], dtype=complex)
-        acc[zero] = 1.0
-        term = MultiSeries.const(self.vars, 1.0, self.max_order)
-        for k in range(1, _budget(self) + 1):
-            term = term * self
-            if term.is_zero():
-                break
-            term._add_into(acc, zero, 1 / math.factorial(k))
-        return MultiSeries._of(self.vars, acc, zero, self.max_order, zero)
+        """exp of a linear series sum_i c_i x_i (no constant term, no poles,
+        no term of degree 2 or more): the outer product over the variables
+        of exp_column(c_i, max_order_i + 1), a length-1 column where c_i = 0.
+        A nonzero c_i on an INF window has no finite expansion and raises
+        TruncationTooSmall."""
+        if any(m < 0 for m in self.min_order):
+            raise ValueError("exp needs a series without poles")
+        n = len(self.vars)
+        c = [0j] * n
+        for e, v in self.terms.items():  # exponents >= 0: degree 1 is one unit exponent
+            if sum(e) != 1:
+                raise ValueError(f"exp needs a linear series, not the term {e}")
+            c[e.index(1)] = v
+        out = np.ones((), dtype=complex)
+        for ci, m in zip(c, self.max_order):
+            if ci != 0 and m >= INF:
+                raise TruncationTooSmall("exp of a series untruncated in a variable it contains")
+            out = np.multiply.outer(out, exp_column(ci, m + 1 if ci != 0 else 1))
+        zero = (0,) * n
+        return MultiSeries._of(self.vars, out, zero, self.max_order, zero)
 
     # ------------------------------------------------------------ evaluation
     def eval_at(self, values):
@@ -223,14 +228,10 @@ class MultiSeries:
         return complex(out)
 
 
-def _unbounded(u):
-    """Whether u has a positive power of a variable whose window is INF; then
-    no power of u leaves the window and no finite power sum is exact."""
-    nz = np.nonzero(u.a)
-    return any(m >= INF and (e + l > 0).any() for e, l, m in zip(nz, u.lo, u.max_order))
-
-
-def _budget(u):
-    """Highest power of a series without constant term that survives its
-    window, for u that is not _unbounded."""
-    return sum(m for m in u.max_order if m < INF)
+def exp_column(x, n):
+    """Coefficients of exp(x*b) up to b^(n-1), on a trailing axis after the
+    shape of x (one number or an array of them): the running products of
+    x/k."""
+    x = np.asarray(x, dtype=complex)[..., None]
+    steps = np.concatenate([np.ones_like(x), x / np.arange(1, n)], axis=-1)
+    return np.cumprod(steps, axis=-1)

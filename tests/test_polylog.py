@@ -22,7 +22,7 @@ from epolylog.polylog import (
     transport_debye,
 )
 from epolylog.quadrature import LineArc, PathSpec, SpiralArc, iterated_integral
-from epolylog.series import MultiSeries
+from epolylog.series import MultiSeries, exp_column
 
 TAU = 0.1 + 0.8j
 
@@ -194,12 +194,11 @@ def test_transported_value_shares_the_array(ctx):
 
 
 def test_exp_coeffs_batched_matches_scalar_recurrence():
-    from epolylog.polylog import _exp_coeffs
-
+    """The transport's exp(-b*l) columns come from series.exp_column at -l."""
     rng = np.random.default_rng(5)
     logs = rng.normal(size=(3, 7)) + 4j * rng.normal(size=(3, 7))
     K = 13
-    got = _exp_coeffs(logs, K)
+    got = exp_column(-logs, K)
     assert got.shape == (3, 7, K)
     for idx in np.ndindex(logs.shape):
         want, term = [], 1.0 + 0.0j
@@ -208,7 +207,7 @@ def test_exp_coeffs_batched_matches_scalar_recurrence():
             term *= -logs[idx] / (k + 1)
         # same operations in the same order; the bound allows a few ulp per step
         np.testing.assert_allclose(got[idx], want, rtol=1e-14, atol=0)
-    np.testing.assert_array_equal(_exp_coeffs(logs[0, 0], K), got[0, 0])
+    np.testing.assert_array_equal(exp_column(-logs[0, 0], K), got[0, 0])
 
 
 def li_tail_column(t, K, shift):
@@ -328,6 +327,20 @@ def test_depth1_zero_coordinate_not_continued():
     b = debye_lambda(1, SimplicialPoint((0.0,)), 4)
     with pytest.raises(OutOfRegion, match="no log branch"):
         continue_debye(b, [LineArc(0.0, 0.5)])
+
+
+@pytest.mark.parametrize(
+    "ts", [(math.nan,), (math.inf,), (complex(3, math.inf), 2.0), (0.3, complex(math.nan, 0.1))]
+)
+def test_non_finite_coordinate_refused(ts):
+    """A non-finite coordinate has no series and no prediction: the point
+    itself refuses it, before debye_lambda or asymptotic_eval could return
+    NaN coefficients or fail inside a tail-length estimate."""
+    r, K = len(ts), 4
+    with pytest.raises(OutOfRegion, match="non-finite"):
+        debye_lambda(r, SimplicialPoint(ts), K)
+    with pytest.raises(OutOfRegion, match="non-finite"):
+        asymptotic_eval(r, {1}, SimplicialPoint(ts), K, constants_series(K))
 
 
 def _snapshot(s):
