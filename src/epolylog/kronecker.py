@@ -26,7 +26,12 @@ mpmath.
 Eisenstein sums use the conditionally convergent double-sum order: the inner
 (integer) direction is summed in closed form via cotangent polynomials,
 which is its exact limit, and the outer direction is accumulated
-symmetrically n, -n.  Reordering is not allowed.
+symmetrically n, -n.  Reordering is not allowed.  One walk over the rows
+serves the whole ladder E_1 .. E_K at a point: each row's two cotangents
+cot(pi(xi +/- n tau)) are computed once and fed to every j's polynomial,
+while each j keeps its own total and stops after its own two settled rows,
+so E_j does not depend on K.  The lattice constants e_j share the rows'
+cot(pi n tau) the same way, computed once per context.
 """
 
 from __future__ import annotations
@@ -130,6 +135,7 @@ class LatticeContext:
         self.q_series_cutoff = int(math.ceil((self.prec.digits + 4) / decade)) + 2
         self.lattice_cutoff = self.q_series_cutoff + 4
         self._e_cache = {}
+        self._lattice_cots = None
         self._theta_prime0 = None
 
     def e(self, x):
@@ -197,48 +203,58 @@ def _row_constants(j, prec):
     return row
 
 
-def _inner_row(row, x, prec):
+def _inner_row(row, c, prec):
     """sum over the integer direction of 1/(x + m)^j, in closed form, from
-    the row constants of j."""
+    the row constants of j and c = cot(pi x)."""
     coeffs, pi_j = row
-    c = prec.cot_pi(x)
     acc = prec.zero
     for coef in coeffs:
         acc = acc * c + coef
     return pi_j * acc
 
 
-def eisenstein_E(j, p, ctx):
-    """E_j at the point p: the conditionally convergent lattice sum of
-    1/(xi + m + n*tau)^j, inner direction exact, outer symmetric."""
-    if j < 1:
-        raise ValueError("index must be >= 1")
+def eisenstein_E(K, p, ctx):
+    """[E_1(p), ..., E_K(p)]: each the conditionally convergent lattice sum
+    of 1/(xi + m + n*tau)^j, inner direction exact, outer symmetric.
+
+    One walk over the rows n serves every j: each row's two cotangents are
+    computed once, and each j runs its own cotangent polynomial on them,
+    keeps its own total and stops at its own row, so E_j is the same
+    whichever K it was asked with."""
+    if K < 1:
+        raise ValueError("K must be >= 1")
     if p.is_lattice():
-        raise OnLattice(f"E_{j} pole at {p!r}")
+        raise OnLattice(f"E_j pole at {p!r}")
     tau = ctx.tau
     prec = ctx.prec
-    row = _row_constants(j, prec)
-    total = _inner_row(row, p.s + p.r * tau, prec)
+    rows = [_row_constants(j, prec) for j in range(1, K + 1)]
+    c = prec.cot_pi(p.s + p.r * tau)
+    totals = [_inner_row(row, c, prec) for row in rows]
     eps = 10.0 ** (-(prec.digits + 2))
-    settled = 0
+    settled = [0] * K
+    live = range(K)  # the j - 1 whose sums have not stopped
     n_min = int(abs(p.r)) + 1
     r = prec.real(p.r)  # r -/+ n in the context's type, not rounded to a double
     for n in range(1, ctx.lattice_cutoff + n_min):
-        inc = _inner_row(row, p.s + (r + n) * tau, prec) + _inner_row(
-            row, p.s + (r - n) * tau, prec
-        )
-        total += inc
-        if n >= n_min and abs(inc) < eps * (abs(total) + 1):
-            settled += 1
-            if settled >= 2:
-                break
-        else:
-            settled = 0
-    return total
+        c_up = prec.cot_pi(p.s + (r + n) * tau)
+        c_down = prec.cot_pi(p.s + (r - n) * tau)
+        for i in live:
+            inc = _inner_row(rows[i], c_up, prec) + _inner_row(rows[i], c_down, prec)
+            totals[i] += inc
+            if n >= n_min and abs(inc) < eps * (abs(totals[i]) + 1):
+                settled[i] += 1
+            else:
+                settled[i] = 0
+        live = [i for i in live if settled[i] < 2]
+        if not live:
+            break
+    return totals
 
 
 def lattice_constant(j, ctx):
-    """e_j: the lattice sum without the origin; vanishes for odd j."""
+    """e_j: the lattice sum without the origin; vanishes for odd j.  The
+    row cotangents cot(pi n tau) do not depend on j and are computed once
+    per context."""
     if j < 1:
         raise ValueError("index must be >= 1")
     if j % 2:
@@ -246,14 +262,16 @@ def lattice_constant(j, ctx):
     if j in ctx._e_cache:
         return ctx._e_cache[j]
     prec = ctx.prec
+    if ctx._lattice_cots is None:
+        ctx._lattice_cots = [prec.cot_pi(n * ctx.tau) for n in range(1, ctx.lattice_cutoff + 1)]
     row = _row_constants(j, prec)
     # 2 zeta(j) from the Bernoulli closed form, its rational factor rounded once
     factor = (-1) ** (j // 2 + 1) * _bernoulli(j) * Fraction(2) ** j / math.factorial(j)
     total = prec.complex(prec.real(factor) * row[1])
     eps = 10.0 ** (-(prec.digits + 2))
     settled = 0
-    for n in range(1, ctx.lattice_cutoff + 1):
-        inc = 2 * _inner_row(row, n * ctx.tau, prec)  # even j: n and -n agree
+    for c in ctx._lattice_cots:
+        inc = 2 * _inner_row(row, c, prec)  # even j: n and -n agree
         total += inc
         if abs(inc) < eps * (abs(total) + 1):
             settled += 1
@@ -363,9 +381,8 @@ def _F_series(xi, K, ctx):
     if xi.is_lattice():
         raise OnSingularLocus("kernel pole: xi on the lattice")
     arg = [0]
-    for j in range(1, K + 1):
-        ej = lattice_constant(j, ctx)
-        val = eisenstein_E(j, xi, ctx) - ej
+    for j, E in enumerate(eisenstein_E(K, xi, ctx), 1):
+        val = E - lattice_constant(j, ctx)
         arg.append(-((-1) ** j) * val / j)
     return _exp(arg)
 
@@ -378,6 +395,8 @@ def omega_coefficients(p, K, ctx):
     dxi-coefficient of the alpha^(k-1) term of e(alpha*r) F(xi; alpha).
     The series are expanded in the context's scalar type and only the
     returned values are collapsed to machine complex numbers."""
+    if K < 0:
+        raise ValueError("K must be >= 0")
     fser = _F_series(p, K + 1, ctx)
     r2pi = ctx.prec.two_pi_i * p.r
     eser = [r2pi**k / math.factorial(k) for k in range(K + 1)]

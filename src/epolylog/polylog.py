@@ -142,13 +142,13 @@ def _tail_length(mod, tol, lo=24, hi=20000):
 
 
 def _li_column(t, K, tol):
-    """[Li_1(t), ..., Li_K(t)]."""
+    """[Li_1(t), ..., Li_K(t)]: the powers t^k against the table 1/k^m, one
+    product."""
     if t == 0:
         return np.zeros(K, dtype=complex)
     N = _tail_length(abs(t), tol)
     k = np.arange(1, N + 1, dtype=float)
-    tk = t ** k
-    return np.array([np.sum(tk / k ** m) for m in range(1, K + 1)])
+    return t ** k @ (1.0 / k[:, None] ** np.arange(1, K + 1))
 
 
 def _nested_table(t1, t2, K, tol):
@@ -555,7 +555,10 @@ def asymptotic_eval(r, J, pt, K, constants):
     ts = pt.ts + (1.0 + 0.0j,)
     logs = [cmath.log(t) if t != 0 else 0.0 for t in ts]
 
-    c_reg = [constants.coeff((n,)) for n in range(M + 1)]
+    (lo,) = constants.lo  # C's regular orders 0..M from its array, zero-padded
+    n = np.arange(max(lo, 0), min(lo + len(constants.a), M + 1))
+    c_reg = np.zeros(M + 1, dtype=complex)
+    c_reg[n] = constants.a[n - lo]
     c_pole = constants.coeff((-1,))
 
     def phi_realize(s):

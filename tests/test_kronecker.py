@@ -152,7 +152,7 @@ def test_extended_eisenstein_against_q_expansion(tau):
     to doubles, these held E_j near 1e-13 and e_j near 1e-12."""
     ctx = LatticeContext(tau, 30)
     worst_E = max(
-        _rel_err(eisenstein_E(j, EllipticPoint(s, r), ctx), _qexp_E(j, s, r, tau))
+        _rel_err(eisenstein_E(j, EllipticPoint(s, r), ctx)[-1], _qexp_E(j, s, r, tau))
         for s, r in ((0.31, 0.37), (0.62, 0.55))
         for j in range(1, 10)
     )
@@ -176,7 +176,7 @@ def test_E1_laurent_expansion(ctx):
         - lattice_constant(4, ctx) * alpha**3
         - lattice_constant(6, ctx) * alpha**5
     )
-    assert abs(eisenstein_E(1, a, ctx) - want) < 1e-9
+    assert abs(eisenstein_E(1, a, ctx)[-1] - want) < 1e-9
 
 
 def test_E1_is_dlog_theta(ctx):
@@ -186,7 +186,7 @@ def test_E1_is_dlog_theta(ctx):
         cmath.log(theta(EllipticPoint(p.s + h, p.r), ctx))
         - cmath.log(theta(EllipticPoint(p.s - h, p.r), ctx))
     ) / (2 * h)
-    assert abs(num - eisenstein_E(1, p, ctx)) < 1e-8
+    assert abs(num - eisenstein_E(1, p, ctx)[-1]) < 1e-8
 
 
 def test_E_recursion(ctx):
@@ -195,16 +195,16 @@ def test_E_recursion(ctx):
     h = 1e-5
     for j in (1, 2):
         d = (
-            eisenstein_E(j, EllipticPoint(p.s + h, p.r), ctx)
-            - eisenstein_E(j, EllipticPoint(p.s - h, p.r), ctx)
+            eisenstein_E(j, EllipticPoint(p.s + h, p.r), ctx)[-1]
+            - eisenstein_E(j, EllipticPoint(p.s - h, p.r), ctx)[-1]
         ) / (2 * h)
-        assert abs(d + j * eisenstein_E(j + 1, p, ctx)) < 1e-6
+        assert abs(d + j * eisenstein_E(j + 1, p, ctx)[-1]) < 1e-6
 
 
 def test_weierstrass_equation(ctx):
     p = EllipticPoint(0.31, 0.17)
-    wp = eisenstein_E(2, p, ctx) - lattice_constant(2, ctx)
-    wpp = -2 * eisenstein_E(3, p, ctx)
+    wp = eisenstein_E(2, p, ctx)[-1] - lattice_constant(2, ctx)
+    wpp = -2 * eisenstein_E(3, p, ctx)[-1]
     g2 = 60 * lattice_constant(4, ctx)
     g3 = 140 * lattice_constant(6, ctx)
     assert abs(wpp**2 - (4 * wp**3 - g2 * wp - g3)) < 1e-7
@@ -213,6 +213,40 @@ def test_weierstrass_equation(ctx):
 def test_on_lattice_rejected(ctx):
     with pytest.raises(OnLattice):
         eisenstein_E(2, EllipticPoint(1.0, -2.0), ctx)
+
+
+@pytest.mark.parametrize("digits", [15, 30])
+def test_eisenstein_prefix_independent(digits):
+    """Each E_j keeps its own total and stop row on the shared walk, so it
+    does not depend on how far the ladder was asked for."""
+    ctx = LatticeContext(TAU, digits)
+    for s, r in ((0.31, 0.17), (0.62, -1.35), (-0.4, 2.3)):
+        p = EllipticPoint(s, r)
+        ladder = eisenstein_E(9, p, ctx)
+        for j in range(1, 10):
+            assert ladder[:j] == eisenstein_E(j, p, ctx)
+
+
+@pytest.mark.parametrize("digits", [15, 30])
+def test_one_row_walk_per_point(digits, monkeypatch):
+    """One omega_coefficients call walks the lattice rows once for the whole
+    ladder E_1 .. E_(K+1): two cotangents per row n >= 1 plus row 0, once the
+    context holds its lattice constants."""
+    ctx = LatticeContext(TAU, digits)
+    omega_coefficients(EllipticPoint(0.31, 0.17), 8, ctx)  # builds e_j
+    calls = []
+    cot_pi = ctx.prec.cot_pi
+
+    def counted(w):
+        calls.append(w)
+        return cot_pi(w)
+
+    monkeypatch.setattr(ctx.prec, "cot_pi", counted)
+    for s, r in ((0.31, 0.17), (0.62, -1.35), (-0.4, 2.3)):
+        calls.clear()
+        omega_coefficients(EllipticPoint(s, r), 8, ctx)
+        n_min = int(abs(r)) + 1
+        assert 0 < len(calls) <= 2 * (ctx.lattice_cutoff + n_min) + 1
 
 
 # ------------------------------------------------------------------- kernel F
@@ -242,7 +276,7 @@ def test_kernel_series_leading_term(ctx):
     ser = kronecker._F_series(xi, 6, ctx)  # alpha^-1 .. alpha^5
     assert len(ser) == 7
     assert abs(ser[0] - 1.0) < 1e-14
-    assert abs(ser[1] - complex(eisenstein_E(1, xi, ctx))) < 1e-12
+    assert abs(ser[1] - complex(eisenstein_E(1, xi, ctx)[-1])) < 1e-12
 
 
 def test_kernel_quasi_periodicity(ctx):
@@ -313,7 +347,7 @@ def test_fay_derivative_corollary(ctx):
 
     lhs = F(xi, h1, ctx) * d2F(xi, h2) - d2F(xi, h1) * F(xi, h2, ctx)
     rhs = F(xi, h1 + h2, ctx) * (
-        eisenstein_E(2, h1, ctx) - eisenstein_E(2, h2, ctx)
+        eisenstein_E(2, h1, ctx)[-1] - eisenstein_E(2, h2, ctx)[-1]
     )
     assert abs(lhs - rhs) < 1e-7 * max(1, abs(lhs))
 
@@ -360,6 +394,82 @@ def test_unsettled_q_series_refused():
 
 
 # ------------------------------------------------------------------ one-forms
+
+
+# (tau, xi, eta, digits, F by theta_ratio, F by double_q_series, omega up to
+# K = 8), recorded when each E_j walked the lattice rows on its own; the shared
+# walk keeps every E_j's rows, order and stop row, so the values hold exactly.
+# At 30 digits F is (real, imag) as decimal strings that round-trip.
+OMEGA_GOLDEN = [
+    ((0.1+0.8j), (0.31, 0.17), (0.22, -0.05), 15,
+     (5.277262857837642-0.708303200356511j),
+     (5.277262857837642-0.708303200356512j),
+     [(1+0j), (1.6052705843991317-0.5346864402754892j), (-2.1640870124803664+1.1522362053419284j), (-2.4026038191897023-3.4213723201951933j), (0.1108954231975563+1.5844670772878566j), (4.29195404574667+1.0826802171305234j), (-3.0213000518859756-2.5580167380818306j), (-5.653353967151162-8.229707578394907j), (1.6761632648453517+3.170775259080518j)]),
+    ((0.1+0.8j), (0.31, 0.17), (0.22, -0.05), 30,
+     ('5.27726285783764251355241266981464', '-0.70830320035651141833355335199949'),
+     ('5.2772628578376425899948753827117', '-0.708303200356511990666209928102645'),
+     [(1+0j), (1.6052705843991315-0.534686440275488j), (-2.164087012480367+1.15223620534193j), (-2.4026038191897046-3.421372320195203j), (0.11089542319756492+1.5844670772878413j), (4.291954045746697+1.0826802171305372j), (-3.0213000518857407-2.558016738081806j), (-5.65335396715079-8.22970757839454j), (1.67616326484268+3.1707752590816884j)]),
+    ((0.1+0.8j), (0.31, 1.17), (0.62, -0.35), 15,
+     (-0.20952195491193784+0.009103783862091864j),
+     (-0.20952195491193776+0.00910378386209175j),
+     [(1+0j), (1.605270584399131-0.5346864402754896j), (-2.164087012480369+1.152236205341925j), (-2.402603819189686-3.421372320195232j), (0.11089542319754742+1.5844670772878828j), (4.291954045746451+1.082680217131042j), (-3.0213000518851914-2.5580167380818466j), (-5.653353967149087-8.229707578395619j), (1.6761632648456555+3.1707752590823475j)]),
+    ((0.1+0.8j), (0.31, 1.17), (0.62, -0.35), 30,
+     ('-0.209521954911937733779302134535882', '0.00910378386209175992878468823958636'),
+     ('-0.209521954911937700575828653353603', '0.00910378386209176839358959762793868'),
+     [(1+0j), (1.6052705843991317-0.5346864402754878j), (-2.1640870124803677+1.1522362053419297j), (-2.4026038191897037-3.4213723201952027j), (0.11089542319756371+1.584467077287841j), (4.291954045746697+1.0826802171305379j), (-3.0213000518857416-2.5580167380818057j), (-5.65335396715079-8.22970757839454j), (1.6761632648426792+3.1707752590816884j)]),
+    ((0.1+0.8j), (-0.4, 2.3), (0.13, -1.45), 15,
+     (1.530092410616676e-07-4.3012155157698855e-08j),
+     (1.530092410616673e-07-4.3012155157698716e-08j),
+     [(1+0j), (-0.7914054832349711-0.5026715960046726j), (-1.7047527404342304-1.3489289261319453j), (1.9276279073154257-1.6426329366865957j), (4.580371664640552+1.3299509632976196j), (-2.3764987826717743-4.60013509260807j), (-3.4974060857493896-3.4078920559504695j), (3.4760642083019775+2.1736366784898564j), (5.229513241225504+7.824549479919369j)]),
+    ((0.1+0.8j), (-0.4, 2.3), (0.13, -1.45), 30,
+     ('0.000000153009241061667161452621534877029', '-0.0000000430121551576987380714672522742375'),
+     ('0.000000153009241061667161452621534877053', '-0.0000000430121551576987380714672522742551'),
+     [(1+0j), (-0.7914054832349707-0.5026715960046737j), (-1.7047527404342333-1.3489289261319437j), (1.927627907315448-1.6426329366865926j), (4.580371664641216+1.329950963297929j), (-2.376498782673486-4.600135092603319j), (-3.497406085737551-3.4078920559635035j), (3.476064208348698+2.1736366782794967j), (5.2295132409664555+7.824549480237023j)]),
+    ((-0.2+0.45j), (0.62, 0.55), (0.27, 0.33), 15,
+     (0.14298494090370323-2.2982277348072855j),
+     (0.14298494090370362-2.2982277348072904j),
+     [(1+0j), (-1.4349135497651195+0.7630797862958105j), (-3.6961013497160202+4.96534352051704j), (4.006700576486217-8.05854402260396j), (0.16228199824192124-21.995113733663956j), (24.959319979476092+38.87452088258952j), (87.82936977819227+60.370882338805615j), (-189.4054273784888-42.589854980911355j), (-408.59351303366293+82.09458060714968j)]),
+    ((-0.2+0.45j), (0.62, 0.55), (0.27, 0.33), 30,
+     ('0.142984940903704420664773539294372', '-2.2982277348072875774926474107146'),
+     ('0.142984940903704872345050800280216', '-2.2982277348072873075048266287461'),
+     [(1+0j), (-1.4349135497651209+0.7630797862958097j), (-3.6961013497160193+4.965343520517044j), (4.0067005764862325-8.058544022603963j), (0.1622819982418959-21.995113733663967j), (24.95931997947604+38.8745208825895j), (87.82936977819257+60.37088233880563j), (-189.4054273784887-42.589854980910786j), (-408.5935130336646+82.09458060715058j)]),
+    ((-0.2+0.45j), (0.8, -1.6), (0.45, 1.2), 15,
+     (-0.014887422472243582-1.543885537991453e-05j),
+     (-0.0148874224722436-1.5438855379908828e-05j),
+     [(1+0j), (-2.3616932566745152+1.5039311518806056j), (2.9504195658140873-1.708961381959412j), (7.573585152415205-18.63104712655121j), (1.5066172277975056+5.464849253532634j), (33.317390367154076+55.67576914377901j), (-34.71578837322431-24.5380617227911j), (-265.91781135936253-59.656512840347204j), (173.10593155313472-32.98101937900174j)]),
+    ((-0.2+0.45j), (0.8, -1.6), (0.45, 1.2), 30,
+     ('-0.0148874224722435932656973083482347', '-0.0000154388553798980802687964972526211'),
+     ('-0.0148874224722435951375525686707746', '-0.0000154388553798989693584795000579475'),
+     [(1+0j), (-2.3616932566745152+1.5039311518806124j), (2.9504195658140726-1.708961381959426j), (7.5735851524152595-18.63104712655124j), (1.506617227797614+5.464849253532437j), (33.317390367153685+55.67576914378042j), (-34.71578837322437-24.538061722787123j), (-265.91781135935327-59.65651284034837j), (173.1059315531553-32.98101937902319j)]),
+    ((0.25+1.2j), (0.13, 3.4), (-0.71, -2.2), 15,
+     (2.0067463075921044e-25+9.767676668113577e-25j),
+     (2.006746307592144e-25+9.7676766681136e-25j),
+     [(1+0j), (0.29975467929567834-0.5835584900575626j), (1.7633506466260371+0.8087879574733083j), (-0.9112653544667921-1.4089046811211574j), (0.922020404763316-0.9025519414179257j), (0.4290459821595505-0.548671523341909j), (1.9859181252832059+0.3523477088092477j), (-0.03351116957492195-1.5232879156828858j), (1.6079773764358833-0.14489807368954644j)]),
+    ((0.25+1.2j), (0.13, 3.4), (-0.71, -2.2), 30,
+     ('2.00674630759211220236397017204073e-25', '9.76767666811359498175825526021066e-25'),
+     ('2.00674630759211220236397017204909e-25', '9.76767666811359498175825526014214e-25'),
+     [(1+0j), (0.29975467929567834-0.5835584900575658j), (1.7633506466260687+0.8087879574733072j), (-0.9112653544668077-1.408904681120277j), (0.9220204047529708-0.902551941417988j), (0.42904598215873063-0.5486715234115217j), (1.985918125787182+0.3523477088033095j), (-0.03351116958704031-1.5232879098327456j), (1.6079773661232664-0.1448980730560646j)]),
+]
+
+
+@pytest.mark.parametrize(
+    "case", OMEGA_GOLDEN, ids=[f"tau{c[0]}-r{c[1][1]}-{c[3]}d" for c in OMEGA_GOLDEN]
+)
+def test_omega_golden_values(case):
+    tau, x, e, digits, f_theta, f_q, omega = case
+    ctx = LatticeContext(tau, digits)
+    if digits > 16:
+        f_theta, f_q = ctx.prec.complex(*f_theta), ctx.prec.complex(*f_q)
+    xi, eta = EllipticPoint(*x), EllipticPoint(*e)
+    assert kronecker_F(xi, eta, ctx, "theta_ratio") == f_theta
+    assert kronecker_F(xi, eta, ctx, "double_q_series") == f_q
+    assert omega_coefficients(xi, 8, ctx) == omega
+
+
+def test_omega_negative_order_refused(ctx):
+    for K in (-1, -3):
+        with pytest.raises(ValueError, match="K must be"):
+            omega_coefficients(EllipticPoint(0.31, 0.17), K, ctx)
 
 
 def test_omega_leading_coefficient_is_one(ctx):
