@@ -142,7 +142,7 @@ class LatticeContext:
         return self.prec.e(x)
 
     def __repr__(self):
-        return f"LatticeContext(tau={complex(self.tau)!r}, |q|={abs(self.q):.4g})"
+        return f"LatticeContext(tau={complex(self.tau)!r}, |q|={float(abs(self.q)):.4g})"
 
 
 # ----------------------------------------------------------------- theta

@@ -28,8 +28,8 @@ from .quadrature import (
     BranchedForm,
     Levels,
     LineArc,
-    PathSpec,
     SpiralArc,
+    check_clearance,
     convolve_product,
     iterated_integral,
 )
@@ -256,7 +256,8 @@ def _form(arc, K):
 
 class _RatioArc:
     """u -> (arc(u) / t)**s, s = +1 or -1: a coordinate ratio while one
-    coordinate moves along arc and the other stays at t (log log_t)."""
+    coordinate moves along a line arc and the other stays at t (log log_t).
+    Spiral legs need no such class: their ratios are spirals themselves."""
 
     def __init__(self, arc, s, t, log_t):
         self.arc = arc
@@ -277,38 +278,60 @@ class _RatioArc:
         return self.arc.suggested_panels()
 
 
-def _check_clear(arcs):
-    PathSpec(arcs, singular=(1.0,), clearance=CLEARANCE).validate()
-
-
-def _spine(arcs):
-    return PathSpec([max(arcs, key=lambda a: a.suggested_panels())])
-
-
 def _rebase(arc, t, l):
-    """Attach the current branch to an arc starting at t."""
+    """Attach the current branch l to an arc starting at t."""
+    if not isinstance(arc, (LineArc, SpiralArc)):
+        raise TypeError(f"unsupported arc type {type(arc).__name__}")
+    if abs(arc.point(0.0) - t) > 1e-9 * max(1.0, abs(t)):
+        raise ValueError("arc does not start at the current point")
     if isinstance(arc, LineArc):
-        if abs(arc.z0 - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError("arc does not start at the current point")
         return LineArc(arc.z0, arc.z1, start_log=l)
-    if isinstance(arc, SpiralArc):
-        if abs(arc.point(0.0) - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError("arc does not start at the current point")
-        return SpiralArc(t, arc.m, arc.log_q / (2j * math.pi), log_t=l)
-    raise TypeError(f"unsupported arc type {type(arc).__name__}")
+    return SpiralArc(l, arc.dlog)
 
 
-def _advance(series, arcs, ratios, tag):
+def _advance(series, arcs, tag):
     """The series after one adaptive pass along a leg: arcs[i] moves
-    coordinate i (None keeps it fixed), ratios is () at depth 1 and the
-    ratio arcs at depth 2 (see _leg2).  The channels c_i(u) = c_i + int w_i,
-    w_i the form of arc_i and 0 for a fixed coordinate, are the state; at
-    depth 1 the one channel is the coefficient column."""
-    chans = [series.coeffs] if series.depth == 1 else series.channels
-    K = series.order()
+    coordinate i from its current value and branch, None keeps it fixed.
+
+    The channels c_i(u) = c_i + int w_i, w_i the form of arc_i and 0 for a
+    fixed coordinate, are the state; at depth 1 the one channel is the
+    coefficient column.  At depth 2 they are carried at padded order
+    Kp >= 2K-1 (the next leg needs them), next to the table on its K x K
+    window, whose increment moves by
+
+        d' = rows(a) * spread(c2(u)) + cols(w2) * rows(c1(u)) - cols(c) * spread(c1(u))
+
+    with a, c the forms of the ratio arcs of t1/t2 and t2/t1, * the
+    truncated-series product, rows / cols a column laid along b1 / b2, and
+    spread its re-expansion from b1 + b2 (exact on the window from the first
+    2K-1 entries).  With a fixed coordinate read as the spiral SpiralArc(l,
+    0), two spirals have the spiral (l_a - l_b, d_a - d_b) as their ratio; a
+    line leg's ratios are its pointwise quotients by the fixed coordinate.
+    One pass, accepted over the whole state, carries it all along the arc
+    with the most suggested panels, and every arc must keep CLEARANCE from 1.
+    """
+    ts, logs, K = series.point.ts, series.logs, series.order()
+    arcs = [a if a is None else _rebase(a, t, l) for a, t, l in zip(arcs, ts, logs)]
     moving = [i for i, arc in enumerate(arcs) if arc is not None]
-    spine = [arcs[i] for i in moving] + list(ratios)
-    _check_clear(spine)
+    if series.depth == 1:
+        chans, ratios = [series.coeffs], []
+    else:
+        if series.channels is None:
+            raise ValueError("depth-2 series without transport channels")
+        chans = series.channels
+        if min(len(c) for c in chans) < 2 * K - 1:
+            raise ValueError("channels shorter than 2K-1: rectangle would go stale")
+        a, b = (SpiralArc(l, 0.0) if arc is None else arc for arc, l in zip(arcs, logs))
+        if isinstance(a, SpiralArc) and isinstance(b, SpiralArc):
+            ratios = [SpiralArc(a.log_t - b.log_t, a.dlog - b.dlog),
+                      SpiralArc(b.log_t - a.log_t, b.dlog - a.dlog)]
+        else:  # one line leg against the other coordinate, held fixed
+            (i,) = moving
+            sign = 1 - 2 * i
+            ratios = [_RatioArc(arcs[i], sign, ts[1 - i], logs[1 - i]),
+                      _RatioArc(arcs[i], -sign, ts[1 - i], logs[1 - i])]
+    spine = [arcs[i] for i in moving] + ratios
+    check_clearance(spine, 1.0, CLEARANCE)
     forms = [_form(arcs[i], len(chans[i])) for i in moving] + [_form(arc, K) for arc in ratios]
 
     def channel(i):
@@ -330,74 +353,25 @@ def _advance(series, arcs, ratios, tag):
     levels = [(c, channel(i)) for i, c in enumerate(chans)]
     if ratios:
         levels.append((series.coeffs, table))
-    ends = iterated_integral(_spine(spine), Levels(forms, levels), tol=DEFAULT_TOL)
-    logs, ts = list(series.logs), list(series.point.ts)
+    path = [max(spine, key=lambda a: a.suggested_panels())]
+    ends = iterated_integral(path, Levels(forms, levels), tol=DEFAULT_TOL)
+    logs, ts = list(logs), list(ts)
     for i in moving:
         logs[i], ts[i] = arcs[i].log_point(1.0), arcs[i].point(1.0)
     chans = tuple(ends[:2]) if ratios else None  # at depth 1, ends[-1] is the column
     return DebyeSeries(SimplicialPoint(ts), ends[-1], logs, chans, tag)
 
 
-def _leg_depth1(series, arc, tag):
-    return _advance(series, [_rebase(arc, series.point.ts[0], series.logs[0])], (), tag)
-
-
-def _leg2(series, arcs, ratios, tag):
-    """A depth-2 leg along arcs (arc1, arc2) of t1 and t2, None where fixed,
-    with ratios (arc_a, arc_c) the matching paths of t1/t2 and t2/t1.  One
-    adaptive pass, accepted over the whole state, carries the channels
-    c_i(u) at padded order Kp >= 2K-1 (the next leg needs them) and the
-    table on its K x K window, whose increment moves by
-
-        d' = rows(a) * spread(c2(u)) + cols(w2) * rows(c1(u)) - cols(c) * spread(c1(u))
-
-    with a, c the forms of arc_a, arc_c, * the truncated-series product,
-    rows / cols a column laid along b1 / b2, and spread its re-expansion
-    from b1 + b2 (exact on the window from the first 2K-1 entries)."""
-    if series.channels is None:
-        raise ValueError("depth-2 series without transport channels")
-    if min(len(c) for c in series.channels) < 2 * series.order() - 1:
-        raise ValueError("channels shorter than 2K-1: rectangle would go stale")
-    return _advance(series, arcs, ratios, tag)
-
-
-def _leg_axis(series, j, arc, tag):
-    """Move coordinate j of a depth-2 series along an arc; the ratio t1/t2
-    is (arc/t)^s, with t the other coordinate and s = +1 for j = 1, -1 for
-    j = 2, and t2/t1 its inverse."""
-    if j not in (1, 2):
-        raise ValueError("coordinate index must be 1 or 2")
-    ts, logs = series.point.ts, series.logs
-    s, t, l = 3 - 2 * j, ts[2 - j], logs[2 - j]
-    arc = _rebase(arc, ts[j - 1], logs[j - 1])
-    arcs = (arc, None) if j == 1 else (None, arc)
-    return _leg2(series, arcs, (_RatioArc(arc, s, t, l), _RatioArc(arc, -s, t, l)), tag)
-
-
-def _leg_diag(series, m, tau, tag):
-    """Move both coordinates simultaneously along their spirals."""
-    (l1, l2), (t1, t2) = series.logs, series.point.ts
-    arcs = SpiralArc(t1, m[0], tau, log_t=l1), SpiralArc(t2, m[1], tau, log_t=l2)
-    ratios = (
-        SpiralArc(t1 / t2, m[0] - m[1], tau, log_t=l1 - l2),
-        SpiralArc(t2 / t1, m[1] - m[0], tau, log_t=l2 - l1),
-    )
-    return _leg2(series, arcs, ratios, tag)
-
-
 def _legs(series, legs, tag):
-    """The leg loop: arcs (depth 1) or (j, arc) pairs (depth 2), taken in
-    order.  Every leg's result carries tag, so the last one is the answer;
-    without legs it is a fresh series at the same state."""
+    """The leg loop: legs are tuples of one arc or None per coordinate,
+    taken in order.  Every leg's result carries tag, so the last one is the
+    answer; without legs it is a fresh series at the same state."""
     if not legs:
         return DebyeSeries(series.point, series.coeffs, series.logs, series.channels, tag)
     if 0 in series.point.ts:
         raise OutOfRegion("zero coordinate has no log branch to continue from")
-    for leg in legs:
-        if series.depth == 1:
-            series = _leg_depth1(series, leg, tag)
-        else:
-            series = _leg_axis(series, *leg, tag)
+    for arcs in legs:
+        series = _advance(series, arcs, tag)
     return series
 
 
@@ -405,14 +379,19 @@ def continue_debye(series, legs):
     """Continue a Debye series along coordinate legs.
 
     legs: for depth 1 a list of arcs; for depth 2 a list of (j, arc) with
-    j in {1, 2} naming the moving coordinate.  Branch data is taken from
-    the series; each arc must start at the current coordinate value.  The
-    input series is left as it was.  Every leg is one adaptive pass to
+    j in {1, 2} naming the moving coordinate.  An arc is a LineArc or a
+    SpiralArc; only its start point and shape are read, and it must start
+    at the current coordinate value, whose branch it continues.  The input
+    series is left as it was.  Every leg is one adaptive pass to
     DEFAULT_TOL, the depth-2 table on its K x K window, and every arc must
     keep CLEARANCE from 1 at its closest approach.
     """
     tag = series.branch_tag + f" -> continued[{len(legs)} legs]"
-    return _legs(series, legs, tag)
+    if series.depth == 1:
+        return _legs(series, [(arc,) for arc in legs], tag)
+    if any(j not in (1, 2) for j, _ in legs):
+        raise ValueError("coordinate index must be 1 or 2")
+    return _legs(series, [(arc, None) if j == 1 else (None, arc) for j, arc in legs], tag)
 
 
 def transport_debye(shift, K, route="diagonal"):
@@ -428,14 +407,12 @@ def transport_debye(shift, K, route="diagonal"):
         raise ValueError(f"unknown route {route!r}")
     shift.validate()
     base = debye_lambda(shift.base.depth, shift.base, K)
-    tau = complex(shift.context.tau)
+    log_q = 2j * np.pi * complex(shift.context.tau)
+    arcs = [SpiralArc(l, m * log_q) for l, m in zip(base.logs, shift.m)]
     tag = f"transported[spiral m={shift.m} route={route}] <- origin-canonical"
-    if base.depth == 1:
-        legs = [SpiralArc(base.point.ts[0], shift.m[0], tau)]
-    elif route == "diagonal":
-        return _leg_diag(base, shift.m, tau, tag)
-    else:
-        legs = [(j, SpiralArc(t, m, tau)) for j, t, m in zip((1, 2), base.point.ts, shift.m)]
+    legs = [tuple(arcs)]
+    if route == "axes":  # one leg per coordinate, the others held fixed
+        legs = [tuple(a if i == j else None for i, a in enumerate(arcs)) for j in range(len(arcs))]
     return _legs(base, legs, tag)
 
 

@@ -1,10 +1,12 @@
 """Complex path quadrature and iterated integrals.
 
-Paths are chains of smooth arcs: straight segments and q-power spirals
-u -> q^(u*m) * t (the continuation paths used by the lattice-shift
-transports; their logarithm is linear in the parameter, which is what makes
-branch tracking trivial).  Every arc exposes point / velocity / log_point,
-and a PathSpec bundles arcs with the singular set it promised to avoid.
+A path is a plain list of smooth arcs, each exposing point / velocity /
+log_point / suggested_panels on the parameter u in [0, 1]: straight
+segments, and log-linear arcs u -> exp(log_t + u*dlog), the q-power
+spirals of the lattice-shift transports (dlog = m*2*pi*i*tau; their
+logarithm is linear in the parameter, which makes branch tracking trivial,
+and a fixed point is the arc with dlog = 0).  check_clearance refuses a
+path that comes too close to a singular point.
 
 Integration is composite Gauss-Legendre over levels.  Each level has a
 start value and an integrand computed from the panel's form samples and
@@ -42,7 +44,7 @@ from .errors import PathTooClose, QuadratureDiverged
 
 PANEL_ORDER = 16
 MAX_DEPTH = 12  # bisections of one starting panel before QuadratureDiverged
-CLEARANCE_SAMPLES = 33  # points per panel and refinement round of PathSpec.validate
+CLEARANCE_SAMPLES = 33  # points per panel and refinement round of check_clearance
 CLEARANCE_ROUNDS = 9  # refinement rounds: a 16-fold narrower bracket each
 
 
@@ -89,48 +91,36 @@ class LineArc:
 
 
 class SpiralArc:
-    """u -> exp(log_t + u * m * log_q), the q-power spiral from t to q^m t
-    with integer (or real) exponent slope m."""
+    """The log-linear arc u -> exp(log_t + u * dlog), on the branch log_t
+    at u = 0: the q-power spiral from t to q^m t is SpiralArc(log t,
+    m * 2*pi*i*tau), and a coordinate held fixed is SpiralArc(log t, 0)."""
 
-    def __init__(self, t, m, tau, log_t=None):
-        self.log_q = 2j * np.pi * complex(tau)
-        self.log_t = complex(log_t) if log_t is not None else complex(np.log(complex(t)))
-        self.m = m
+    def __init__(self, log_t, dlog):
+        self.log_t = complex(log_t)
+        self.dlog = complex(dlog)
 
     def log_point(self, u):
-        return self.log_t + u * self.m * self.log_q
+        return self.log_t + u * self.dlog
 
     def point(self, u):
         return np.exp(self.log_point(u))
 
     def velocity(self, u):
-        return self.point(u) * (self.m * self.log_q)
+        return self.point(u) * self.dlog
 
     def suggested_panels(self):
-        span = abs(self.m) * abs(self.log_q) / (2 * np.pi)
-        return max(1, int(np.ceil(span)))
+        return max(1, int(np.ceil(abs(self.dlog) / (2 * np.pi))))
 
 
-class PathSpec:
-    """A chain of arcs plus the singular set the path must stay clear of."""
-
-    def __init__(self, arcs, singular=(), clearance=1e-3):
-        self.arcs = list(arcs)
-        self.singular = [complex(s) for s in singular]
-        self.clearance = float(clearance)
-
-    def validate(self):
-        """PathTooClose if an arc's closest approach to a singular point is
-        within the clearance."""
-        for arc in self.arcs:
-            for s in self.singular:
-                d = _closest_approach(arc, s, self.clearance)
-                if d < self.clearance:
-                    raise PathTooClose(
-                        f"arc passes within {d:.2e} of singular point {s} "
-                        f"(clearance {self.clearance:.2e})"
-                    )
-        return self
+def check_clearance(arcs, s, clearance):
+    """PathTooClose if an arc's closest approach to the point s is within
+    clearance."""
+    for arc in arcs:
+        d = _closest_approach(arc, s, clearance)
+        if d < clearance:
+            raise PathTooClose(
+                f"arc passes within {d:.2e} of singular point {s} (clearance {clearance:.2e})"
+            )
 
 
 def _closest_approach(arc, s, clearance, us=None, rounds=CLEARANCE_ROUNDS):
@@ -213,12 +203,12 @@ def _diff(a, b):
     return float(np.max(np.abs(d)))
 
 
-def iterated_integral(path, forms, tol=1e-11):
-    """Iterated integral along `path` of the chain `forms` (w_1 outermost;
-    one form is the contour integral, none integrates to 1), or the list of
-    end values of a Levels system, one per level.  Every form of a chain
-    but the innermost w_n is a convolve_product factor: a scalar, or
-    coefficients along one axis.
+def iterated_integral(arcs, forms, tol=1e-11):
+    """Iterated integral along the path `arcs` (a list of arcs, taken in
+    order) of the chain `forms` (w_1 outermost; one form is the contour
+    integral, none integrates to 1), or the list of end values of a Levels
+    system, one per level.  Every form of a chain but the innermost w_n is
+    a convolve_product factor: a scalar, or coefficients along one axis.
 
     tol is a panel-wise test over the whole state, not a bound on the
     returned value's error: a panel is accepted when the largest
@@ -231,7 +221,7 @@ def iterated_integral(path, forms, tol=1e-11):
     if not system.levels:
         return 1.0
     state = [start for start, _ in system.levels]
-    for arc in path.arcs:
+    for arc in arcs:
         p = arc.suggested_panels()
         stack = [(k / p, (k + 1) / p, 0) for k in reversed(range(p))]
         while stack:

@@ -12,8 +12,8 @@ reaches outside that window: lo >= min_order and lo + extent - 1 <= max_order.
 
 The operations are the ones the asymptotic assembly needs: series + series,
 series * series, scalar * series, exp of a linear series (the leading
-monomials' exponents, linear forms in the label variables), coefficient
-lookup and numeric evaluation, plus exp_column, the one-variable exponential
+monomials' exponents, linear forms in the label variables) and coefficient
+lookup, plus exp_column, the one-variable exponential
 column that the transport forms share.  `terms` is a read-only dict view
 of the nonzero coefficients, {exponent tuple of ints: complex}.
 
@@ -125,9 +125,6 @@ class MultiSeries:
         exps = zip(*((i + l).tolist() for i, l in zip(idx, self.lo)))
         return MappingProxyType(dict(zip(exps, self.a[idx].tolist())))
 
-    def is_zero(self):
-        return not self.a.any()
-
     def coeff(self, e):
         """Coefficient of the monomial with exponent tuple e (0 if absent)."""
         if len(e) != len(self.vars):
@@ -217,15 +214,6 @@ class MultiSeries:
             out = np.multiply.outer(out, exp_column(ci, m + 1 if ci != 0 else 1))
         zero = (0,) * n
         return MultiSeries._of(self.vars, out, zero, self.max_order, zero)
-
-    # ------------------------------------------------------------ evaluation
-    def eval_at(self, values):
-        """Numeric evaluation; values maps every variable to a number."""
-        out = self.a
-        for v, l in zip(self.vars, self.lo):
-            powers = complex(values[v]) ** np.arange(l, l + out.shape[0])
-            out = np.tensordot(powers, out, axes=(0, 0))
-        return complex(out)
 
 
 def exp_column(x, n):

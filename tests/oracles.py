@@ -16,6 +16,8 @@ pytest's test_*.py pattern, so nothing here is collected.
 * debye_coefficients: the depth-2 Debye coefficients at a point of the unit
   polydisk on given log branches, from simplicial_nested; the oracle of
   test_transport_meets_default_tol (test_polylog.py).
+* eval_at: a MultiSeries evaluated at a point, for the evaluation checks
+  of test_series.py and the direct-sum checks of test_polylog.py.
 * delta_prime, apply_delta, iterated_delta: the full coproduct and its
   iterates.  iterated_delta(sym, 3) followed by the essential / regular /
   essential filter is the oracle of hopf.assemble_asymptotic, which builds
@@ -75,6 +77,15 @@ def debye_coefficients(ts, logs, K):
         for v in range(K):
             out[u:, v:] += pref[0][u] * pref[1][v] * body[: K - u, : K - v]
     return out
+
+
+def eval_at(series, values):
+    """Numeric value of a MultiSeries; values maps every variable to a number."""
+    out = series.a
+    for v, l in zip(series.vars, series.lo):
+        powers = complex(values[v]) ** np.arange(l, l + out.shape[0])
+        out = np.tensordot(powers, out, axes=(0, 0))
+    return complex(out)
 
 
 def _delta_full(sym):

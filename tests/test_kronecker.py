@@ -46,6 +46,13 @@ def test_precision_context_shared_per_digit_count():
     assert LatticeContext(TAU, 15).prec is get_context(15)
 
 
+@pytest.mark.parametrize("digits", [15, 30])
+def test_context_repr(digits):
+    """The repr formats |q| as a float at every precision (an mpf refuses
+    the :g format)."""
+    assert repr(LatticeContext(TAU, digits)) == "LatticeContext(tau=(0.1+0.8j), |q|=0.006561)"
+
+
 def test_bad_modulus_rejected():
     with pytest.raises(BadModulus):
         LatticeContext(0.5 - 0.3j)

