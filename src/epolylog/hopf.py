@@ -4,7 +4,8 @@ Symbols (t_{i_1}:...:t_{i_l}; labels) with integer labels summing to zero
 (a non-integral label entry stays an exact Fraction), directed consecutive
 strings, admissible collections, the reduced coproduct of one symbol, the
 divisor-asymptotics assembly built from it, and the partial-fraction
-identities used for residue bookkeeping.
+identities used for residue bookkeeping.  A string is the plain tuple of its
+1-based positions in the symbol, in the order it runs.
 Everything here is exact; numeric realizations are supplied by callers as
 callbacks.
 """
@@ -34,6 +35,13 @@ def _vec(width, entries=None):
 
 def _vec_add(a, b):
     return tuple(x + y for x, y in zip(a, b))
+
+
+def _vec_add_many(vecs):
+    out = vecs[0]
+    for v in vecs[1:]:
+        out = _vec_add(out, v)
+    return out
 
 
 def _vec_neg(a):
@@ -83,10 +91,7 @@ class ASymbol:
         width = len(self.labels[0])
         if any(len(lab) != width for lab in self.labels):
             raise ValueError("ragged label vectors")
-        total = self.labels[0]
-        for lab in self.labels[1:]:
-            total = _vec_add(total, lab)
-        if any(c != 0 for c in total):
+        if any(c != 0 for c in _vec_add_many(self.labels)):
             raise ValueError("labels must sum to zero")
 
     @property
@@ -121,83 +126,31 @@ def canonical_symbol(n):
     return ASymbol(range(1, n + 1), labels)
 
 
-def _vec_add_many(vecs):
-    out = vecs[0]
-    for v in vecs[1:]:
-        out = _vec_add(out, v)
-    return out
-
-
-class StringSym:
-    """A directed run of consecutive positions inside a length-m symbol.
-
-    Positions are 1-based, strictly consecutive (ascending or descending),
-    of length l with 2 <= l < m, and the first position is never m.
-    """
-
-    __slots__ = ("positions", "total")
-
-    def __init__(self, positions, total):
-        self.positions = tuple(int(p) for p in positions)
-        self.total = int(total)
-        l = len(self.positions)
-        if not 2 <= l < self.total:
-            raise ValueError("string length out of range")
-        steps = {b - a for a, b in zip(self.positions, self.positions[1:])}
-        if steps not in ({1}, {-1}):
-            raise ValueError("positions must be consecutive in one direction")
-        if self.positions[0] == self.total:
-            raise ValueError("string may not start at the final position")
-        if not all(1 <= p <= self.total for p in self.positions):
-            raise ValueError("position out of range")
-
-    @property
-    def last(self):
-        return self.positions[-1]
-
-    @property
-    def increasing(self):
-        return self.positions[1] > self.positions[0]
-
-    @property
-    def sign(self):
-        return 1 if self.increasing else (-1) ** (len(self.positions) - 1)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, StringSym)
-            and self.positions == other.positions
-            and self.total == other.total
-        )
-
-    def __hash__(self):
-        return hash((self.positions, self.total))
-
-    def __repr__(self):
-        return f"S{self.positions}"
-
-
 def enumerate_strings(total):
-    """All valid strings inside a symbol of the given length."""
+    """All strings inside a symbol of the given length: runs of consecutive
+    positions, ascending or descending, of length 2..total-1 that do not
+    start at the final position.  Ordered by lowest, then highest position,
+    the ascending run first."""
     out = []
     for lo in range(1, total + 1):
         for hi in range(lo + 1, total + 1):
-            l = hi - lo + 1
-            if l >= total:
+            if hi - lo + 1 >= total:
                 continue
-            if lo != total:
-                out.append(StringSym(range(lo, hi + 1), total))
+            out.append(tuple(range(lo, hi + 1)))
             if hi != total:
-                out.append(StringSym(range(hi, lo - 1, -1), total))
+                out.append(tuple(range(hi, lo - 1, -1)))
     return out
 
 
+def _string_sign(s):
+    """+1 for an ascending string, (-1)^(l-1) for a descending one of length l."""
+    return 1 if s[1] > s[0] else (-1) ** (len(s) - 1)
+
+
 def _compatible(a, b):
-    sa, sb = set(a.positions), set(b.positions)
-    inter = sa & sb
-    if not inter:
-        return True
-    return inter == {a.last} and a.last == b.last
+    """Disjoint, or sharing exactly their common last position."""
+    inter = set(a) & set(b)
+    return not inter or (inter == {a[-1]} and a[-1] == b[-1])
 
 
 def admissible_collections(total):
@@ -213,7 +166,7 @@ def admissible_collections(total):
         start, chosen = stack.pop()
         for i in range(start, len(strings)):
             s = strings[i]
-            if all(_compatible(s, c) and _compatible(c, s) for c in chosen):
+            if all(_compatible(s, c) for c in chosen):
                 combo = chosen + (s,)
                 out.append(combo)
                 stack.append((i + 1, chosen))
@@ -224,8 +177,8 @@ def admissible_collections(total):
 
 def string_symbol(sym, string):
     """The symbol A_S cut out of `sym` by a string of positions."""
-    ts = tuple(sym.ts[p - 1] for p in string.positions)
-    body = [sym.labels[p - 1] for p in string.positions[:-1]]
+    ts = tuple(sym.ts[p - 1] for p in string)
+    body = [sym.labels[p - 1] for p in string[:-1]]
     beta_s = _vec_add_many(body)
     return ASymbol(ts, body + [_vec_neg(beta_s)])
 
@@ -235,8 +188,8 @@ def _remaining(total, collection):
     uncovered ones and the last position of every string."""
     covered = set()
     for s in collection:
-        covered.update(s.positions)
-    return sorted((set(range(1, total + 1)) - covered) | {s.last for s in collection})
+        covered.update(s)
+    return sorted((set(range(1, total + 1)) - covered) | {s[-1] for s in collection})
 
 
 def _quotient_at(sym, collection, remaining):
@@ -246,8 +199,8 @@ def _quotient_at(sym, collection, remaining):
     for p in remaining:
         lab = sym.labels[p - 1]
         for s in collection:
-            if s.last == p:
-                lab = _vec_add(lab, _vec_add_many([sym.labels[q - 1] for q in s.positions[:-1]]))
+            if s[-1] == p:
+                lab = _vec_add(lab, _vec_add_many([sym.labels[q - 1] for q in s[:-1]]))
         labels.append(lab)
     return ASymbol((sym.ts[p - 1] for p in remaining), labels)
 
@@ -303,36 +256,27 @@ def _delta_prime_symbol(sym, keep):
         remaining = _remaining(sym.length, coll)
         if len(remaining) < 2:
             continue
-        cut = [[sym.ts[p - 1] for p in s.positions] for s in coll]
+        cut = [[sym.ts[p - 1] for p in s] for s in coll]
         if not keep(cut, [sym.ts[p - 1] for p in remaining]):
             continue
         coeff = 1
         for s in coll:
-            coeff *= s.sign
+            coeff *= _string_sign(s)
         left = tuple(sorted(string_symbol(sym, s) for s in coll))
         out.append((coeff, left, _quotient_at(sym, coll, remaining)))
     return out
 
 
-def _essential_ts(ts, J):
+def essential(ts, J):
+    """Point indices ts of a string symbol are essential when every one but
+    the last goes to infinity (lies in J) and the last one stays finite."""
     return ts[-1] not in J and all(i in J for i in ts[:-1])
 
 
-def _regular_ts(ts, J):
+def regular(ts, J):
+    """Point indices ts are regular when all lie inside J or all outside."""
     inside = [i in J for i in ts]
     return all(inside) or not any(inside)
-
-
-def essential(sym, J):
-    """A string symbol is essential when every slot but the last goes to
-    infinity and the last one stays finite.  J is taken as given (a set or
-    frozenset of point indices)."""
-    return _essential_ts(sym.ts, J)
-
-
-def regular(sym, J):
-    """Regular symbols have all slots inside J or all outside."""
-    return _regular_ts(sym.ts, J)
 
 
 def phi_parts(sym):
@@ -360,13 +304,13 @@ def _kept_factor_terms(sym, J):
     """Full coproduct terms (coeff, left, right) of one symbol whose left slot
     is all essential and whose right slot is all regular."""
     out = []
-    if essential(sym, J):
+    if essential(sym.ts, J):
         out.append((1, (sym,), ()))
-    if regular(sym, J):
+    if regular(sym.ts, J):
         out.append((1, (), (sym,)))
 
     def keep(cut, rest):
-        return _regular_ts(rest, J) and all(_essential_ts(ts, J) for ts in cut)
+        return regular(rest, J) and all(essential(ts, J) for ts in cut)
 
     for c, left, q in _delta_prime_symbol(sym, keep):
         out.append((c, left, (q,)))
@@ -375,7 +319,8 @@ def _kept_factor_terms(sym, J):
 
 def assemble_asymptotic(sym, J):
     """The terms of mu_3 (Phi (x) Lambda^reg (x) C) Delta^(3) relative to the
-    set J of indices sent to infinity.
+    set J of indices sent to infinity: a non-empty subset of sym.ts[:-1],
+    since the last slot is the one fixed at 1.
 
     Returns the classified term list [(coeff, phi_slot, lambda_slot, c_slot)]
     in key order: the terms of the iterated coproduct whose phi and C slots
@@ -390,13 +335,13 @@ def assemble_asymptotic(sym, J):
     multiply the values per term (polylog.asymptotic_eval does so
     numerically).
     """
-    if not J:
-        raise ValueError("J must be a non-empty set of point indices")
     J = frozenset(J)
+    if not J or not J <= set(sym.ts[:-1]):
+        raise ValueError(f"J must be a non-empty subset of the point indices {sym.ts[:-1]}")
     firsts = [(1, (sym,), ())]
-    if essential(sym, J):
+    if essential(sym.ts, J):
         firsts.append((1, (), (sym,)))
-    for c, left, q in _delta_prime_symbol(sym, lambda cut, rest: _essential_ts(rest, J)):
+    for c, left, q in _delta_prime_symbol(sym, lambda cut, rest: essential(rest, J)):
         firsts.append((c, left, (q,)))
     el = HopfElement()
     for c0, left, c_slot in firsts:
@@ -438,25 +383,28 @@ def kid_terms(n, which):
     """The alternating partial-fraction sums behind the residue bookkeeping,
     each as a list of (sign, denominator factors) for rational_sum.
 
-    kid1: sum_{i=1}^{n-1} (-1)^{i-1} / (a_[i,2] b_[i+1,n-1]).
-    kid2: for each 1 < k < n-1, the analogous sum with the b_[1,k-1] prefix,
-    summed over i = k..n-1 (the i = k and i = n-1 boundary terms carry empty
-    a / b factors).
+    kid1 (n >= 3): sum_{i=1}^{n-1} (-1)^{i-1} / (a_[i,2] b_[i+1,n-1]).
+    kid2 (n >= 4): for each 1 < k < n-1, the analogous sum with the
+    b_[1,k-1] prefix, summed over i = k..n-1 (the i = k and i = n-1 boundary
+    terms carry empty a / b factors).
     """
+    if which not in ("kid1", "kid2"):
+        raise ValueError(f"unknown identity {which!r}")
+    low = 3 if which == "kid1" else 4
+    if n < low:
+        raise ValueError(f"{which} is an identity for n >= {low}, not n = {n}")
     vars = tuple(f"b{i}" for i in range(1, n + 1))
     if which == "kid1":
         return [[
             ((-1) ** (i - 1), _a_factor(vars, i, 2) + _b_factor(vars, i + 1, n - 1))
             for i in range(1, n)
         ]]
-    if which == "kid2":
-        return [[
-            ((-1) ** ((i - k + 1) % 2),
-             _b_factor(vars, 1, k - 1) + _a_factor(vars, i, k + 1)
-             + _b_factor(vars, i + 1, n - 1))
-            for i in range(k, n)
-        ] for k in range(2, n - 1)]
-    raise ValueError(f"unknown identity {which!r}")
+    return [[
+        ((-1) ** ((i - k + 1) % 2),
+         _b_factor(vars, 1, k - 1) + _a_factor(vars, i, k + 1)
+         + _b_factor(vars, i + 1, n - 1))
+        for i in range(k, n)
+    ] for k in range(2, n - 1)]
 
 
 def kid_identity(n, which):

@@ -46,20 +46,13 @@ class Poly:
     def is_zero(self):
         return not self.terms
 
-    def __bool__(self):
-        return bool(self.terms)
-
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.vars, other)
-        return self.vars == other.vars and self.terms == other.terms
+        return isinstance(other, Poly) and self.vars == other.vars and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.vars, tuple(sorted(self.terms.items()))))
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.vars, other)
         out = dict(self.terms)
         for e, c in other.terms.items():
             s = out.get(e, Fraction(0)) + c
@@ -69,22 +62,7 @@ class Poly:
                 out.pop(e, None)
         return Poly(self.vars, out)
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly(self.vars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.vars, other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Poly(self.vars, {e: c * other for e, c in self.terms.items()})
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -95,14 +73,6 @@ class Poly:
                 else:
                     out.pop(e, None)
         return Poly(self.vars, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        out = Poly.const(self.vars, 1)
-        for _ in range(n):
-            out = out * self
-        return out
 
     def __repr__(self):
         if not self.terms:

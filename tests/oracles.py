@@ -18,11 +18,17 @@ pytest's test_*.py pattern, so nothing here is collected.
   test_transport_meets_default_tol (test_polylog.py).
 * eval_at: a MultiSeries evaluated at a point, for the evaluation checks
   of test_series.py and the direct-sum checks of test_polylog.py.
+* strings, string_sign, collections_by_recursion: the directed strings of
+  a symbol, their signs and their admissible collections, each from its
+  definition and without hopf's enumeration; the oracles of
+  test_string_constraints and test_admissible_collections_order.
 * delta_prime, apply_delta, iterated_delta: the full coproduct and its
-  iterates.  iterated_delta(sym, 3) followed by the essential / regular /
-  essential filter is the oracle of hopf.assemble_asymptotic, which builds
-  only the surviving terms (test_assemble_matches_full_delta3); the
-  coproduct tests of test_hopf.py check the structure of these elements.
+  iterates, on the collections above, with string symbols and quotients cut
+  from their definitions.  iterated_delta(sym, 3) followed by the
+  essential / regular / essential filter is the oracle of
+  hopf.assemble_asymptotic, which builds only the surviving terms
+  (test_assemble_matches_full_delta3); the coproduct tests of test_hopf.py
+  check the structure of these elements.
 * monomial_exponent: the monomial character, invariant under the reduced
   coproduct (test_monomial_character_invariant).
 * point_from_xi: an EllipticPoint from a complex xi, for the kernel tests
@@ -32,8 +38,10 @@ pytest's test_*.py pattern, so nothing here is collected.
 * poly_value: a Poly evaluated at a rational point, for test_rational.py.
 """
 
+import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -88,10 +96,91 @@ def eval_at(series, values):
     return complex(out)
 
 
+@lru_cache(maxsize=None)
+def strings(total):
+    """The directed strings of a length-`total` symbol, by their definition:
+    tuples of 1-based positions of length 2..total-1, consecutive in one
+    direction, that do not start at the final position.  Listed by lowest,
+    then highest position, the ascending run first."""
+    found = [
+        s
+        for l in range(2, total)
+        for s in itertools.permutations(range(1, total + 1), l)
+        if s[0] != total and {b - a for a, b in zip(s, s[1:])} in ({1}, {-1})
+    ]
+    return sorted(found, key=lambda s: (min(s), max(s), s[0] > s[1]))
+
+
+def string_sign(s):
+    """+1 for an ascending string; a descending one of length l has l - 1
+    steps down, each a factor -1."""
+    return 1 if s[0] < s[1] else (-1) ** (len(s) - 1)
+
+
+def _admissible_pair(a, b):
+    """Two strings may sit in one collection when they are disjoint or meet
+    only in a last position they share."""
+    return set(a).isdisjoint(b) or (a[-1] == b[-1] and len(set(a) & set(b)) == 1)
+
+
+@lru_cache(maxsize=None)
+def collections_by_recursion(total):
+    """Non-empty admissible collections in reference order: depth first, each
+    collection extended by the later admissible strings in string order."""
+    found = strings(total)
+
+    def extend(start, chosen):
+        for i in range(start, len(found)):
+            s = found[i]
+            if all(_admissible_pair(s, c) for c in chosen):
+                yield chosen + (s,)
+                yield from extend(i + 1, chosen + (s,))
+
+    return list(extend(0, ()))
+
+
+def _label_sum(sym, positions):
+    """Sum of the labels of sym at the given 1-based positions."""
+    return tuple(sum(col) for col in zip(*(sym.labels[p - 1] for p in positions)))
+
+
+def _cut(sym, s):
+    """A_S: the points of sym along the string, the labels of all but its last
+    position, and minus their sum on the last."""
+    head = [sym.labels[p - 1] for p in s[:-1]]
+    return hopf.ASymbol([sym.ts[p - 1] for p in s], head + [tuple(-c for c in _label_sum(sym, s[:-1]))])
+
+
+def _quotient(sym, coll):
+    """sym / coll on the positions the collection leaves (uncovered, or last
+    in a string), each carrying the labels it absorbs: its own and those of
+    every string position before it in a string ending there; None when fewer
+    than two positions are left."""
+    covered = {p for s in coll for p in s}
+    absorbed = {p: [p] for p in range(1, sym.length + 1) if p not in covered}
+    for s in coll:
+        absorbed.setdefault(s[-1], [s[-1]]).extend(s[:-1])
+    if len(absorbed) < 2:
+        return None
+    kept = sorted(absorbed)
+    return hopf.ASymbol([sym.ts[p - 1] for p in kept], [_label_sum(sym, absorbed[p]) for p in kept])
+
+
+def _reduced(sym):
+    """(coeff, left slot, quotient) of the reduced coproduct of one symbol."""
+    out = []
+    for coll in collections_by_recursion(sym.length):
+        q = _quotient(sym, coll)
+        if q is not None:
+            coeff = math.prod(string_sign(s) for s in coll)
+            out.append((Fraction(coeff), tuple(sorted(_cut(sym, s) for s in coll)), q))
+    return out
+
+
 def _delta_full(sym):
     """Full coproduct of one symbol: 1 (x) sym, sym (x) 1 and the reduced part."""
     terms = [(Fraction(1), (sym,), ()), (Fraction(1), (), (sym,))]
-    terms.extend((c, left, (q,)) for c, left, q in hopf._delta_prime_symbol(sym, lambda cut, rest: True))
+    terms.extend((c, left, (q,)) for c, left, q in _reduced(sym))
     return terms
 
 
@@ -110,7 +199,7 @@ def _delta_slot(slot):
 def delta_prime(sym):
     """Reduced coproduct of a single symbol as a rank-2 element."""
     el = hopf.HopfElement()
-    for coeff, left, q in hopf._delta_prime_symbol(sym, lambda cut, rest: True):
+    for coeff, left, q in _reduced(sym):
         el.add((left, (q,)), coeff)
     return el
 

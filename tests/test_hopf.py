@@ -1,5 +1,7 @@
 import gc
 import itertools
+import json
+import pathlib
 from fractions import Fraction
 from functools import lru_cache
 
@@ -10,7 +12,6 @@ from epolylog.errors import SizeBudgetExceeded
 from epolylog.hopf import (
     ASymbol,
     HopfElement,
-    StringSym,
     admissible_collections,
     assemble_asymptotic,
     canonical_symbol,
@@ -24,7 +25,15 @@ from epolylog.hopf import (
     verify_identities,
 )
 from epolylog.rational import rational_sum
-from oracles import apply_delta, delta_prime, iterated_delta, monomial_exponent
+from oracles import (
+    apply_delta,
+    collections_by_recursion,
+    delta_prime,
+    iterated_delta,
+    monomial_exponent,
+    string_sign,
+    strings,
+)
 
 F = Fraction
 
@@ -52,16 +61,15 @@ def test_symbol_validation():
 
 
 def test_string_constraints():
-    with pytest.raises(ValueError):
-        StringSym((3, 2), 3)
-    with pytest.raises(ValueError):
-        StringSym((1, 3), 4)
-    with pytest.raises(ValueError):
-        StringSym((1, 2, 3), 3)
-    s = StringSym((3, 2, 1), 4)
-    assert s.sign == 1
-    assert StringSym((2, 1), 4).sign == -1
-    assert StringSym((1, 2, 3), 4).sign == 1
+    """enumerate_strings yields exactly the valid strings, in order, and each
+    string's sign is +1 ascending, (-1)^(l-1) descending."""
+    for total in range(2, 8):
+        got = enumerate_strings(total)
+        assert got == strings(total)
+        assert [hopf._string_sign(s) for s in got] == [string_sign(s) for s in got]
+    assert enumerate_strings(4) == [(1, 2), (2, 1), (1, 2, 3), (3, 2, 1), (2, 3), (3, 2), (2, 3, 4), (3, 4)]
+    signs = {(3, 2, 1): 1, (2, 1): -1, (1, 2, 3): 1, (5, 4, 3, 2): -1, (4, 3, 2, 1): -1}
+    assert {s: hopf._string_sign(s) for s in signs} == signs
 
 
 def test_string_count_n4():
@@ -70,32 +78,15 @@ def test_string_count_n4():
 
 def test_admissibility_dichotomy():
     # shared last position is fine, any other overlap is not
-    a = StringSym((1, 2), 4)
-    b = StringSym((3, 2), 4)
-    c = StringSym((2, 3), 4)
     colls = admissible_collections(4)
-    assert any(set(x) == {a, b} for x in colls if len(x) == 2)
-    assert not any(set(x) == {a, c} for x in colls if len(x) == 2)
-
-
-def _collections_by_recursion(total):
-    """Reference order: depth first, each collection extended by the later
-    compatible strings in string order."""
-    strings = enumerate_strings(total)
-
-    def extend(start, chosen):
-        for i in range(start, len(strings)):
-            s = strings[i]
-            if all(hopf._compatible(s, c) and hopf._compatible(c, s) for c in chosen):
-                yield chosen + (s,)
-                yield from extend(i + 1, chosen + (s,))
-
-    return list(extend(0, ()))
+    assert any(set(x) == {(1, 2), (3, 2)} for x in colls if len(x) == 2)
+    assert not any(set(x) == {(1, 2), (2, 3)} for x in colls if len(x) == 2)
+    assert not any(set(x) == {(1, 2), (2, 1)} for x in colls if len(x) == 2)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_admissible_collections_order(n):
-    assert admissible_collections(n) == _collections_by_recursion(n)
+    assert admissible_collections(n) == collections_by_recursion(n)
 
 
 def test_assembly_leaves_no_reference_cycles():
@@ -276,6 +267,15 @@ def test_kid_identities():
         verify_identities(4, "diff_vs_coproduct")
 
 
+@pytest.mark.parametrize("which, n", [("kid1", 1), ("kid1", 2), ("kid2", 2), ("kid2", 3)])
+def test_kid_identities_refuse_n_outside_their_range(which, n):
+    low = 3 if which == "kid1" else 4
+    with pytest.raises(ValueError, match=f"{which} is an identity for n >= {low}"):
+        verify_identities(n, which)
+    with pytest.raises(ValueError, match=f"{which} is an identity for n >= {low}"):
+        kid_terms(n, which)
+
+
 def test_kid_sums_nontrivial():
     # dropping one term must break the cancellation
     sums = kid_identity(4, "kid1")
@@ -324,6 +324,14 @@ def test_assemble_depth1():
         assemble_asymptotic(sym, set())
 
 
+@pytest.mark.parametrize("J", [{7}, {0}, {4}, {1, 4}])
+def test_assemble_refuses_J_outside_the_moving_slots(J):
+    """J must lie in the slots that can grow: not the slot fixed at 1 (4)
+    and not an index the symbol lacks."""
+    with pytest.raises(ValueError, match="non-empty subset"):
+        assemble_asymptotic(canonical_symbol(4), J)
+
+
 def test_assemble_depth2_term_structure():
     sym = canonical_symbol(3)
     w = 2
@@ -364,9 +372,9 @@ def _full_delta3(sym):
 def _classified(key, J):
     phi_slot, lam_slot, c_slot = key
     return (
-        all(essential(s, J) for s in phi_slot)
-        and all(regular(s, J) for s in lam_slot)
-        and all(essential(s, J) for s in c_slot)
+        all(essential(s.ts, J) for s in phi_slot)
+        and all(regular(s.ts, J) for s in lam_slot)
+        and all(essential(s.ts, J) for s in c_slot)
     )
 
 
@@ -386,6 +394,18 @@ def assert_same_terms(got, want):
     assert [tuple(map(repr, t)) for t in got] == [tuple(map(repr, t)) for t in want]
     assert all(type(t[0]) is Fraction for t in got)
     assert [hash(t[1:]) for t in got] == [hash(t[1:]) for t in want]
+
+
+def test_assemble_matches_bench_reference_table():
+    """Term count and exact coefficient sum of every (n, J) the bench's
+    coproduct workload draws, n = 4..6, against bench/reference.json."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / "reference.json"
+    table = json.loads(path.read_text())["coproduct_identities"]["assembled"]
+    assert len(table) == 53
+    for key, want in table.items():
+        n, J = key.split(":")
+        terms = assemble_asymptotic(canonical_symbol(int(n)), {int(j) for j in J.split(",")})
+        assert (len(terms), str(sum(t[0] for t in terms))) == (want["terms"], want["coeff_sum"]), key
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])

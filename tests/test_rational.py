@@ -7,27 +7,25 @@ from epolylog.rational import Poly, rational_sum
 from oracles import poly_value
 
 V = ("x", "y", "z")
+X, Y, Z, ONE = (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)
 
 
 def test_poly_arithmetic():
-    x = Poly.variable(V, "x")
-    y = Poly.variable(V, "y")
-    p = (x + y) * (x - y)
-    q = x * x - y * y
+    p = Poly(V, {X: 1, Y: 1}) * Poly(V, {X: 1, Y: -1})
+    q = Poly(V, {(2, 0, 0): 1, (0, 2, 0): -1})
     assert p == q
-    assert (p - q).is_zero()
+    assert (p + Poly(V, {(2, 0, 0): -1, (0, 2, 0): 1})).is_zero()
 
 
 def test_poly_eval():
-    x = Poly.variable(V, "x")
-    p = x**3 - 2 * x + 1
+    p = Poly(V, {(3, 0, 0): 1, X: -2, ONE: 1})
     assert poly_value(p, {"x": Fraction(2), "y": 0, "z": 0}) == Fraction(5)
 
 
 def test_rational_sum_telescopes():
     # 1/(x(x+1)) = 1/x - 1/(x+1), so the three-part sum cancels exactly
     x = Poly.variable(V, "x")
-    x1 = x + 1
+    x1 = Poly(V, {X: 1, ONE: 1})
     num, lcm = rational_sum([(1, [x, x1]), (-1, [x]), (1, [x1])])
     assert num.is_zero()
     assert lcm == [x, x1]
@@ -44,15 +42,16 @@ def test_rational_sum_nonzero():
 def test_rational_sum_keeps_multiplicity():
     # 1/x^2 - 1/(x(x+1)) = 1/(x^2(x+1)): LCM x^2 (x+1), numerator 1
     x = Poly.variable(V, "x")
-    num, lcm = rational_sum([(1, [x, x]), (-1, [x, x + 1])])
+    x1 = Poly(V, {X: 1, ONE: 1})
+    num, lcm = rational_sum([(1, [x, x]), (-1, [x, x1])])
     assert num == Poly.const(V, 1)
-    assert lcm == [x, x, x + 1]
+    assert lcm == [x, x, x1]
 
 
 def test_rational_sum_rejects_zero_factor():
     x = Poly.variable(V, "x")
     with pytest.raises(ZeroDivisionError):
-        rational_sum([(1, [x]), (1, [x - x])])
+        rational_sum([(1, [x]), (1, [Poly(V, {})])])
     with pytest.raises(ValueError):
         rational_sum([])
 
@@ -60,7 +59,7 @@ def test_rational_sum_rejects_zero_factor():
 small = st.integers(min_value=-3, max_value=3)
 # nonzero linear forms c_x x + c_y y + c_z z + c_0 over V
 linear_forms = st.tuples(small, small, small, small).filter(lambda t: any(t[:3])).map(
-    lambda t: sum((c * Poly.variable(V, v) for c, v in zip(t, V)), Poly.const(V, t[3]))
+    lambda t: Poly(V, dict(zip((X, Y, Z, ONE), t)))
 )
 fractions = st.fractions(min_value=-5, max_value=5, max_denominator=7)
 
