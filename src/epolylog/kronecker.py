@@ -7,9 +7,11 @@ the decomposition explicit fixes branches (z^(1/2) = e(xi/2)) and makes the
 non-holomorphic coordinate r available to the one-form machinery (nu is
 2*pi*i*dr).
 
-The kernel F(xi, eta) has two interchangeable evaluators:
+The kernel F(xi, eta) has two interchangeable evaluators, behind one
+lattice check in kronecker_F:
 
-* theta_ratio       theta'(0) theta(xi+eta) / (theta(xi) theta(eta))
+* theta_ratio       theta'(0) theta(xi+eta) / (theta(xi) theta(eta)), where
+                    theta and theta'(0) share one truncated q-product
 * double_q_series   the absolutely convergent double q-series, after
                     reducing r-coordinates into [-1/2, 1/2) by
                     quasi-periodicity (each tau-shift of xi contributes a
@@ -119,27 +121,27 @@ class LatticeContext:
     rows of the outer symmetric Eisenstein sum (the inner direction is
     summed in closed form, its exact limit).  Moduli with |q| > 0.7 are
     refused: every truncation bound here assumes a reasonable decay rate,
-    and the conditionally convergent sums degrade badly as |q| -> 1.
+    and the conditionally convergent sums degrade badly as |q| -> 1.  So
+    is a tau whose |q| is not a positive double (a NaN or infinite tau, or
+    an Im(tau) so large that |q| underflows to 0): it leaves no decay rate
+    to count terms by.
     """
 
     def __init__(self, tau, precision=None):
         self.prec = get_context(precision)
         self.tau = self.prec.complex(tau)
-        if self.prec.im(self.tau) <= 0:
+        if not self.tau.imag > 0:  # refuses a NaN Im(tau) as well
             raise BadModulus("Im(tau) must be positive")
         self.q = self.prec.e(self.tau)
-        qa = abs(self.q)
-        if qa > 0.7:
-            raise BadModulus(f"|q| = {qa:.3f} exceeds the supported range (0.7)")
+        qa = float(abs(self.q))
+        if not 0 < qa <= 0.7:
+            raise BadModulus(f"|q| = {qa:.3g} is outside the supported range (0, 0.7]")
         decade = -math.log10(qa)
         self.q_series_cutoff = int(math.ceil((self.prec.digits + 4) / decade)) + 2
         self.lattice_cutoff = self.q_series_cutoff + 4
         self._e_cache = {}
         self._lattice_cots = None
         self._theta_prime0 = None
-
-    def e(self, x):
-        return self.prec.e(x)
 
     def __repr__(self):
         return f"LatticeContext(tau={complex(self.tau)!r}, |q|={float(abs(self.q)):.4g})"
@@ -148,26 +150,9 @@ class LatticeContext:
 # ----------------------------------------------------------------- theta
 
 
-def theta(p, ctx):
-    """The odd theta function, normalized so theta'(0) = 2*pi*i*q^(1/12)
-    prod(1-q^j)^2.  Arbitrary (s, r) handled by exact quasi-periodicity
-    reduction into s, r in [0, 1)."""
-    m = math.floor(p.s)
-    k = math.floor(p.r)
-    s0 = p.s - m
-    r0 = p.r - k
-    e = ctx.e
-    xi0 = s0 + r0 * ctx.tau
-    sign = -1 if (m + k) % 2 else 1
-    pref = sign * e(-(k * k) * ctx.tau / 2) * e(-k * xi0)
-    return pref * _theta_reduced(s0, r0, ctx)
-
-
-def _theta_reduced(s0, r0, ctx):
-    e = ctx.e
-    xi0 = s0 + r0 * ctx.tau
-    z = e(xi0)
-    val = e(ctx.tau / 12) * (e(xi0 / 2) - e(-xi0 / 2))
+def _q_product(z, ctx, val):
+    """val * prod_j (1 - q^j z)(1 - q^j / z) over the context's
+    q_series_cutoff factors, each pair multiplied into val in turn."""
     q = ctx.q
     qj = q
     for _ in range(ctx.q_series_cutoff):
@@ -176,31 +161,39 @@ def _theta_reduced(s0, r0, ctx):
     return val
 
 
+def theta(p, ctx):
+    """The odd theta function, normalized so theta'(0) = 2*pi*i*q^(1/12)
+    prod(1-q^j)^2.  Arbitrary (s, r) handled by exact quasi-periodicity
+    reduction into s, r in [0, 1); the reduced value is q^(1/12)
+    (z^(1/2) - z^(-1/2)) times the q-product at z = e(xi0)."""
+    m = math.floor(p.s)
+    k = math.floor(p.r)
+    e = ctx.prec.e
+    xi0 = (p.s - m) + (p.r - k) * ctx.tau
+    sign = -1 if (m + k) % 2 else 1
+    pref = sign * e(-(k * k) * ctx.tau / 2) * e(-k * xi0)
+    val = e(ctx.tau / 12) * (e(xi0 / 2) - e(-xi0 / 2))
+    return pref * _q_product(e(xi0), ctx, val)
+
+
 def theta_prime0(ctx):
-    """theta'(0), from the closed form (derivative of the prefactor times
-    the product at z = 1)."""
+    """theta'(0), from the closed form: the derivative of theta's prefactor
+    at 0 times theta's q-product at z = 1."""
     if ctx._theta_prime0 is None:
-        q = ctx.q
-        prod = ctx.prec.complex(1)
-        qj = q
-        for _ in range(ctx.q_series_cutoff):
-            prod *= (1 - qj) ** 2
-            qj *= q
-        ctx._theta_prime0 = ctx.prec.two_pi_i * ctx.e(ctx.tau / 12) * prod
+        prec = ctx.prec
+        prod = _q_product(prec.one, ctx, prec.one)
+        ctx._theta_prime0 = prec.two_pi_i * prec.e(ctx.tau / 12) * prod
     return ctx._theta_prime0
 
 
 # ------------------------------------------------------------- eisenstein
 
 
+@lru_cache(maxsize=None)
 def _row_constants(j, prec):
     """(coefficients of P_j high to low, pi^j) in the context's scalar type,
     each exact coefficient rounded once; built once per precision context."""
-    row = prec.cache.get(j)
-    if row is None:
-        coeffs = tuple(prec.real(c) for c in reversed(_cot_poly(j)))
-        row = prec.cache[j] = (coeffs, prec.pi**j)
-    return row
+    return tuple(prec.real(c) for c in reversed(_cot_poly(j))), prec.pi**j
 
 
 def _inner_row(row, c, prec):
@@ -291,6 +284,8 @@ def kronecker_F(xi, eta, ctx, definition="theta_ratio"):
     evaluator named by definition: "theta_ratio" or "double_q_series"
     (OnSingularLocus on the lattice, TruncationTooSmall when the q-series
     does not settle within its cutoff)."""
+    if xi.is_lattice() or eta.is_lattice():
+        raise OnSingularLocus("kernel pole: argument on the lattice")
     if definition == "theta_ratio":
         return _F_theta(xi, eta, ctx)
     if definition == "double_q_series":
@@ -299,14 +294,10 @@ def kronecker_F(xi, eta, ctx, definition="theta_ratio"):
 
 
 def _F_theta(xi, eta, ctx):
-    if xi.is_lattice() or eta.is_lattice():
-        raise OnSingularLocus("kernel pole: argument on the lattice")
     return theta_prime0(ctx) * theta(xi + eta, ctx) / (theta(xi, ctx) * theta(eta, ctx))
 
 
 def _F_qseries(xi, eta, ctx):
-    if xi.is_lattice() or eta.is_lattice():
-        raise OnSingularLocus("kernel pole: argument on the lattice")
     # reduce r into [-1/2, 1/2): the resummed series decays like
     # |q|^(n(1-|r|)), so the nearest-integer representative conditions best
     k = math.floor(xi.r + 0.5)
@@ -355,20 +346,17 @@ def _mul(f, g, n):
     return out
 
 
-def _exp(g):
+def _exp(g, prec):
     """exp of the power series g (a list with g[0] == 0) to len(g)
     coefficients: the powers of g weighted by 1/k! and summed in one
-    accumulator.  1/k! is a float when the coefficients are machine numbers
-    and stays an exact Fraction otherwise, so mpmath coefficients keep their
-    own precision."""
+    accumulator.  1/k! is rounded once to the real scalar of the precision
+    context prec, so mpmath coefficients keep their own precision."""
     n = len(g)
-    machine = all(isinstance(c, (int, float, complex)) for c in g)
     acc = [1] + [0] * (n - 1)
     term = acc
     for k in range(1, n):
         term = _mul(term, g, n)
-        w = Fraction(1, math.factorial(k))
-        w = float(w) if machine else w
+        w = prec.real(Fraction(1, math.factorial(k)))
         acc = [a + t * w if t != 0 else a for a, t in zip(acc, term)]
     return acc
 
@@ -384,7 +372,7 @@ def _F_series(xi, K, ctx):
     for j, E in enumerate(eisenstein_E(K, xi, ctx), 1):
         val = E - lattice_constant(j, ctx)
         arg.append(-((-1) ** j) * val / j)
-    return _exp(arg)
+    return _exp(arg, ctx.prec)
 
 
 # ---------------------------------------------------------------- one-forms

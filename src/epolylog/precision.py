@@ -10,11 +10,11 @@ operators dispatch transparently between complex and mpmath.mpc.
 
 There is one context per digit count: get_context returns the same shared
 object for every request of that precision, so the mpmath context behind
-the extended mode is cloned once.  The constants pi, 2*pi*i, 0, 1 and i are
-built once, in the context's own scalar type, when the context is made, and
-`cache` holds the constants that evaluators derive from them (kronecker
-keeps its cotangent-polynomial rows there), so those too are built once per
-precision.  The double-precision context never imports mpmath.
+the extended mode is cloned once.  The mode is decided once, when the
+context is made: its scalar ops (complex, real, exp) are bound there to the
+builtins or to the mpmath context's, and the constants pi, 2*pi*i, 0, 1 and
+i are built there in the context's own scalar type.  The double-precision
+context never imports mpmath.
 """
 
 from __future__ import annotations
@@ -26,41 +26,29 @@ from functools import lru_cache
 
 
 class PrecisionContext:
-    """Bundle of scalar ops and constants at a chosen precision."""
+    """Bundle of scalar ops and constants at a chosen precision.
+
+    complex(x, y=0) and real(x) build the context's complex and real
+    scalars (real rounds an exact int, float or Fraction once); exp is the
+    complex exponential at the context's precision."""
 
     def __init__(self, digits):
         self.digits = digits
-        self.extended = digits > 16
-        if self.extended:
+        if digits > 16:
             import mpmath
 
-            self._mp = mpmath.mp.clone()
-            self._mp.dps = digits
-            self.pi = +self._mp.pi
-            self.exp = self._mp.exp
+            mp = mpmath.mp.clone()
+            mp.dps = digits
+            self.complex, self.real, self.exp = mp.mpc, mp.convert, mp.exp
+            self.pi = +mp.pi
         else:
+            self.complex, self.real, self.exp = complex, float, cmath.exp
             self.pi = math.pi
-            self.exp = cmath.exp
         self.two_pi_i = self.complex(0.0, 2.0) * self.pi
         self.zero = self.complex(0.0)
         self.one = self.complex(1.0)
         self.i = self.complex(0.0, 1.0)
-        self.cache = {}
 
-    # -- scalar constructors ------------------------------------------------
-    def complex(self, x, y=0.0):
-        if self.extended:
-            return self._mp.mpc(x, y)
-        return complex(x, y)
-
-    def real(self, x):
-        """An exact rational (int, float or Fraction) as this context's real
-        scalar, rounded once."""
-        if self.extended:
-            return self._mp.convert(x)
-        return float(x)
-
-    # -- elementary functions (and exp, bound per mode above) ---------------
     def e(self, z):
         """e(z) = exp(2*pi*i*z), the unit-period exponential."""
         return self.exp(self.two_pi_i * z)
@@ -69,23 +57,15 @@ class PrecisionContext:
         """cot(pi*w), computed from the side with the decaying exponential."""
         # cot(pi w) = i (e(w) + 1) / (e(w) - 1); for Im(w) < 0 use 1/e(w).
         one = self.one
-        if self.im(w) >= 0:
+        if w.imag >= 0:
             t = self.e(w)  # |t| <= 1
             return self.i * (t + one) / (t - one)
         t = self.e(-w)
         return -self.i * (t + one) / (t - one)
 
-    # -- helpers -------------------------------------------------------------
-    def im(self, z):
-        if self.extended:
-            return float(z.imag)
-        return z.imag if isinstance(z, complex) else float(z) * 0.0
-
     def to_complex(self, z):
         """Collapse to a machine complex (for reporting / JSON output)."""
-        if self.extended:
-            return complex(float(z.real), float(z.imag))
-        return complex(z)
+        return complex(float(z.real), float(z.imag))
 
 
 @lru_cache(maxsize=None)

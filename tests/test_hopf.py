@@ -17,7 +17,6 @@ from epolylog.hopf import (
     canonical_symbol,
     enumerate_strings,
     essential,
-    kid_identity,
     kid_terms,
     lambda_args,
     phi_parts,
@@ -276,16 +275,6 @@ def test_kid_identities_refuse_n_outside_their_range(which, n):
         kid_terms(n, which)
 
 
-def test_kid_sums_nontrivial():
-    # dropping one term must break the cancellation
-    sums = kid_identity(4, "kid1")
-    assert len(sums) == 1 and sums[0].is_zero()
-    from epolylog.rational import rational_sum
-
-    parts = kid_identity(5, "kid2")
-    assert all(s.is_zero() for s in parts)
-
-
 def test_kid_identities_n7_n8():
     for n in (7, 8):
         assert verify_identities(n, "kid1")["ok"]
@@ -293,7 +282,7 @@ def test_kid_identities_n7_n8():
 
 
 @pytest.mark.parametrize("which", ["kid1", "kid2"])
-@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("n", [4, 5, 6])
 def test_kid_sums_break_on_any_flip_or_drop(which, n):
     for parts in kid_terms(n, which):
         assert rational_sum(parts)[0].is_zero()

@@ -53,11 +53,41 @@ def test_context_repr(digits):
     assert repr(LatticeContext(TAU, digits)) == "LatticeContext(tau=(0.1+0.8j), |q|=0.006561)"
 
 
-def test_bad_modulus_rejected():
+@pytest.mark.parametrize("digits", [15, 30])
+@pytest.mark.parametrize(
+    "tau",
+    [
+        0.5 - 0.3j,  # lower half-plane
+        0.3 + 0.02j,  # |q| too close to 1
+        200j,  # |q| underflows a double to 0
+        complex(0.1, math.nan),
+        complex(math.inf, 1.0),
+    ],
+    ids=repr,
+)
+def test_bad_modulus_rejected(tau, digits):
     with pytest.raises(BadModulus):
-        LatticeContext(0.5 - 0.3j)
-    with pytest.raises(BadModulus):
-        LatticeContext(0.3 + 0.02j)  # |q| too close to 1
+        LatticeContext(tau, digits)
+
+
+@pytest.mark.parametrize("digits, tol", [(15, 1e-14), (30, 1e-28)])
+def test_cot_pi_in_both_half_planes(digits, tol):
+    prec = get_context(digits)
+    for w in (prec.complex(0.31, 0.42), prec.complex(-0.27, -1.3), prec.complex(0.6, 2.5e-3), 0.37):
+        with mpmath.workdps(digits + 15):
+            want = mpmath.cot(mpmath.pi * mpmath.mpmathify(w))
+            assert abs(prec.cot_pi(w) - want) < tol * abs(want)
+
+
+@pytest.mark.parametrize("digits", [15, 30])
+def test_to_complex_returns_a_builtin_complex(digits):
+    prec = get_context(digits)
+    values = [3, -0.25, 0.5 - 1.5j]
+    if digits == 30:
+        values.append(mpmath.mpc(0.5, -1.5))
+    for z in values:
+        got = prec.to_complex(z)
+        assert type(got) is complex and got == z
 
 
 def test_point_roundtrip(ctx):
@@ -83,7 +113,7 @@ def test_theta_periods(ctx):
     t = theta(p, ctx)
     assert abs(theta(EllipticPoint(p.s + 1, p.r), ctx) + t) < 1e-13
     # shift by tau: factor -q^{-1/2} z^{-1}
-    fac = -ctx.e(-ctx.tau / 2) / p.z(ctx)
+    fac = -ctx.prec.e(-ctx.tau / 2) / p.z(ctx)
     assert abs(theta(p.shift(dr=1), ctx) - fac * t) < 1e-12
     # deep reductions stay finite
     far = theta(EllipticPoint(p.s - 3, p.r + 5), ctx)
@@ -582,7 +612,7 @@ def test_exp_keeps_extended_precision():
     """An mpmath series keeps its 30 digits through the kernel's list
     exponential: 1/k! is not rounded to a double."""
     c = get_context(30).complex(0.3, 0.2)
-    e = kronecker._exp([0, c] + [0] * 7)
+    e = kronecker._exp([0, c] + [0] * 7, get_context(30))
     with mpmath.workdps(50):
         want = mpmath.taylor(lambda x: mpmath.exp(mpmath.mpc(c) * x), 0, 8)
         worst = max(abs(mpmath.mpc(got) - w) for got, w in zip(e, want))
