@@ -34,6 +34,14 @@ cot(pi(xi +/- n tau)) are computed once and fed to every j's polynomial,
 while each j keeps its own total and stops after its own two settled rows,
 so E_j does not depend on K.  The lattice constants e_j share the rows'
 cot(pi n tau) the same way, computed once per context.
+
+The cotangent polynomial P_j has the parity of j, so each row runs Horner
+over its nonzero coefficients only, two degrees a step, and the walk moves
+both cotangents of a row through that loop inline: at double precision the
+cost of a call per row, cotangent and j was most of an evaluation.  A step
+is (acc * c) * c + coef, which rounds exactly as the full Horner scheme
+over the zero coefficients did; the cheaper acc * c^2 rounds differently,
+so it waits for a change that re-pins the golden values on purpose.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import BadModulus, OnLattice, OnSingularLocus, TruncationTooSmall
+from .errors import BadModulus, OnLattice, OnSingularLocus, OutOfRegion, TruncationTooSmall
 from .precision import get_context
 
 _LATTICE_TOL = 1e-12
@@ -85,13 +93,16 @@ def zeta_even(j):
 class EllipticPoint:
     """A point on the universal cover, stored as the real pair (s, r) with
     xi = s + r*tau.  The pair is never re-derived from xi, so branch data
-    survives arithmetic exactly."""
+    survives arithmetic exactly.  Non-finite coordinates are refused with
+    OutOfRegion."""
 
     __slots__ = ("s", "r")
 
     def __init__(self, s, r):
         self.s = float(s)
         self.r = float(r)
+        if not (math.isfinite(self.s) and math.isfinite(self.r)):
+            raise OutOfRegion(f"non-finite coordinate in {self!r}")
 
     def z(self, ctx):
         return ctx.prec.e(self.s + self.r * ctx.tau)
@@ -147,6 +158,21 @@ class LatticeContext:
         return f"LatticeContext(tau={complex(self.tau)!r}, |q|={float(abs(self.q)):.4g})"
 
 
+def _quasi_period_factor(form, where):
+    """form(): the factor quasi-periodicity moves a point by, in the
+    context's scalar type.  OutOfRegion when it leaves the double range:
+    cmath.exp and complex powers raise OverflowError there, and a product
+    of finite doubles overflows to inf or NaN, which times 0 is not 0.
+    mpmath scalars do not overflow."""
+    try:
+        f = form()
+    except OverflowError:
+        f = math.inf
+    if f * 0 != 0:
+        raise OutOfRegion(f"the quasi-periodicity factor at {where} leaves the double range")
+    return f
+
+
 # ----------------------------------------------------------------- theta
 
 
@@ -171,7 +197,7 @@ def theta(p, ctx):
     e = ctx.prec.e
     xi0 = (p.s - m) + (p.r - k) * ctx.tau
     sign = -1 if (m + k) % 2 else 1
-    pref = sign * e(-(k * k) * ctx.tau / 2) * e(-k * xi0)
+    pref = _quasi_period_factor(lambda: sign * e(-(k * k) * ctx.tau / 2) * e(-k * xi0), p)
     val = e(ctx.tau / 12) * (e(xi0 / 2) - e(-xi0 / 2))
     return pref * _q_product(e(xi0), ctx, val)
 
@@ -191,18 +217,25 @@ def theta_prime0(ctx):
 
 @lru_cache(maxsize=None)
 def _row_constants(j, prec):
-    """(coefficients of P_j high to low, pi^j) in the context's scalar type,
-    each exact coefficient rounded once; built once per precision context."""
-    return tuple(prec.real(c) for c in reversed(_cot_poly(j))), prec.pi**j
+    """(leading coefficient of P_j, its other nonzero coefficients high to
+    low, j odd, pi^j) in the context's scalar type, each exact coefficient
+    rounded once; built once per precision context.  P_j has the parity of
+    j, so its nonzero coefficients are those of degree j, j - 2, ... down
+    to 1 or 0."""
+    coeffs = [prec.real(c) for c in reversed(_cot_poly(j)[j % 2 :: 2])]
+    return coeffs[0], tuple(coeffs[1:]), j % 2 == 1, prec.pi**j
 
 
-def _inner_row(row, c, prec):
+def _inner_row(row, c):
     """sum over the integer direction of 1/(x + m)^j, in closed form, from
-    the row constants of j and c = cot(pi x)."""
-    coeffs, pi_j = row
-    acc = prec.zero
-    for coef in coeffs:
-        acc = acc * c + coef
+    the row constants of j and c = cot(pi x): Horner in c from the leading
+    coefficient, two degrees a step, each step (acc * c) * c + coef."""
+    lead, rest, odd, pi_j = row
+    acc = lead
+    for coef in rest:
+        acc = acc * c * c + coef
+    if odd:
+        acc = acc * c
     return pi_j * acc
 
 
@@ -220,21 +253,34 @@ def eisenstein_E(K, p, ctx):
         raise OnLattice(f"E_j pole at {p!r}")
     tau = ctx.tau
     prec = ctx.prec
+    cot_pi = prec.cot_pi
     rows = [_row_constants(j, prec) for j in range(1, K + 1)]
-    c = prec.cot_pi(p.s + p.r * tau)
-    totals = [_inner_row(row, c, prec) for row in rows]
+    c = cot_pi(p.s + p.r * tau)
+    totals = [_inner_row(row, c) for row in rows]
     eps = 10.0 ** (-(prec.digits + 2))
     settled = [0] * K
     live = range(K)  # the j - 1 whose sums have not stopped
     n_min = int(abs(p.r)) + 1
     r = prec.real(p.r)  # r -/+ n in the context's type, not rounded to a double
     for n in range(1, ctx.lattice_cutoff + n_min):
-        c_up = prec.cot_pi(p.s + (r + n) * tau)
-        c_down = prec.cot_pi(p.s + (r - n) * tau)
+        c_up = cot_pi(p.s + (r + n) * tau)
+        c_down = cot_pi(p.s + (r - n) * tau)
         for i in live:
-            inc = _inner_row(rows[i], c_up, prec) + _inner_row(rows[i], c_down, prec)
-            totals[i] += inc
-            if n >= n_min and abs(inc) < eps * (abs(totals[i]) + 1):
+            # _inner_row at c_up and c_down, inline: a call per row, cotangent
+            # and j was most of a double-precision evaluation.  The steps
+            # stay (acc * c) * c, the rounding of the full Horner scheme;
+            # acc * c^2 would move the golden values.
+            lead, rest, odd, pi_j = rows[i]
+            up = down = lead
+            for coef in rest:
+                up = up * c_up * c_up + coef
+                down = down * c_down * c_down + coef
+            if odd:
+                up = up * c_up
+                down = down * c_down
+            inc = pi_j * up + pi_j * down
+            total = totals[i] = totals[i] + inc
+            if n >= n_min and abs(inc) < eps * (abs(total) + 1):
                 settled[i] += 1
             else:
                 settled[i] = 0
@@ -260,11 +306,11 @@ def lattice_constant(j, ctx):
     row = _row_constants(j, prec)
     # 2 zeta(j) from the Bernoulli closed form, its rational factor rounded once
     factor = (-1) ** (j // 2 + 1) * _bernoulli(j) * Fraction(2) ** j / math.factorial(j)
-    total = prec.complex(prec.real(factor) * row[1])
+    total = prec.complex(prec.real(factor) * row[3])
     eps = 10.0 ** (-(prec.digits + 2))
     settled = 0
     for c in ctx._lattice_cots:
-        inc = 2 * _inner_row(row, c, prec)  # even j: n and -n agree
+        inc = 2 * _inner_row(row, c)  # even j: n and -n agree
         total += inc
         if abs(inc) < eps * (abs(total) + 1):
             settled += 1
@@ -308,7 +354,7 @@ def _F_qseries(xi, eta, ctx):
     w = e0.z(ctx)
     # tau-shifts of xi cost e(eta)^-1 with the *unreduced* eta, and shifts
     # of eta cost e(xi0)^-1; together w0^-k z0^-l q^-kl
-    factor = w ** (-k) * z ** (-l) * ctx.q ** (-k * l)
+    factor = _quasi_period_factor(lambda: w ** (-k) * z ** (-l) * ctx.q ** (-k * l), (xi, eta))
     if abs(1 - z) < _LATTICE_TOL or abs(1 - w) < _LATTICE_TOL:
         raise OnSingularLocus("kernel pole after reduction")
     total = z / (1 - z) + 1 / (1 - w)
@@ -346,17 +392,23 @@ def _mul(f, g, n):
     return out
 
 
+@lru_cache(maxsize=None)
+def _inv_factorial(k, prec):
+    """1/k!, rounded once to the real scalar of the precision context."""
+    return prec.real(Fraction(1, math.factorial(k)))
+
+
 def _exp(g, prec):
     """exp of the power series g (a list with g[0] == 0) to len(g)
     coefficients: the powers of g weighted by 1/k! and summed in one
-    accumulator.  1/k! is rounded once to the real scalar of the precision
-    context prec, so mpmath coefficients keep their own precision."""
+    accumulator.  1/k! is in the real scalar of the precision context prec,
+    so mpmath coefficients keep their own precision."""
     n = len(g)
     acc = [1] + [0] * (n - 1)
     term = acc
     for k in range(1, n):
         term = _mul(term, g, n)
-        w = prec.real(Fraction(1, math.factorial(k)))
+        w = _inv_factorial(k, prec)
         acc = [a + t * w if t != 0 else a for a, t in zip(acc, term)]
     return acc
 

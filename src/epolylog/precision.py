@@ -12,8 +12,8 @@ There is one context per digit count: get_context returns the same shared
 object for every request of that precision, so the mpmath context behind
 the extended mode is cloned once.  The mode is decided once, when the
 context is made: its scalar ops (complex, real, exp) are bound there to the
-builtins or to the mpmath context's, and the constants pi, 2*pi*i, 0, 1 and
-i are built there in the context's own scalar type.  The double-precision
+builtins or to the mpmath context's, and the constants pi, 2*pi*i, 1 and i
+are built there in the context's own scalar type.  The double-precision
 context never imports mpmath.
 """
 
@@ -45,7 +45,6 @@ class PrecisionContext:
             self.complex, self.real, self.exp = complex, float, cmath.exp
             self.pi = math.pi
         self.two_pi_i = self.complex(0.0, 2.0) * self.pi
-        self.zero = self.complex(0.0)
         self.one = self.complex(1.0)
         self.i = self.complex(0.0, 1.0)
 

@@ -1,12 +1,16 @@
 import cmath
 import math
+import os
 import random
+import subprocess
+import sys
 
 import mpmath
 import pytest
 
+import epolylog
 from epolylog import kronecker
-from epolylog.errors import BadModulus, OnLattice, OnSingularLocus, TruncationTooSmall
+from epolylog.errors import BadModulus, OnLattice, OnSingularLocus, OutOfRegion, TruncationTooSmall
 from epolylog.kronecker import (
     EllipticPoint,
     LatticeContext,
@@ -94,6 +98,24 @@ def test_point_roundtrip(ctx):
     p = point_from_xi(0.31 + 0.17 * TAU, TAU)
     assert abs(p.s - 0.31) < 1e-12 and abs(p.r - 0.17) < 1e-12
     assert abs(p.s + p.r * TAU - (0.31 + 0.17 * TAU)) < 1e-14
+
+
+ENTRY_POINTS = {
+    "eisenstein_E": lambda p, ctx: eisenstein_E(3, p, ctx),
+    "omega_coefficients": lambda p, ctx: omega_coefficients(p, 3, ctx),
+    "kronecker_F": lambda p, ctx: kronecker_F(p, EllipticPoint(0.22, -0.05), ctx),
+    "theta": theta,
+}
+
+
+@pytest.mark.parametrize("coords", [(math.nan, 0.17), (0.31, math.inf), (-math.inf, 0.17)], ids=str)
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_non_finite_point_refused(ctx, entry, coords):
+    """A NaN or infinite coordinate is refused with OutOfRegion when the
+    point is built, before it reaches the lattice check's round() (which
+    raised ValueError or OverflowError)."""
+    with pytest.raises(OutOfRegion):
+        ENTRY_POINTS[entry](EllipticPoint(*coords), ctx)
 
 
 # ---------------------------------------------------------------------- theta
@@ -250,6 +272,25 @@ def test_weierstrass_equation(ctx):
 def test_on_lattice_rejected(ctx):
     with pytest.raises(OnLattice):
         eisenstein_E(2, EllipticPoint(1.0, -2.0), ctx)
+
+
+@pytest.mark.parametrize("digits", [15, 30])
+def test_cot_poly_parity(digits):
+    """P_j has the parity of j, exactly, with every coefficient of that
+    parity nonzero; the row constants hold exactly those coefficients, high
+    to low, each rounded once, so the walk's two-degree Horner steps skip
+    only exact zeros."""
+    prec = get_context(digits)
+    for j in range(1, 17):
+        poly = kronecker._cot_poly(j)
+        assert len(poly) == j + 1
+        assert all(poly[d] == 0 for d in range(1 - j % 2, j + 1, 2))
+        assert all(poly[d] != 0 for d in range(j % 2, j + 1, 2))
+        lead, rest, odd, pi_j = kronecker._row_constants(j, prec)
+        held = [lead, *rest]
+        assert held == [prec.real(poly[d]) for d in range(j, -1, -2)]
+        assert all(type(c) is type(prec.pi) for c in held)
+        assert odd == (j % 2 == 1) and pi_j == prec.pi**j
 
 
 @pytest.mark.parametrize("digits", [15, 30])
@@ -410,6 +451,40 @@ def test_mixed_heat_equation(ctx):
     r1 = residual(1e-3)
     r2 = residual(5e-4)
     assert abs((4 * r2 - r1) / 3) < 1e-5
+
+
+QUASI_PERIOD_OVERFLOW = [
+    # theta's factor e(-k^2 tau / 2) e(-k xi0): cmath.exp overflowed at
+    # r = 17.2; at r = 16.95 both exponentials are finite doubles and their
+    # product overflowed to NaN silently
+    ("theta", (0.3, 17.2), None),
+    ("theta", (0.3, 16.95), None),
+    ("theta_ratio", (0.3, 17.2), (0.2, 0.1)),
+    # the q-series' factor w^-k z^-l q^-kl: q^-900 overflowed a complex power
+    ("double_q_series", (0.3, 30.2), (0.2, 30.1)),
+]
+
+
+@pytest.mark.parametrize("what, x, e", QUASI_PERIOD_OVERFLOW, ids=str)
+def test_quasi_period_overflow_refused_at_double(ctx, what, x, e):
+    with pytest.raises(OutOfRegion):
+        if what == "theta":
+            theta(EllipticPoint(*x), ctx)
+        else:
+            kronecker_F(EllipticPoint(*x), EllipticPoint(*e), ctx, what)
+
+
+@pytest.mark.parametrize("x, e", [((0.3, 17.2), (0.2, 0.1)), ((0.3, 30.2), (0.2, 30.1))])
+def test_quasi_period_factors_finite_at_30_digits(x, e):
+    """The same points at 30 digits: mpmath does not overflow, and the two
+    evaluators agree (1.2e-13 and 1.1e-12 relative when this was written)."""
+    ctx30 = LatticeContext(TAU, 30)
+    xi, eta = EllipticPoint(*x), EllipticPoint(*e)
+    assert mpmath.isfinite(theta(xi, ctx30))
+    a = kronecker_F(xi, eta, ctx30, "theta_ratio")
+    b = kronecker_F(xi, eta, ctx30, "double_q_series")
+    assert mpmath.isfinite(a) and mpmath.isfinite(b)
+    assert abs(a - b) < 1e-10 * abs(b)
 
 
 def test_singular_locus_rejected(ctx):
@@ -617,3 +692,24 @@ def test_exp_keeps_extended_precision():
         want = mpmath.taylor(lambda x: mpmath.exp(mpmath.mpc(c) * x), 0, 8)
         worst = max(abs(mpmath.mpc(got) - w) for got, w in zip(e, want))
     assert len(e) == 9 and worst < 1e-29
+
+
+def test_kernel_imports_no_numpy():
+    """kronecker's import path is free of numpy, mpmath and series: importing
+    kronecker and evaluating the kernel by both evaluators and the one-form
+    ladder at double precision loads none of them (start-up time and memory
+    of every caller that needs only the kernel)."""
+    src = os.path.dirname(os.path.dirname(epolylog.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys\n"
+        "from epolylog.kronecker import EllipticPoint, LatticeContext, kronecker_F, omega_coefficients\n"
+        "ctx = LatticeContext(0.1 + 0.8j, 15)\n"
+        "xi, eta = EllipticPoint(0.31, 0.17), EllipticPoint(0.22, -0.05)\n"
+        "kronecker_F(xi, eta, ctx, 'theta_ratio')\n"
+        "kronecker_F(xi, eta, ctx, 'double_q_series')\n"
+        "omega_coefficients(xi, 4, ctx)\n"
+        "sys.exit(' '.join(sorted({'numpy', 'mpmath', 'epolylog.series'} & set(sys.modules))) or None)\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], env=env, timeout=60, capture_output=True, text=True)
+    assert run.returncode == 0, f"loaded: {run.stderr.strip()}"

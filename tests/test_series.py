@@ -1,17 +1,13 @@
 import cmath
 import itertools
 import math
-import os
 import random
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from epolylog.errors import PoleOverflow, TruncationTooSmall
-import epolylog
 from epolylog.series import INF, MultiSeries
 from oracles import eval_at
 
@@ -309,20 +305,3 @@ def test_power_sums_refuse_untruncated_variable():
     assert e.terms == {(k, 0): 1 / math.factorial(k) for k in range(5)}
     # and the zero series has the exact exp 1 whatever its window
     assert MultiSeries(("a",), {}, INF).exp().terms == {(0,): 1}
-
-
-def test_series_imports_no_numpy():
-    """The numpy-free rule that once held for series now holds for
-    kronecker's import path: importing kronecker and evaluating a
-    double-precision kernel loads neither numpy, nor mpmath, nor series
-    (start-up time and memory of every caller that needs only the kernel)."""
-    src = os.path.dirname(os.path.dirname(epolylog.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    code = (
-        "import sys\n"
-        "from epolylog.kronecker import EllipticPoint, LatticeContext, omega_coefficients\n"
-        "omega_coefficients(EllipticPoint(0.31, 0.17), 4, LatticeContext(0.1 + 0.8j, 15))\n"
-        "sys.exit(' '.join(sorted({'numpy', 'mpmath', 'epolylog.series'} & set(sys.modules))) or None)\n"
-    )
-    run = subprocess.run([sys.executable, "-c", code], env=env, timeout=60, capture_output=True, text=True)
-    assert run.returncode == 0, f"loaded: {run.stderr.strip()}"
