@@ -47,6 +47,7 @@ so it waits for a change that re-pins the golden values on purpose.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -329,14 +330,21 @@ def kronecker_F(xi, eta, ctx, definition="theta_ratio"):
     """The elliptic kernel F(xi, eta) at two EllipticPoints, by the
     evaluator named by definition: "theta_ratio" or "double_q_series"
     (OnSingularLocus on the lattice, TruncationTooSmall when the q-series
-    does not settle within its cutoff)."""
+    does not settle within its cutoff).  At double precision a value whose
+    modulus is not a finite normal double (an overflow, or lost digits) is
+    OutOfRegion."""
     if xi.is_lattice() or eta.is_lattice():
         raise OnSingularLocus("kernel pole: argument on the lattice")
     if definition == "theta_ratio":
-        return _F_theta(xi, eta, ctx)
-    if definition == "double_q_series":
-        return _F_qseries(xi, eta, ctx)
-    raise ValueError(f"unknown definition {definition!r}")
+        f = _F_theta(xi, eta, ctx)
+    elif definition == "double_q_series":
+        f = _F_qseries(xi, eta, ctx)
+    else:
+        raise ValueError(f"unknown definition {definition!r}")
+    modulus = math.hypot(f.real, f.imag)
+    if ctx.prec.complex is complex and not sys.float_info.min <= modulus < math.inf:
+        raise OutOfRegion(f"F = {f} at {xi!r}, {eta!r} is not a finite normal double")
+    return f
 
 
 def _F_theta(xi, eta, ctx):

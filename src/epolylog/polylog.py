@@ -26,7 +26,6 @@ from .errors import (
 )
 from .quadrature import (
     BranchedForm,
-    Levels,
     LineArc,
     SpiralArc,
     check_clearance,
@@ -74,14 +73,14 @@ class DebyeSeries:
     1), or in b1, b2, shape (K, K) (depth 2), prefactors expanded.  logs
     are the current log branches of the coordinates.  channels (depth 2)
     is the pair (c1, c2) of depth-1 columns at t_1 and t_2, at padded order
-    >= 2K-1, that the transport system carries along.  value is the
+    >= 2K-1, that the transport system carries along, or None.  value is the
     MultiSeries of coeffs (window [0, K-1] per variable); it shares the
     array, so building it copies nothing.
     """
 
     __slots__ = ("point", "coeffs", "logs", "channels", "branch_tag", "value")
 
-    def __init__(self, point, coeffs, logs, channels=None, branch_tag="origin-canonical"):
+    def __init__(self, point, coeffs, logs, channels, branch_tag):
         self.point = point
         self.coeffs = coeffs
         self.logs = tuple(logs)
@@ -225,11 +224,11 @@ def debye_lambda(r, pt, K):
     if r == 1:
         (t,) = pt.ts
         lt = cmath.log(t) if t != 0 else 0.0
-        return DebyeSeries(pt, _debye_column(t, K, SERIES_TOL), (lt,))
+        return DebyeSeries(pt, _debye_column(t, K, SERIES_TOL), (lt,), None, "origin-canonical")
     if r == 2:
         t1, t2 = pt.ts
         if t1 == 0 or t2 == 0:
-            return DebyeSeries(pt, np.zeros((K, K), dtype=complex), (0.0, 0.0))
+            return DebyeSeries(pt, np.zeros((K, K), complex), (0.0, 0.0), None, "origin-canonical")
         l1, l2 = cmath.log(t1), cmath.log(t2)
         # re-expanding (b1, b1+b2) -> (b1, b2) pulls in totals up to 2K-2,
         # so the table in (b1, b1+b2) is built at padded order
@@ -237,7 +236,7 @@ def debye_lambda(r, pt, K):
         body = _spread(_nested_table(t1, t2, Kp, SERIES_TOL), K)
         coeffs = _conv(exp_column(-l1, K)[:, None], _conv(exp_column(-l2, K)[None, :], body))
         channels = (_debye_column(t1, Kp, SERIES_TOL), _debye_column(t2, Kp, SERIES_TOL))
-        return DebyeSeries(pt, coeffs, (l1, l2), channels)
+        return DebyeSeries(pt, coeffs, (l1, l2), channels, "origin-canonical")
     raise ValueError("depth 1 or 2 only")
 
 
@@ -245,9 +244,9 @@ def debye_lambda(r, pt, K):
 
 
 def _form(arc, K):
-    """Coefficients of w^{-b} dw/(1-w) along an arc at a node vector, (N, K)."""
+    """Coefficients of w^{-b} dw/(1-w) along an arc at parameters us, (N, K)."""
 
-    def f(_arc, us):
+    def f(us):
         dlog = arc.velocity(us) / (1.0 - arc.point(us))
         return exp_column(-arc.log_point(us), K) * dlog[:, None]
 
@@ -307,8 +306,10 @@ def _advance(series, arcs, tag):
     2K-1 entries).  With a fixed coordinate read as the spiral SpiralArc(l,
     0), two spirals have the spiral (l_a - l_b, d_a - d_b) as their ratio; a
     line leg's ratios are its pointwise quotients by the fixed coordinate.
-    One pass, accepted over the whole state, carries it all along the arc
-    with the most suggested panels, and every arc must keep CLEARANCE from 1.
+    Every arc of the leg shares the parameter u, and each form samples its
+    own arc there.  One pass, accepted over the whole state, carries it all
+    over u, starting from the largest suggested panel count of the spine,
+    and every arc must keep CLEARANCE from 1.
     """
     ts, logs, K = series.point.ts, series.logs, series.order()
     arcs = [a if a is None else _rebase(a, t, l) for a, t, l in zip(arcs, ts, logs)]
@@ -353,8 +354,8 @@ def _advance(series, arcs, tag):
     levels = [(c, channel(i)) for i, c in enumerate(chans)]
     if ratios:
         levels.append((series.coeffs, table))
-    path = [max(spine, key=lambda a: a.suggested_panels())]
-    ends = iterated_integral(path, Levels(forms, levels), tol=DEFAULT_TOL)
+    panels = max(a.suggested_panels() for a in spine)
+    ends = iterated_integral(panels, forms, levels, DEFAULT_TOL)
     logs, ts = list(logs), list(ts)
     for i in moving:
         logs[i], ts[i] = arcs[i].log_point(1.0), arcs[i].point(1.0)

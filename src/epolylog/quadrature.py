@@ -1,22 +1,17 @@
-"""Complex path quadrature and iterated integrals.
+"""Complex path arcs, and adaptive quadrature over their parameter.
 
-A path is a plain list of smooth arcs, each exposing point / velocity /
-log_point / suggested_panels on the parameter u in [0, 1]: straight
-segments, and log-linear arcs u -> exp(log_t + u*dlog), the q-power
-spirals of the lattice-shift transports (dlog = m*2*pi*i*tau; their
-logarithm is linear in the parameter, which makes branch tracking trivial,
-and a fixed point is the arc with dlog = 0).  check_clearance refuses a
-path that comes too close to a singular point.
+An arc exposes point / velocity / log_point / suggested_panels on the
+parameter u in [0, 1]: straight segments, and log-linear arcs u ->
+exp(log_t + u*dlog), the q-power spirals of the lattice-shift transports
+(dlog = m*2*pi*i*tau; their logarithm is linear in the parameter, which
+makes branch tracking trivial, and a fixed point is the arc with dlog = 0).
+check_clearance refuses arcs that come too close to a singular point.
 
-Integration is composite Gauss-Legendre over levels.  Each level has a
-start value and an integrand computed from the panel's form samples and
-the node values of the levels before it.  The chain of forms
-
-    int_gamma w_1 w_2 ... w_n   (w_1 attached to the path endpoint)
-
-is the special case that multiplies w_(n-k) into level k-1 ("innermost
-first").  On each panel every form is sampled once at the nodes, and each
-level takes one real matmul of a stacked rule against its node block: the
+iterated_integral is composite Gauss-Legendre over u in [0, 1], for levels
+that each have a start value and an integrand computed from the form
+samples and the node values of the levels before it.  A form samples its
+own arc: on each panel it is called once with the node vector.  Each level
+takes one real matmul of a stacked rule against its node block: the
 spectral prefix-integration matrix (Legendre expansion, exact on
 polynomials through the node count) gives the prefix integrals at the
 nodes, and the Gauss weight row under it the panel integral.  A panel is
@@ -24,13 +19,10 @@ evaluated at orders PANEL_ORDER and PANEL_ORDER + 4, accepted by one test
 over the whole state or bisected, and QuadratureDiverged is raised beyond
 MAX_DEPTH bisections or on non-finite values.
 
-Plain form callables receive (z, v), the point and v = dz/du, one node at a
-time and return f(z)*v: a scalar or a numpy array of truncated power-series
-coefficients.  A BranchedForm gets (arc, us) once per panel pass, us the
-whole node vector, and returns a node-first block.  convolve_product, the
-product of a chain, takes a form whose coefficients lie along one trailing
-axis and convolves it into the level below (pointwise for scalar forms) by
-one batched matmul against lower-triangular Toeplitz blocks of the form.
+convolve_product multiplies node blocks of truncated power-series
+coefficients: it convolves a form whose coefficients lie along one
+trailing axis into a level (pointwise for scalar blocks) by one batched
+matmul against lower-triangular Toeplitz blocks of the form.
 """
 
 from __future__ import annotations
@@ -67,8 +59,9 @@ def _panel_rule(order):
 
 class LineArc:
     """Straight segment z0 -> z1.  Optional start_log fixes the branch of
-    log along the arc; the segment must subtend less than pi around the
-    origin for that to be well defined (split the path otherwise)."""
+    log along the arc, which is then continuous: z/z0 runs on a straight
+    line from 1 and meets the negative real axis only through 0.  A segment
+    through 0 has no branch there."""
 
     def __init__(self, z0, z1, start_log=None):
         self.z0 = complex(z0)
@@ -143,51 +136,26 @@ def _closest_approach(arc, s, clearance, us=None, rounds=CLEARANCE_ROUNDS):
 
 
 class BranchedForm:
-    """A form evaluated as f(arc, us) instead of f(z, v), for integrands that
-    need the arc's branch data (log_point) rather than just the location.
-    us is the node vector of one panel pass; f returns a node-first block
-    (f(arc, us)[n] is the value at us[n])."""
+    """A form that samples its own arc: f(us) is the node-first block of the
+    form at the parameters us (f(us)[n] is the value at us[n]), read from
+    the arc's point, velocity and branch (log_point) at us."""
 
     def __init__(self, f):
         self.f = f
 
-    def __call__(self, arc, us):
-        return self.f(arc, us)
+    def __call__(self, us):
+        return self.f(us)
 
 
-class Levels:
-    """Forms sampled once per panel pass, and levels in order, each a
-    (start, integrand) pair: the level's value is start plus the integral of
-    integrand(samples, lower), samples holding one node-first block per form
-    and lower the node values of the levels before it."""
-
-    def __init__(self, forms, levels):
-        self.forms = list(forms)
-        self.levels = list(levels)
-
-
-def _link(s, lower):
-    """Level k = len(lower) of the chain w_1 ... w_n: w_(n-k) times level k-1."""
-    w = s[len(s) - 1 - len(lower)]
-    return convolve_product(w, lower[-1]) if lower else w
-
-
-def _eval_nodes(w, arc, us):
-    """Node-first block of one form at the parameters us."""
-    if isinstance(w, BranchedForm):
-        return np.asarray(w(arc, us), dtype=complex)
-    return np.asarray([w(arc.point(u), arc.velocity(u)) for u in us], dtype=complex)
-
-
-def _panel_pass(system, arc, u0, u1, state, order):
+def _panel_pass(forms, levels, u0, u1, state, order):
     """One panel at one order.  state[k] is level k's value at the panel
     start; returns the levels' values at the panel end."""
     x, rule = _panel_rule(order)
     h = (u1 - u0) / 2.0
     us = u0 + (u1 - u0) * (x + 1.0) / 2.0
-    samples = [_eval_nodes(w, arc, us) for w in system.forms]
+    samples = [np.asarray(w(us), dtype=complex) for w in forms]
     nodes, ends = [], []
-    for start, (_, integrand) in zip(state, system.levels):
+    for start, (_, integrand) in zip(state, levels):
         g = integrand(samples, nodes)
         # real rule on the (re, im) pairs of g: rows 0..order-1 are the prefix
         # integrals at the nodes, row order the integral over the panel
@@ -203,47 +171,45 @@ def _diff(a, b):
     return float(np.max(np.abs(d)))
 
 
-def iterated_integral(arcs, forms, tol=1e-11):
-    """Iterated integral along the path `arcs` (a list of arcs, taken in
-    order) of the chain `forms` (w_1 outermost; one form is the contour
-    integral, none integrates to 1), or the list of end values of a Levels
-    system, one per level.  Every form of a chain but the innermost w_n is
-    a convolve_product factor: a scalar, or coefficients along one axis.
+def iterated_integral(panels, forms, levels, tol):
+    """End values of the levels over the parameter u in [0, 1], one per
+    level, starting from `panels` equal panels.
+
+    forms are callables sampled once per panel pass at the node vector us,
+    each returning a node-first block.  levels is a list of (start,
+    integrand) pairs, in order: level k's value is start plus the integral
+    over u of integrand(samples, lower), samples holding one block per form
+    and lower the node values of levels 0..k-1.
 
     tol is a panel-wise test over the whole state, not a bound on the
-    returned value's error: a panel is accepted when the largest
+    returned values' error: a panel is accepted when the largest
     |order-16 - order-20| difference over all levels and coefficients is at
     most tol * max(1, largest |order-20 value - start| over all levels), and
     bisected otherwise.  QuadratureDiverged is raised when a panel would be
     bisected beyond MAX_DEPTH, or has a non-finite value or difference.
     """
-    system = forms if isinstance(forms, Levels) else Levels(forms, [(0.0j, _link)] * len(forms))
-    if not system.levels:
-        return 1.0
-    state = [start for start, _ in system.levels]
-    for arc in arcs:
-        p = arc.suggested_panels()
-        stack = [(k / p, (k + 1) / p, 0) for k in reversed(range(p))]
-        while stack:
-            u0, u1, depth = stack.pop()
-            lo = _panel_pass(system, arc, u0, u1, state, PANEL_ORDER)
-            hi = _panel_pass(system, arc, u0, u1, state, PANEL_ORDER + 4)
-            errs = [_diff(a, b) for a, b in zip(lo, hi)]
-            sizes = [_diff(v, s0) for v, (s0, _) in zip(hi, system.levels)]
-            if not np.all(np.isfinite(errs + sizes)):
-                raise QuadratureDiverged(f"panel [{u0:.4g},{u1:.4g}] has non-finite values")
-            err, scale = max(errs), max(1.0, max(sizes))
-            if err > tol * scale:
-                if depth >= MAX_DEPTH:
-                    raise QuadratureDiverged(
-                        f"panel [{u0:.4g},{u1:.4g}] error {err:.2e} at depth {depth}"
-                    )
-                um = (u0 + u1) / 2.0
-                stack.append((um, u1, depth + 1))
-                stack.append((u0, um, depth + 1))
-            else:
-                state = hi
-    return state if system is forms else state[-1]
+    state = [start for start, _ in levels]
+    stack = [(k / panels, (k + 1) / panels, 0) for k in reversed(range(panels))]
+    while stack:
+        u0, u1, depth = stack.pop()
+        lo = _panel_pass(forms, levels, u0, u1, state, PANEL_ORDER)
+        hi = _panel_pass(forms, levels, u0, u1, state, PANEL_ORDER + 4)
+        errs = [_diff(a, b) for a, b in zip(lo, hi)]
+        sizes = [_diff(v, s0) for v, (s0, _) in zip(hi, levels)]
+        if not np.all(np.isfinite(errs + sizes)):
+            raise QuadratureDiverged(f"panel [{u0:.4g},{u1:.4g}] has non-finite values")
+        err, scale = max(errs), max(1.0, max(sizes))
+        if err > tol * scale:
+            if depth >= MAX_DEPTH:
+                raise QuadratureDiverged(
+                    f"panel [{u0:.4g},{u1:.4g}] error {err:.2e} at depth {depth}"
+                )
+            um = (u0 + u1) / 2.0
+            stack.append((um, u1, depth + 1))
+            stack.append((u0, um, depth + 1))
+        else:
+            state = hi
+    return state
 
 
 def convolve_product(f, g):

@@ -16,6 +16,11 @@ pytest's test_*.py pattern, so nothing here is collected.
 * debye_coefficients: the depth-2 Debye coefficients at a point of the unit
   polydisk on given log branches, from simplicial_nested; the oracle of
   test_transport_meets_default_tol (test_polylog.py).
+* chain: the iterated integral of a chain of per-node forms along a path of
+  arcs, one iterated_integral per arc with the state carried from arc to
+  arc; the multi-arc and chain checks of test_quadrature.py and
+  simplicial_integral in test_polylog.py.  The package integrates one leg
+  at a time over the shared parameter and has no chain mode.
 * eval_at: a MultiSeries evaluated at a point, for the evaluation checks
   of test_series.py and the direct-sum checks of test_polylog.py.
 * strings, string_sign, collections_by_recursion: the directed strings of
@@ -47,6 +52,7 @@ import numpy as np
 
 from epolylog import hopf
 from epolylog.kronecker import EllipticPoint
+from epolylog.quadrature import convolve_product, iterated_integral
 
 
 def simplicial_nested(ts, orders, tol):
@@ -85,6 +91,28 @@ def debye_coefficients(ts, logs, K):
         for v in range(K):
             out[u:, v:] += pref[0][u] * pref[1][v] * body[: K - u, : K - v]
     return out
+
+
+def chain(arcs, forms, tol=1e-11):
+    """int w_1 w_2 ... w_n along the path arcs, taken in order (w_1 attached
+    to the path endpoint; no forms integrate to 1).  A form is f(z, v) =
+    f(z) * v at one point z and v = dz/du: a scalar or coefficients, every
+    form but the innermost w_n a convolve_product factor.  Each arc is one
+    iterated_integral from its own suggested panel count, level k being
+    w_(n-k) times level k-1, started where the arc before left the levels."""
+    if not forms:
+        return 1.0
+    n = len(forms)
+
+    def link(s, lower):
+        w = s[n - 1 - len(lower)]
+        return convolve_product(w, lower[-1]) if lower else w
+
+    state = [0j] * n
+    for arc in arcs:
+        nodes = [lambda us, w=w, a=arc: [w(a.point(u), a.velocity(u)) for u in us] for w in forms]
+        state = iterated_integral(arc.suggested_panels(), nodes, [(s0, link) for s0 in state], tol)
+    return state[-1]
 
 
 def eval_at(series, values):

@@ -462,6 +462,10 @@ QUASI_PERIOD_OVERFLOW = [
     ("theta_ratio", (0.3, 17.2), (0.2, 0.1)),
     # the q-series' factor w^-k z^-l q^-kl: q^-900 overflowed a complex power
     ("double_q_series", (0.3, 30.2), (0.2, 30.1)),
+    # xi + eta has r = 0.1 and |F| is about 3.2e-322: theta(xi) * theta(eta)
+    # overflowed to a NaN ratio, and the q-series ended on a subnormal
+    ("theta_ratio", (0.3, 12.2), (0.2, -12.1)),
+    ("double_q_series", (0.3, 12.2), (0.2, -12.1)),
 ]
 
 
@@ -474,10 +478,13 @@ def test_quasi_period_overflow_refused_at_double(ctx, what, x, e):
             kronecker_F(EllipticPoint(*x), EllipticPoint(*e), ctx, what)
 
 
-@pytest.mark.parametrize("x, e", [((0.3, 17.2), (0.2, 0.1)), ((0.3, 30.2), (0.2, 30.1))])
+@pytest.mark.parametrize(
+    "x, e", [((0.3, 17.2), (0.2, 0.1)), ((0.3, 30.2), (0.2, 30.1)), ((0.3, 12.2), (0.2, -12.1))]
+)
 def test_quasi_period_factors_finite_at_30_digits(x, e):
     """The same points at 30 digits: mpmath does not overflow, and the two
-    evaluators agree (1.2e-13 and 1.1e-12 relative when this was written)."""
+    evaluators agree (1.2e-13, 1.1e-12 and 9e-30 relative when this was
+    written)."""
     ctx30 = LatticeContext(TAU, 30)
     xi, eta = EllipticPoint(*x), EllipticPoint(*e)
     assert mpmath.isfinite(theta(xi, ctx30))

@@ -21,7 +21,7 @@ from epolylog.polylog import (
     debye_lambda,
     transport_debye,
 )
-from epolylog.quadrature import LineArc, SpiralArc, check_clearance, iterated_integral
+from epolylog.quadrature import LineArc, SpiralArc, check_clearance
 from epolylog.series import MultiSeries, exp_column
 
 TAU = 0.1 + 0.8j
@@ -80,7 +80,7 @@ def simplicial_integral(ts, orders, arcs=(LineArc(0.0, 1.0),)):
     for t, n in zip(ts, orders):
         rho.extend([1.0 / t] + [0.0] * (n - 1))
     forms = [lambda z, v, r=r: v / (z - r) for r in reversed(rho)]
-    return (-1) ** len(ts) * complex(iterated_integral(list(arcs), forms, tol=1e-11))
+    return (-1) ** len(ts) * complex(oracles.chain(list(arcs), forms, tol=1e-11))
 
 
 @pytest.mark.parametrize("idx", [(1, 1), (2, 1), (1, 2)])
@@ -513,14 +513,16 @@ def test_route_homotopy_agreement(ctx):
 # Transported coefficients recorded before the panel pass moved onto
 # stacked-rule matmuls and Toeplitz convolution; summation order differs
 # since, so the pin is 1e-10 * max(1, |c|), not bit equality.  Rows: name,
-# base point, spiral exponents, K, route, coefficients (row-major; for the
-# K = 8 case rows 0 and 7 only).
+# base point, spiral exponents, K, route, then a ray (j, factor) or None,
+# coefficients (row-major; for the K = 8 case rows 0 and 7 only).  A ray
+# continues the transported series along t_j -> factor * t_j, a line leg
+# whose ratio arcs at depth 2 no spiral row reaches.
 TRANSPORT_GOLDEN = [
-    ("depth-1 spiral", (0.6 + 0.3j,), (1,), 4, "diagonal", [
+    ("depth-1 spiral", (0.6 + 0.3j,), (1,), 4, "diagonal", None, [
         (0.002022366083395455+0.003914431985698741j), (0.01727255724852994+0.02294105142555647j),
         (0.06903987940664313+0.06621779025391651j), (0.17842825146771957+0.12561206183939752j),
     ]),
-    ("diagonal K=4", (0.45 + 0.35j, -0.3 + 0.6j), (1, 1), 4, "diagonal", [
+    ("diagonal K=4", (0.45 + 0.35j, -0.3 + 0.6j), (1, 1), 4, "diagonal", None, [
         (-5.6449305371741865e-06-5.966405647957109e-06j), (-4.9342516803274616e-05-2.032447668931514e-05j),
         (-0.00017397737775093347+4.735190066162964e-06j), (-0.0003438237113800313+0.00016185928735454325j),
         (-4.7714276649291065e-05-3.50100249143781e-05j), (-0.00037741544096800417-8.189583690032531e-05j),
@@ -530,7 +532,7 @@ TRANSPORT_GOLDEN = [
         (-0.0005250667502235129-0.00016211321548947888j), (-0.003598583808665401+0.0004086359193486988j),
         (-0.010417659879257801+0.005952980686638409j), (-0.016198935706807527+0.021166619730450587j),
     ]),
-    ("axes K=4", (0.45 + 0.35j, -0.3 + 0.6j), (1, 1), 4, "axes", [
+    ("axes K=4", (0.45 + 0.35j, -0.3 + 0.6j), (1, 1), 4, "axes", None, [
         (-5.64493064891293e-06-5.96640579581453e-06j), (-4.934251712970794e-05-2.0324476604237363e-05j),
         (-0.00017397737790883494+4.735190324390431e-06j), (-0.00034382371142160917+0.00016185928756748402j),
         (-4.7714276645460796e-05-3.50100249151275e-05j), (-0.0003774154409699193-8.189583691448066e-05j),
@@ -540,7 +542,7 @@ TRANSPORT_GOLDEN = [
         (-0.0005250667502219586-0.0001621132154920324j), (-0.0035985838086841637+0.00040863591934287014j),
         (-0.010417659879292662+0.005952980686666498j), (-0.016198935706875583+0.021166619730497827j),
     ]),
-    ("axes K=8", (-0.55 + 0.4j, 0.35 - 0.5j), (1, 1), 8, "axes", [
+    ("axes K=8", (-0.55 + 0.4j, 0.35 - 0.5j), (1, 1), 8, "axes", None, [
         (-8.452480259955875e-06+2.924502390587967e-06j), (-5.1855691622471056e-05+1.4800538812593644e-05j),
         (-0.00015960142805204747+3.631021262156045e-05j), (-0.0003289628956991558+5.65598116231969e-05j),
         (-0.0005115164263521654+6.0600714468249384e-05j), (-0.0006410330208453212+4.293976610679137e-05j),
@@ -550,13 +552,41 @@ TRANSPORT_GOLDEN = [
         (0.22710546102980078+0.15471119584031873j), (0.290745312928141+0.2339353297456852j),
         (0.3145689622931981+0.29870293039519125j), (0.2962991691424578+0.33316615374446146j),
     ]),
+    ("depth-1 ray", (0.6 + 0.3j,), (1,), 4, "axes", (1, 20.0), [
+        (0.038100105410709253+0.08125385762070093j), (0.22068069877539703+0.23554941809921756j),
+        (0.5280666051800125+0.3199759785215678j), (0.8081205093110629+0.27203287733009596j),
+    ]),
+    ("axes then ray j=1", (0.45 + 0.35j, -0.3 + 0.6j), (1, 1), 4, "axes", (1, 20.0), [
+        (-0.00011078262362148563-0.00012263778252407975j), (-0.0009834891670838551-0.00043118988141956235j),
+        (-0.0035026819717843306+1.891884123064961e-05j), (-0.006988095169113083+0.003111319021195005j),
+        (-0.0006131261122636931-0.00035680616208193613j), (-0.004612317565773481-0.0005094900666443103j),
+        (-0.01455797124010516+0.004528809611066463j), (-0.025517731944182415+0.021793885928647803j),
+        (-0.0015562502744079151-0.00040506912550358255j), (-0.010468840213589199+0.0016462612532266421j),
+        (-0.0297401374048481+0.018644355704211055j), (-0.0449481277227093+0.06367840652729723j),
+        (-0.0025954255599555083-6.660132034707201e-05j), (-0.01602896452411885+0.006374295256270944j),
+        (-0.04119838885912697+0.040326030305246265j), (-0.051454594753712356+0.11860139611603968j),
+    ]),
+    ("axes then ray j=2", (0.45 + 0.35j, -0.3 + 0.6j), (1, 1), 4, "axes", (2, 20.0), [
+        (-0.00010481522863506706-0.00011625712982358697j), (-0.0006180734326199377-6.20578919645869e-05j),
+        (-0.0010044244813084803+0.0007183721689844747j), (-0.00040240281914556155+0.0015870534905568087j),
+        (-0.0008943255325039934-0.000689377723632302j), (-0.004493765619089813+0.00033018241159605367j),
+        (-0.006370074678099493+0.006369400979821383j), (-0.0011421106091191232+0.01195595496593655j),
+        (-0.00368554665427676-0.0019401811708386965j), (-0.01624884713965261+0.003940425107363056j),
+        (-0.019831444123992688+0.027163440426161846j), (0.00212094056419976+0.04506697398605899j),
+        (-0.009970084669456465-0.003330656234638098j), (-0.03925010698987773+0.016225204447737028j),
+        (-0.0402543744256646+0.07600564237334198j), (0.020443432649499375+0.11434616359267484j),
+    ]),
 ]
 
 
 @pytest.mark.parametrize("case", TRANSPORT_GOLDEN, ids=[c[0] for c in TRANSPORT_GOLDEN])
 def test_transport_golden_values(ctx, case):
-    _, ts, m, K, route, want = case
+    _, ts, m, K, route, ray, want = case
     tr = transport_debye(SpiralShift(m, SimplicialPoint(ts), ctx), K, route=route)
+    if ray is not None:
+        j, factor = ray
+        arc = LineArc(tr.point.ts[j - 1], factor * tr.point.ts[j - 1])
+        tr = continue_debye(tr, [arc] if len(ts) == 1 else [(j, arc)])
     got = tr.coeffs if K < 8 else tr.coeffs[[0, K - 1]]
     got = got.ravel()
     assert len(got) == len(want)
@@ -597,9 +627,9 @@ def test_one_pass_per_leg(ctx, monkeypatch):
     sizes = []
     call = quadrature.BranchedForm.__call__
 
-    def counted(self, arc, us):
+    def counted(self, us):
         sizes.append(len(us))
-        return call(self, arc, us)
+        return call(self, us)
 
     monkeypatch.setattr(quadrature.BranchedForm, "__call__", counted)
 

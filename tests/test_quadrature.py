@@ -13,6 +13,7 @@ from epolylog.quadrature import (
     convolve_product,
     iterated_integral,
 )
+from oracles import chain
 
 
 def line(a, b):
@@ -26,7 +27,7 @@ def spiral(t, m, tau):
 
 def test_polynomial_integral_exact():
     p = line(0.2 - 0.3j, 1.1 + 0.7j)
-    val = iterated_integral(p, [lambda z, v: z**2 * v])
+    val = chain(p, [lambda z, v: z**2 * v])
     a, b = 0.2 - 0.3j, 1.1 + 0.7j
     assert abs(val - (b**3 - a**3) / 3) < 1e-13
 
@@ -34,7 +35,7 @@ def test_polynomial_integral_exact():
 def test_winding_integral():
     # full loop around the origin picked up by a spiral with real tau
     loop = [spiral(1.0, 1, 1.0)]
-    val = iterated_integral(loop, [lambda z, v: v / z])
+    val = chain(loop, [lambda z, v: v / z])
     assert abs(val - 2j * cmath.pi) < 1e-12
 
 
@@ -60,7 +61,7 @@ def test_iterated_matches_closed_form():
     p = line(0.0, b)
     w1 = lambda z, v: z * v
     w2 = lambda z, v: z**2 * v
-    val = iterated_integral(p, [w1, w2])
+    val = chain(p, [w1, w2])
     # int_0^b z (z^3/3) dz = b^5/15
     assert abs(val - b**5 / 15) < 1e-13
 
@@ -69,10 +70,10 @@ def test_shuffle_identity():
     p = line(0.1, 1.3 + 0.4j)
     f = lambda z, v: v / (1 + z)
     g = lambda z, v: z * v
-    single_f = iterated_integral(p, [f])
-    single_g = iterated_integral(p, [g])
-    fg = iterated_integral(p, [f, g])
-    gf = iterated_integral(p, [g, f])
+    single_f = chain(p, [f])
+    single_g = chain(p, [g])
+    fg = chain(p, [f, g])
+    gf = chain(p, [g, f])
     assert abs(single_f * single_g - (fg + gf)) < 1e-11
 
 
@@ -81,8 +82,8 @@ def test_path_composition():
     a, m1, m2, b = 0.0, 0.7 + 0.2j, 0.3 + 0.8j, 1.0 + 1.0j
     f = lambda z, v: z * v
     g = lambda z, v: cmath.exp(z) * v
-    v1 = iterated_integral([LineArc(a, m1), LineArc(m1, b)], [f, g])
-    v2 = iterated_integral([LineArc(a, m2), LineArc(m2, b)], [f, g])
+    v1 = chain([LineArc(a, m1), LineArc(m1, b)], [f, g])
+    v2 = chain([LineArc(a, m2), LineArc(m2, b)], [f, g])
     assert abs(v1 - v2) < 1e-11
 
 
@@ -90,10 +91,10 @@ def test_reversal_antisymmetry():
     p = line(0.0, 1.0 + 0.5j)
     back = line(1.0 + 0.5j, 0.0)
     f = lambda z, v: z * v
-    assert abs(iterated_integral(back, [f]) + iterated_integral(p, [f])) < 1e-12
+    assert abs(chain(back, [f]) + chain(p, [f])) < 1e-12
     g = lambda z, v: z**2 * v
-    rev = iterated_integral(back, [f, g])
-    swapped = iterated_integral(p, [g, f])
+    rev = chain(back, [f, g])
+    swapped = chain(p, [g, f])
     assert abs(rev - swapped) < 1e-11
 
 
@@ -101,7 +102,7 @@ def test_all_prefixes_ladder():
     p = line(0.0, 1.0)
     f = lambda z, v: v
     g = lambda z, v: z * v
-    ladder = [iterated_integral(p, [f, g][k:]) for k in (2, 1, 0)]
+    ladder = [chain(p, [f, g][k:]) for k in (2, 1, 0)]
     assert abs(ladder[0] - 1.0) < 1e-15
     assert abs(ladder[1] - 0.5) < 1e-13  # int z dz
     assert abs(ladder[2] - 1.0 / 6.0) < 1e-13  # int dz z dz
@@ -109,26 +110,30 @@ def test_all_prefixes_ladder():
 
 def test_branched_form_sees_arc():
     tau = 0.05 + 0.9j
-    p = [spiral(1.0, 2, tau)]
-    # integrate d(log z) using the arc's own branch data
-    w = BranchedForm(lambda a, u: a.velocity(u) / a.point(u))
-    val = iterated_integral(p, [w])
+    arc = spiral(1.0, 2, tau)
+    # integrate d(log z) from the form's own arc
+    w = BranchedForm(lambda us: arc.velocity(us) / arc.point(us))
+    (val,) = iterated_integral(arc.suggested_panels(), [w], [(0j, lambda s, lower: s[0])], 1e-11)
     assert abs(val - 2 * 2j * cmath.pi * tau) < 1e-11
 
 
 def test_branched_form_gets_node_vector_once_per_panel_pass():
     arc = LineArc(0.0, 1.0 + 0.5j)
-    calls = []
+    ends = []
+    for panels in (1, 3):
+        calls = []
 
-    def f(a, us):
-        calls.append(us)
-        return np.stack([a.velocity(us) * a.point(us) ** k for k in range(3)], axis=1)
+        def f(us):
+            calls.append(us)
+            return np.stack([arc.velocity(us) * arc.point(us) ** k for k in range(3)], axis=1)
 
-    vals = iterated_integral([arc], [BranchedForm(f)])
+        (vals,) = iterated_integral(panels, [BranchedForm(f)], [(0j, lambda s, lower: s[0])], 1e-11)
+        # orders 16 and 20 on each starting panel, none bisected
+        assert [np.shape(us) for us in calls] == [(16,), (20,)] * panels
+        ends.append(vals)
     b = 1.0 + 0.5j
-    assert np.allclose(vals, [b, b**2 / 2, b**3 / 3], rtol=0, atol=1e-13)
-    # orders 16 and 20 on the single panel
-    assert [np.shape(us) for us in calls] == [(16,), (20,)]
+    assert np.allclose(ends[0], [b, b**2 / 2, b**3 / 3], rtol=0, atol=1e-13)
+    assert np.allclose(ends[1], ends[0], rtol=0, atol=1e-14)
 
 
 def _brute_convolve(f, g):
@@ -246,7 +251,7 @@ def test_divergence_reported(monkeypatch):
     p = line(0.0, 1.0)
     f = lambda z, v: v / (z - (0.5 + 1e-12j))
     with pytest.raises(QuadratureDiverged):
-        iterated_integral(p, [f], tol=1e-13)
+        chain(p, [f], tol=1e-13)
 
 
 def test_non_finite_panel_refused():
@@ -255,16 +260,16 @@ def test_non_finite_panel_refused():
     inf_end = lambda z, v: (np.inf if z.real > 0.99 else 1.0) * v
     for form in (nan_half, inf_end):
         with pytest.raises(QuadratureDiverged):
-            iterated_integral(p, [form])
+            chain(p, [form])
     # a non-finite outer level behind a finite inner one
     with pytest.raises(QuadratureDiverged):
-        iterated_integral(p, [nan_half, lambda z, v: v])
+        chain(p, [nan_half, lambda z, v: v])
 
 
 def test_vector_valued_single_form():
     p = line(0.0, 1.0)
     f = lambda z, v: np.array([v, z * v, z**2 * v])
-    vals = iterated_integral(p, [f])
+    vals = chain(p, [f])
     assert np.allclose(vals, [1.0, 0.5, 1.0 / 3.0])
 
 
@@ -278,9 +283,9 @@ def test_convolution_product_iterated():
     g1 = lambda z, v: z**2 * v
     F = lambda z, v: np.array([f0(z, v), f1(z, v)])
     G = lambda z, v: np.array([g0(z, v), g1(z, v)])
-    out = iterated_integral(p, [F, G])
-    order0 = iterated_integral(p, [f0, g0])
-    order1 = iterated_integral(p, [f0, g1]) + iterated_integral(p, [f1, g0])
+    out = chain(p, [F, G])
+    order0 = chain(p, [f0, g0])
+    order1 = chain(p, [f0, g1]) + chain(p, [f1, g0])
     assert abs(out[0] - order0) < 1e-12
     assert abs(out[1] - order1) < 1e-12
 
@@ -290,13 +295,13 @@ def test_convolution_outer_product_shapes():
     p = line(0.0, 1.0)
     F = lambda z, v: np.array([[v], [z * v]])
     G = lambda z, v: np.array([[v, z * v]])
-    out = iterated_integral(p, [F, G])
+    out = chain(p, [F, G])
     assert out.shape == (2, 2)
-    assert abs(out[0, 0] - iterated_integral(p, [lambda z, v: v] * 2)) < 1e-12
+    assert abs(out[0, 0] - chain(p, [lambda z, v: v] * 2)) < 1e-12
     assert (
         abs(
             out[1, 1]
-            - iterated_integral(p, [lambda z, v: z * v, lambda z, v: z * v])
+            - chain(p, [lambda z, v: z * v, lambda z, v: z * v])
         )
         < 1e-12
     )
