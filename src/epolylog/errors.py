@@ -29,10 +29,6 @@ class BadModulus(EpolylogError):
     """tau not in the upper half plane, or |q| outside the supported range."""
 
 
-class OnLattice(EpolylogError):
-    """Point coincides with (or is too close to) a lattice point."""
-
-
 class OnSingularLocus(EpolylogError):
     """Arguments sit on a singular divisor (t_i = t_j, t_i = 1, ...)."""
 
@@ -47,6 +43,10 @@ class MissingConstants(EpolylogError):
 
 class SizeBudgetExceeded(EpolylogError):
     """A symbolic expansion grew past the configured term budget."""
+
+
+class UnsupportedPrecision(EpolylogError):
+    """More digits were requested than a double-precision routine delivers."""
 
 
 class Inadmissible(EpolylogError):

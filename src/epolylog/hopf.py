@@ -5,7 +5,8 @@ Symbols (t_{i_1}:...:t_{i_l}; labels) with integer labels summing to zero
 strings, admissible collections, the reduced coproduct of one symbol, the
 divisor-asymptotics assembly built from it, and the partial-fraction
 identities used for residue bookkeeping.  A string is the plain tuple of its
-1-based positions in the symbol, in the order it runs.
+1-based positions in the symbol, in the order it runs.  The assembly searches
+each left-slot factor's collections among its essential strings only.
 Everything here is exact; numeric realizations are supplied by callers as
 callbacks.
 """
@@ -153,10 +154,11 @@ def _compatible(a, b):
     return not inter or (inter == {a[-1]} and a[-1] == b[-1])
 
 
-def admissible_collections(total):
-    """Non-empty admissible collections of strings (pairwise disjoint or
-    sharing exactly a common last position)."""
-    strings = enumerate_strings(total)
+def _string_collections(strings):
+    """Non-empty admissible collections (pairwise disjoint or sharing exactly
+    a common last position) of a list of strings, depth first in list order:
+    for a sublist of enumerate_strings, those admissible collections whose
+    strings all lie in the sublist, in their order."""
     out = []
     # depth-first, children in string order: each entry is (first string
     # index left to try, collection so far); a found extension goes on top of
@@ -173,6 +175,12 @@ def admissible_collections(total):
                 stack.append((i + 1, combo))
                 break
     return out
+
+
+def admissible_collections(total):
+    """Non-empty admissible collections of the strings of a length-`total`
+    symbol."""
+    return _string_collections(enumerate_strings(total))
 
 
 def string_symbol(sym, string):
@@ -245,25 +253,21 @@ class HopfElement:
         return " + ".join(bits) if bits else "0"
 
 
-def _delta_prime_symbol(sym, keep):
-    """[(coeff, left_slot, right_symbol)] for the reduced coproduct of one
-    symbol: signed admissible collections against their quotients.  Only the
-    collections that pass `keep(cut, rest)` are taken, where cut lists the
-    point indices of each string and rest those of the quotient; a rejected
-    collection builds no symbol."""
+def _delta_prime_symbol(sym, collections, keep_rest):
+    """[(coeff, left_slot, right_slot)] for the reduced coproduct of one
+    symbol over the given admissible collections: each signed against its
+    quotient.  A collection whose remaining point indices fail `keep_rest`
+    builds no symbol."""
     out = []
-    for coll in admissible_collections(sym.length):
+    for coll in collections:
         remaining = _remaining(sym.length, coll)
-        if len(remaining) < 2:
-            continue
-        cut = [[sym.ts[p - 1] for p in s] for s in coll]
-        if not keep(cut, [sym.ts[p - 1] for p in remaining]):
+        if len(remaining) < 2 or not keep_rest([sym.ts[p - 1] for p in remaining]):
             continue
         coeff = 1
         for s in coll:
             coeff *= _string_sign(s)
         left = tuple(sorted(string_symbol(sym, s) for s in coll))
-        out.append((coeff, left, _quotient_at(sym, coll, remaining)))
+        out.append((coeff, left, (_quotient_at(sym, coll, remaining),)))
     return out
 
 
@@ -302,19 +306,13 @@ def lambda_args(sym):
 
 def _kept_factor_terms(sym, J):
     """Full coproduct terms (coeff, left, right) of one symbol whose left slot
-    is all essential and whose right slot is all regular."""
-    out = []
-    if essential(sym.ts, J):
-        out.append((1, (sym,), ()))
+    is all essential and whose right slot is all regular; the collections
+    are searched among the essential strings only."""
+    out = [(1, (sym,), ())] if essential(sym.ts, J) else []
     if regular(sym.ts, J):
         out.append((1, (), (sym,)))
-
-    def keep(cut, rest):
-        return regular(rest, J) and all(essential(ts, J) for ts in cut)
-
-    for c, left, q in _delta_prime_symbol(sym, keep):
-        out.append((c, left, (q,)))
-    return out
+    strings = [s for s in enumerate_strings(sym.length) if essential([sym.ts[p - 1] for p in s], J)]
+    return out + _delta_prime_symbol(sym, _string_collections(strings), lambda rest: regular(rest, J))
 
 
 def assemble_asymptotic(sym, J):
@@ -326,14 +324,17 @@ def assemble_asymptotic(sym, J):
     in key order: the terms of the iterated coproduct whose phi and C slots
     are all essential and whose Lambda slot is all regular.  Only those terms
     are built.  The first coproduct keeps the terms with an all-essential
-    right slot, and a collection is rejected from its remaining point indices
-    before any symbol is cut out.  The left slot is then expanded factor by
-    factor, each factor's coproduct filtered to (essential, regular) before
-    the product over factors; the classification is a conjunction over
-    factors, so nothing that survives is dropped.  The test oracles hold the
-    full Delta^(3)-then-filter path.  Callers realize the slots and
-    multiply the values per term (polylog.asymptotic_eval does so
-    numerically).
+    right slot, a test on the quotient that no single string decides, so
+    every admissible collection is tried and rejected from its remaining
+    point indices before any symbol is cut out.  Each left-slot factor's
+    coproduct is then restricted to (essential, regular) before the product
+    over factors: its collections come from its essential strings alone, and
+    their quotients must be regular.  The classification is a conjunction
+    over factors, so nothing that survives is dropped.  Collections are not
+    tabled per length: the table's memory would read as program growth in
+    the bench until it stops keeping per-op records (ROADMAP).  The test
+    oracles hold the full Delta^(3)-then-filter path.  Callers realize the
+    slots and multiply the values per term (polylog.asymptotic_eval).
     """
     J = frozenset(J)
     if not J or not J <= set(sym.ts[:-1]):
@@ -341,8 +342,7 @@ def assemble_asymptotic(sym, J):
     firsts = [(1, (sym,), ())]
     if essential(sym.ts, J):
         firsts.append((1, (), (sym,)))
-    for c, left, q in _delta_prime_symbol(sym, lambda cut, rest: essential(rest, J)):
-        firsts.append((c, left, (q,)))
+    firsts += _delta_prime_symbol(sym, admissible_collections(sym.length), lambda rest: essential(rest, J))
     el = HopfElement()
     for c0, left, c_slot in firsts:
         acc = [(c0, (), ())]

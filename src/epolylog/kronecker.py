@@ -51,7 +51,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import BadModulus, OnLattice, OnSingularLocus, OutOfRegion, TruncationTooSmall
+from .errors import BadModulus, OnSingularLocus, OutOfRegion, TruncationTooSmall
 from .precision import get_context
 
 _LATTICE_TOL = 1e-12
@@ -251,7 +251,7 @@ def eisenstein_E(K, p, ctx):
     if K < 1:
         raise ValueError("K must be >= 1")
     if p.is_lattice():
-        raise OnLattice(f"E_j pole at {p!r}")
+        raise OnSingularLocus(f"E_j pole at {p!r}")
     tau = ctx.tau
     prec = ctx.prec
     cot_pi = prec.cot_pi

@@ -10,6 +10,10 @@ carries the channels at padded order and the depth-2 table on its K x K
 window.  Its MultiSeries value wraps that same array, without a copy, for
 callers that evaluate or compare the series.  The asymptotic assembly
 builds its factors as MultiSeries arrays too, filled directly.
+
+This pipeline computes in doubles: debye_lambda refuses an ELLIP_PRECISION
+above double, and transport_debye a lattice context above double, with
+UnsupportedPrecision.
 """
 
 import cmath
@@ -23,7 +27,9 @@ from .errors import (
     Inadmissible,
     MissingConstants,
     OutOfRegion,
+    UnsupportedPrecision,
 )
+from .precision import get_context
 from .quadrature import (
     BranchedForm,
     LineArc,
@@ -38,7 +44,7 @@ DEFAULT_MARGIN = 0.05
 DEFAULT_TOL = 1e-10  # transport legs
 SERIES_TOL = 1e-15  # tail of the Debye series sums
 Q_POWER_TOL = 1e-9  # how close to a real q-power SpiralShift.validate refuses
-CLEARANCE = 1e-3  # distance every transport arc keeps from 1
+CLEARANCE = 1e-3  # distance every transport arc keeps from 1, a line arc from 0 too
 
 
 class SimplicialPoint:
@@ -214,9 +220,14 @@ def debye_lambda(r, pt, K):
     logs).  Coordinates must keep DEFAULT_MARGIN from the unit circle, and
     K >= 1 coefficients are kept per variable.  A series at a zero
     coordinate is zero and has no log branch, so it cannot be continued.
+    The series is computed in doubles, so an ELLIP_PRECISION above double
+    is refused with UnsupportedPrecision.
     """
     if r != pt.depth:
         raise ValueError("depth mismatch")
+    digits = get_context().digits
+    if digits > 16:
+        raise UnsupportedPrecision(f"debye_lambda computes in doubles, not {digits} digits")
     if K < 1:
         raise ValueError(f"order K = {K} must be at least 1")
     if any(abs(t) > 1.0 - DEFAULT_MARGIN for t in pt.ts):
@@ -308,8 +319,9 @@ def _advance(series, arcs, tag):
     line leg's ratios are its pointwise quotients by the fixed coordinate.
     Every arc of the leg shares the parameter u, and each form samples its
     own arc there.  One pass, accepted over the whole state, carries it all
-    over u, starting from the largest suggested panel count of the spine,
-    and every arc must keep CLEARANCE from 1.
+    over u, starting from the largest suggested panel count of the spine.
+    Every arc must keep CLEARANCE from 1, and a line arc from 0 as well,
+    where its log and the form w^{-b} dw/(1-w) are singular too.
     """
     ts, logs, K = series.point.ts, series.logs, series.order()
     arcs = [a if a is None else _rebase(a, t, l) for a, t, l in zip(arcs, ts, logs)]
@@ -333,6 +345,7 @@ def _advance(series, arcs, tag):
                       _RatioArc(arcs[i], -sign, ts[1 - i], logs[1 - i])]
     spine = [arcs[i] for i in moving] + ratios
     check_clearance(spine, 1.0, CLEARANCE)
+    check_clearance([a for a in spine if isinstance(a, LineArc)], 0.0, CLEARANCE)
     forms = [_form(arcs[i], len(chans[i])) for i in moving] + [_form(arc, K) for arc in ratios]
 
     def channel(i):
@@ -385,7 +398,7 @@ def continue_debye(series, legs):
     at the current coordinate value, whose branch it continues.  The input
     series is left as it was.  Every leg is one adaptive pass to
     DEFAULT_TOL, the depth-2 table on its K x K window, and every arc must
-    keep CLEARANCE from 1 at its closest approach.
+    keep CLEARANCE from 1 at its closest approach (a line arc from 0 too).
     """
     tag = series.branch_tag + f" -> continued[{len(legs)} legs]"
     if series.depth == 1:
@@ -402,10 +415,14 @@ def transport_debye(shift, K, route="diagonal"):
 
     route (depth 2 only, checked at any depth): "diagonal" moves both
     coordinates at once, "axes" moves t_1 first and then t_2.  Both must
-    agree for admissible shifts (path homotopy invariance).
+    agree for admissible shifts (path homotopy invariance).  Transport
+    computes in doubles: a shift whose lattice context carries more digits
+    is refused with UnsupportedPrecision.
     """
     if route not in ("diagonal", "axes"):
         raise ValueError(f"unknown route {route!r}")
+    if shift.context.prec.digits > 16:
+        raise UnsupportedPrecision(f"transport computes in doubles, not {shift.context.prec.digits} digits")
     shift.validate()
     base = debye_lambda(shift.base.depth, shift.base, K)
     log_q = 2j * np.pi * complex(shift.context.tau)

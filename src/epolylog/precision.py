@@ -6,7 +6,9 @@ through the ELLIP_PRECISION environment variable ("double" | "extended" |
 an integer digit count).  Only the scalar entry points of the special
 function evaluators consult the context; series coefficients stay in
 whatever scalar type the context produces, since Python's arithmetic
-operators dispatch transparently between complex and mpmath.mpc.
+operators dispatch transparently between complex and mpmath.mpc.  The Debye
+series and their transport (polylog) compute in doubles and refuse a
+context above double precision.
 
 There is one context per digit count: get_context returns the same shared
 object for every request of that precision, so the mpmath context behind

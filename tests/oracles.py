@@ -26,7 +26,8 @@ pytest's test_*.py pattern, so nothing here is collected.
 * strings, string_sign, collections_by_recursion: the directed strings of
   a symbol, their signs and their admissible collections, each from its
   definition and without hopf's enumeration; the oracles of
-  test_string_constraints and test_admissible_collections_order.
+  test_string_constraints, test_admissible_collections_order and, filtered
+  to essential strings, test_essential_string_collections_match_filtered_oracle.
 * delta_prime, apply_delta, iterated_delta: the full coproduct and its
   iterates, on the collections above, with string symbols and quotients cut
   from their definitions.  iterated_delta(sym, 3) followed by the

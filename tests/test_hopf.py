@@ -88,6 +88,22 @@ def test_admissible_collections_order(n):
     assert admissible_collections(n) == collections_by_recursion(n)
 
 
+@pytest.mark.parametrize("total", range(2, 9))
+def test_essential_string_collections_match_filtered_oracle(total):
+    """A factor's collections searched among its essential strings alone are
+    the oracle's admissible collections whose strings are all essential, in
+    the same order: for every J and for point indices in canonical, reversed
+    (a factor such as (t3:t2:t1)) and interleaved order."""
+    every = collections_by_recursion(total)
+    canonical = tuple(range(1, total + 1))
+    for ts in (canonical, canonical[::-1], canonical[1::2] + canonical[::2]):
+        for k in range(total + 1):
+            for J in map(frozenset, itertools.combinations(canonical, k)):
+                flags = {s: essential([ts[p - 1] for p in s], J) for s in strings(total)}
+                got = hopf._string_collections([s for s in enumerate_strings(total) if flags[s]])
+                assert got == [c for c in every if all(flags[s] for s in c)], (ts, sorted(J))
+
+
 def test_assembly_leaves_no_reference_cycles():
     """The collections are enumerated without a self-referencing closure, so
     an assembly leaves nothing for the cycle collector."""

@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from epolylog import hopf, polylog, quadrature
-from epolylog.errors import Inadmissible, MissingConstants, OutOfRegion, PathTooClose
+from epolylog.errors import Inadmissible, MissingConstants, OutOfRegion, PathTooClose, UnsupportedPrecision
 from epolylog.kronecker import LatticeContext, zeta_even
 from epolylog.polylog import (
     DebyeSeries,
@@ -721,6 +721,31 @@ def test_leg_crossing_between_clearance_samples_refused():
     a = continue_debye(debye_lambda(1, SimplicialPoint((0.5,)), 4), [LineArc(0.5, z0)])
     with pytest.raises(PathTooClose):
         continue_debye(a, [LineArc(z0, z0 + L)])
+
+
+@pytest.mark.parametrize("end", [-0.5, -0.5 + 1e-9j])
+def test_line_leg_through_zero_refused_up_front(monkeypatch, end):
+    """A line leg through 0, or 1e-9 from it, where log t and the form are
+    singular, is refused by the clearance check before any panel pass."""
+
+    def integrate(*args):
+        raise AssertionError("the leg reached the integrator")
+
+    monkeypatch.setattr(polylog, "iterated_integral", integrate)
+    with pytest.raises(PathTooClose, match="singular point 0"):
+        continue_debye(debye_lambda(1, SimplicialPoint((0.5,)), 4), [LineArc(0.5, end)])
+
+
+def test_transport_refuses_extended_context():
+    shift = SpiralShift((1,), SimplicialPoint((0.3 + 0.1j,)), LatticeContext(TAU, 30))
+    with pytest.raises(UnsupportedPrecision, match="30 digits"):
+        transport_debye(shift, 4)
+
+
+def test_debye_lambda_refuses_extended_environment(monkeypatch):
+    monkeypatch.setenv("ELLIP_PRECISION", "extended")
+    with pytest.raises(UnsupportedPrecision, match="30 digits"):
+        debye_lambda(1, SimplicialPoint((0.3,)), 4)
 
 
 def _through_one(kind):
