@@ -5,13 +5,14 @@ Symbols (t_{i_1}:...:t_{i_l}; labels) with integer labels summing to zero
 strings, admissible collections, the reduced coproduct of one symbol, the
 divisor-asymptotics assembly built from it, and the partial-fraction
 identities used for residue bookkeeping.  A string is the plain tuple of its
-1-based positions in the symbol, in the order it runs.  The assembly searches
-each left-slot factor's collections among its essential strings only.
-Everything here is exact; numeric realizations are supplied by callers as
-callbacks.
+1-based positions in the symbol, in the order it runs.  The assembly is one
+filtered coproduct, applied to the symbol and then once to each distinct
+left-slot factor.  Everything here is exact; numeric realizations are
+supplied by callers as callbacks.
 """
 
 from fractions import Fraction
+from functools import partial
 
 from .errors import SizeBudgetExceeded
 from .rational import Poly, rational_sum
@@ -177,12 +178,6 @@ def _string_collections(strings):
     return out
 
 
-def admissible_collections(total):
-    """Non-empty admissible collections of the strings of a length-`total`
-    symbol."""
-    return _string_collections(enumerate_strings(total))
-
-
 def string_symbol(sym, string):
     """The symbol A_S cut out of `sym` by a string of positions."""
     ts = tuple(sym.ts[p - 1] for p in string)
@@ -253,24 +248,6 @@ class HopfElement:
         return " + ".join(bits) if bits else "0"
 
 
-def _delta_prime_symbol(sym, collections, keep_rest):
-    """[(coeff, left_slot, right_slot)] for the reduced coproduct of one
-    symbol over the given admissible collections: each signed against its
-    quotient.  A collection whose remaining point indices fail `keep_rest`
-    builds no symbol."""
-    out = []
-    for coll in collections:
-        remaining = _remaining(sym.length, coll)
-        if len(remaining) < 2 or not keep_rest([sym.ts[p - 1] for p in remaining]):
-            continue
-        coeff = 1
-        for s in coll:
-            coeff *= _string_sign(s)
-        left = tuple(sorted(string_symbol(sym, s) for s in coll))
-        out.append((coeff, left, (_quotient_at(sym, coll, remaining),)))
-    return out
-
-
 def essential(ts, J):
     """Point indices ts of a string symbol are essential when every one but
     the last goes to infinity (lies in J) and the last one stays finite."""
@@ -304,15 +281,27 @@ def lambda_args(sym):
     return tuple((i, last) for i in sym.ts[:-1]), sym.labels[:-1]
 
 
-def _kept_factor_terms(sym, J):
-    """Full coproduct terms (coeff, left, right) of one symbol whose left slot
-    is all essential and whose right slot is all regular; the collections
-    are searched among the essential strings only."""
-    out = [(1, (sym,), ())] if essential(sym.ts, J) else []
-    if regular(sym.ts, J):
+def _kept_terms(sym, left_ok, right_ok):
+    """[(coeff, left_slot, right_slot)]: the terms of the coproduct of one
+    symbol whose slots pass two tests on point indices.  sym (x) 1 is kept
+    when sym passes left_ok and 1 (x) sym when it passes right_ok; the
+    collections are searched among the strings that pass left_ok, and each
+    is signed against its quotient and kept when the quotient's remaining
+    point indices (two or more) pass right_ok."""
+    out = [(1, (sym,), ())] if left_ok(sym.ts) else []
+    if right_ok(sym.ts):
         out.append((1, (), (sym,)))
-    strings = [s for s in enumerate_strings(sym.length) if essential([sym.ts[p - 1] for p in s], J)]
-    return out + _delta_prime_symbol(sym, _string_collections(strings), lambda rest: regular(rest, J))
+    strings = [s for s in enumerate_strings(sym.length) if left_ok([sym.ts[p - 1] for p in s])]
+    for coll in _string_collections(strings):
+        remaining = _remaining(sym.length, coll)
+        if len(remaining) < 2 or not right_ok([sym.ts[p - 1] for p in remaining]):
+            continue
+        coeff = 1
+        for s in coll:
+            coeff *= _string_sign(s)
+        left = tuple(sorted(string_symbol(sym, s) for s in coll))
+        out.append((coeff, left, (_quotient_at(sym, coll, remaining),)))
+    return out
 
 
 def assemble_asymptotic(sym, J):
@@ -323,35 +312,31 @@ def assemble_asymptotic(sym, J):
     Returns the classified term list [(coeff, phi_slot, lambda_slot, c_slot)]
     in key order: the terms of the iterated coproduct whose phi and C slots
     are all essential and whose Lambda slot is all regular.  Only those terms
-    are built.  The first coproduct keeps the terms with an all-essential
-    right slot, a test on the quotient that no single string decides, so
-    every admissible collection is tried and rejected from its remaining
-    point indices before any symbol is cut out.  Each left-slot factor's
-    coproduct is then restricted to (essential, regular) before the product
-    over factors: its collections come from its essential strings alone, and
-    their quotients must be regular.  The classification is a conjunction
-    over factors, so nothing that survives is dropped.  Collections are not
-    tabled per length: the table's memory would read as program growth in
-    the bench until it stops keeping per-op records (ROADMAP).  The test
-    oracles hold the full Delta^(3)-then-filter path.  Callers realize the
-    slots and multiply the values per term (polylog.asymptotic_eval).
+    are built, by one filtered coproduct applied twice.  The first keeps the
+    terms of sym whose right slot is essential; every string is tried, since
+    the test is on the quotient.  The second expands each distinct left-slot
+    factor once per call into its (essential, regular) terms, searched among
+    its essential strings, and the product over factors multiplies them out.
+    The classification is a conjunction over factors, so nothing that
+    survives is dropped.  The test oracles hold the full
+    Delta^(3)-then-filter path.  Callers realize the slots and multiply the
+    values per term (polylog.asymptotic_eval).
     """
     J = frozenset(J)
     if not J or not J <= set(sym.ts[:-1]):
         raise ValueError(f"J must be a non-empty subset of the point indices {sym.ts[:-1]}")
-    firsts = [(1, (sym,), ())]
-    if essential(sym.ts, J):
-        firsts.append((1, (), (sym,)))
-    firsts += _delta_prime_symbol(sym, admissible_collections(sym.length), lambda rest: essential(rest, J))
+    ess, reg = partial(essential, J=J), partial(regular, J=J)
+    kept = {}  # left-slot factor -> its (essential, regular) terms
     el = HopfElement()
-    for c0, left, c_slot in firsts:
+    for c0, left, c_slot in _kept_terms(sym, lambda ts: True, ess):
         acc = [(c0, (), ())]
         for f in left:
-            kept = _kept_factor_terms(f, J)
+            if f not in kept:
+                kept[f] = _kept_terms(f, ess, reg)
             acc = [
                 (c * c1, phi + phi1, lam + lam1)
                 for c, phi, lam in acc
-                for c1, phi1, lam1 in kept
+                for c1, phi1, lam1 in kept[f]
             ]
         for c, phi, lam in acc:
             el.add((tuple(sorted(phi)), tuple(sorted(lam)), c_slot), c)

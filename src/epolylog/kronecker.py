@@ -31,8 +31,9 @@ which is its exact limit, and the outer direction is accumulated
 symmetrically n, -n.  Reordering is not allowed.  One walk over the rows
 serves the whole ladder E_1 .. E_K at a point: each row's two cotangents
 cot(pi(xi +/- n tau)) are computed once and fed to every j's polynomial,
-while each j keeps its own total and stops after its own two settled rows,
-so E_j does not depend on K.  The lattice constants e_j share the rows'
+and each j keeps its own total.  The walk has a fixed length, the
+context's lattice_cutoff rows past |r|, and nothing stops early, so E_j
+does not depend on K.  The lattice constants e_j share the rows'
 cot(pi n tau) the same way, computed once per context.
 
 The cotangent polynomial P_j has the parity of j, so each row runs Horner
@@ -129,9 +130,10 @@ class LatticeContext:
 
     Both truncations are derived from |q| and the working precision:
     q_series_cutoff bounds the number of q-powers in theta products and the
-    kernel's double series; lattice_cutoff = q_series_cutoff + 4 bounds the
-    rows of the outer symmetric Eisenstein sum (the inner direction is
-    summed in closed form, its exact limit).  Moduli with |q| > 0.7 are
+    kernel's double series; lattice_cutoff = q_series_cutoff + 4 is the
+    fixed number of rows the outer symmetric Eisenstein sum walks, past |r|
+    for E_j, with no early stop (the inner direction is summed in closed
+    form, its exact limit).  Moduli with |q| > 0.7 are
     refused: every truncation bound here assumes a reasonable decay rate,
     and the conditionally convergent sums degrade badly as |q| -> 1.  So
     is a tau whose |q| is not a positive double (a NaN or infinite tau, or
@@ -244,10 +246,10 @@ def eisenstein_E(K, p, ctx):
     """[E_1(p), ..., E_K(p)]: each the conditionally convergent lattice sum
     of 1/(xi + m + n*tau)^j, inner direction exact, outer symmetric.
 
-    One walk over the rows n serves every j: each row's two cotangents are
-    computed once, and each j runs its own cotangent polynomial on them,
-    keeps its own total and stops at its own row, so E_j is the same
-    whichever K it was asked with."""
+    One walk over the rows n = 1 .. lattice_cutoff + int(|r|) serves every
+    j: each row's two cotangents are computed once, and each j runs its own
+    cotangent polynomial on them and keeps its own total.  Every j walks
+    every row, so E_j is the same whichever K it was asked with."""
     if K < 1:
         raise ValueError("K must be >= 1")
     if p.is_lattice():
@@ -258,20 +260,15 @@ def eisenstein_E(K, p, ctx):
     rows = [_row_constants(j, prec) for j in range(1, K + 1)]
     c = cot_pi(p.s + p.r * tau)
     totals = [_inner_row(row, c) for row in rows]
-    eps = 10.0 ** (-(prec.digits + 2))
-    settled = [0] * K
-    live = range(K)  # the j - 1 whose sums have not stopped
-    n_min = int(abs(p.r)) + 1
     r = prec.real(p.r)  # r -/+ n in the context's type, not rounded to a double
-    for n in range(1, ctx.lattice_cutoff + n_min):
+    for n in range(1, ctx.lattice_cutoff + int(abs(p.r)) + 1):
         c_up = cot_pi(p.s + (r + n) * tau)
         c_down = cot_pi(p.s + (r - n) * tau)
-        for i in live:
+        for i, (lead, rest, odd, pi_j) in enumerate(rows):
             # _inner_row at c_up and c_down, inline: a call per row, cotangent
             # and j was most of a double-precision evaluation.  The steps
             # stay (acc * c) * c, the rounding of the full Horner scheme;
             # acc * c^2 would move the golden values.
-            lead, rest, odd, pi_j = rows[i]
             up = down = lead
             for coef in rest:
                 up = up * c_up * c_up + coef
@@ -279,22 +276,14 @@ def eisenstein_E(K, p, ctx):
             if odd:
                 up = up * c_up
                 down = down * c_down
-            inc = pi_j * up + pi_j * down
-            total = totals[i] = totals[i] + inc
-            if n >= n_min and abs(inc) < eps * (abs(total) + 1):
-                settled[i] += 1
-            else:
-                settled[i] = 0
-        live = [i for i in live if settled[i] < 2]
-        if not live:
-            break
+            totals[i] = totals[i] + (pi_j * up + pi_j * down)
     return totals
 
 
 def lattice_constant(j, ctx):
-    """e_j: the lattice sum without the origin; vanishes for odd j.  The
-    row cotangents cot(pi n tau) do not depend on j and are computed once
-    per context."""
+    """e_j: the lattice sum without the origin over the rows n = 1 ..
+    lattice_cutoff, all of them; vanishes for odd j.  The row cotangents
+    cot(pi n tau) do not depend on j and are computed once per context."""
     if j < 1:
         raise ValueError("index must be >= 1")
     if j % 2:
@@ -308,17 +297,8 @@ def lattice_constant(j, ctx):
     # 2 zeta(j) from the Bernoulli closed form, its rational factor rounded once
     factor = (-1) ** (j // 2 + 1) * _bernoulli(j) * Fraction(2) ** j / math.factorial(j)
     total = prec.complex(prec.real(factor) * row[3])
-    eps = 10.0 ** (-(prec.digits + 2))
-    settled = 0
     for c in ctx._lattice_cots:
-        inc = 2 * _inner_row(row, c)  # even j: n and -n agree
-        total += inc
-        if abs(inc) < eps * (abs(total) + 1):
-            settled += 1
-            if settled >= 2:
-                break
-        else:
-            settled = 0
+        total += 2 * _inner_row(row, c)  # even j: n and -n agree
     ctx._e_cache[j] = total
     return total
 

@@ -517,7 +517,8 @@ def asymptotic_eval(r, J, pt, K, constants):
     partial-sum denominators, regular series at the surviving ratio
     arguments, and boundary constants C evaluated on the essential tails.
     pt supplies the actual coordinate values (large along J) and has depth
-    r; ratios of J-coordinates stay finite.  constants: the 1-variable
+    r; ratios of J-coordinates stay finite.  K: the coefficients [0, K) are
+    predicted, K >= 1 (ValueError otherwise).  constants: the 1-variable
     MultiSeries for C, with at least constants_order(K) regular orders
     (MissingConstants otherwise) and at most a simple pole (ValueError
     otherwise): only its regular orders and its (-1,) coefficient are read.
@@ -537,9 +538,12 @@ def asymptotic_eval(r, J, pt, K, constants):
         raise ValueError("J must index the first r coordinates")
     if r > 2:
         raise ValueError("numeric asymptotics implemented for depth <= 2")
+    if K < 1:
+        raise ValueError(f"order K = {K} must be at least 1")
     if len(constants.vars) != 1:
         raise ValueError("constants must be a series in one variable")
-    if any(e < -1 for (e,) in constants.terms):
+    (lo,) = constants.lo
+    if np.any(constants.a[: max(0, -1 - lo)]):
         raise ValueError("constants may have at most a simple pole")
     M = constants_order(K)
     if constants.max_order[0] < M:
@@ -550,9 +554,8 @@ def asymptotic_eval(r, J, pt, K, constants):
     ts = pt.ts + (1.0 + 0.0j,)
     logs = [cmath.log(t) if t != 0 else 0.0 for t in ts]
 
-    (lo,) = constants.lo  # C's regular orders 0..M from its array, zero-padded
     n = np.arange(max(lo, 0), min(lo + len(constants.a), M + 1))
-    c_reg = np.zeros(M + 1, dtype=complex)
+    c_reg = np.zeros(M + 1, dtype=complex)  # C's regular orders 0..M, zero-padded
     c_reg[n] = constants.a[n - lo]
     c_pole = constants.coeff((-1,))
 

@@ -116,7 +116,9 @@ class MultiSeries:
 
     @classmethod
     def const(cls, vars, c, max_order):
-        return cls(vars, {(0,) * len(tuple(vars)): c}, max_order)
+        """c in a one-element array, on the window 0..max_order (each >= 0)."""
+        k = len(vars)
+        return cls._of(vars, np.full((1,) * k, complex(c)), (0,) * k, _window(max_order, k), (0,) * k)
 
     @property
     def terms(self):

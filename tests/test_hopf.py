@@ -12,7 +12,6 @@ from epolylog.errors import SizeBudgetExceeded
 from epolylog.hopf import (
     ASymbol,
     HopfElement,
-    admissible_collections,
     assemble_asymptotic,
     canonical_symbol,
     enumerate_strings,
@@ -77,7 +76,7 @@ def test_string_count_n4():
 
 def test_admissibility_dichotomy():
     # shared last position is fine, any other overlap is not
-    colls = admissible_collections(4)
+    colls = hopf._string_collections(enumerate_strings(4))
     assert any(set(x) == {(1, 2), (3, 2)} for x in colls if len(x) == 2)
     assert not any(set(x) == {(1, 2), (2, 3)} for x in colls if len(x) == 2)
     assert not any(set(x) == {(1, 2), (2, 1)} for x in colls if len(x) == 2)
@@ -85,7 +84,7 @@ def test_admissibility_dichotomy():
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_admissible_collections_order(n):
-    assert admissible_collections(n) == collections_by_recursion(n)
+    assert hopf._string_collections(enumerate_strings(n)) == collections_by_recursion(n)
 
 
 @pytest.mark.parametrize("total", range(2, 9))
@@ -466,6 +465,22 @@ def test_labels_are_ints_with_exact_rational_fallback():
         ASymbol((1, 2), [(1,), (1,)])
     with pytest.raises(ValueError):
         ASymbol((1, 2), [(F(1, 2),), (F(-1, 3),)])
+
+
+@pytest.mark.parametrize("n, most", [(7, 37), (8, 50)])
+def test_assembly_expands_each_symbol_once(monkeypatch, n, most):
+    """One assembly enumerates strings once for the symbol and once for each
+    distinct left-slot factor, however many first-step terms hold it."""
+    calls = []
+    strings_of = hopf.enumerate_strings
+
+    def spy(total):
+        calls.append(total)
+        return strings_of(total)
+
+    monkeypatch.setattr(hopf, "enumerate_strings", spy)
+    assemble_asymptotic(canonical_symbol(n), set(range(1, n)))
+    assert calls[0] == n and len(calls) <= most
 
 
 def test_size_budget(monkeypatch):

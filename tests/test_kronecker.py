@@ -308,8 +308,9 @@ def test_eisenstein_prefix_independent(digits):
 @pytest.mark.parametrize("digits", [15, 30])
 def test_one_row_walk_per_point(digits, monkeypatch):
     """One omega_coefficients call walks the lattice rows once for the whole
-    ladder E_1 .. E_(K+1): two cotangents per row n >= 1 plus row 0, once the
-    context holds its lattice constants."""
+    ladder E_1 .. E_(K+1), to the context's row count: two cotangents per
+    row n = 1 .. lattice_cutoff + int(|r|) plus row 0, once the context
+    holds its lattice constants."""
     ctx = LatticeContext(TAU, digits)
     omega_coefficients(EllipticPoint(0.31, 0.17), 8, ctx)  # builds e_j
     calls = []
@@ -324,7 +325,7 @@ def test_one_row_walk_per_point(digits, monkeypatch):
         calls.clear()
         omega_coefficients(EllipticPoint(s, r), 8, ctx)
         n_min = int(abs(r)) + 1
-        assert 0 < len(calls) <= 2 * (ctx.lattice_cutoff + n_min) + 1
+        assert len(calls) == 2 * (ctx.lattice_cutoff + n_min - 1) + 1
 
 
 # ------------------------------------------------------------------- kernel F

@@ -810,6 +810,9 @@ def test_region_argument_checks():
         asymptotic_eval(2, {1}, SimplicialPoint((20.0,)), 4, constants=C)
     with pytest.raises(TypeError):
         asymptotic_eval(2, {1, 2}, SimplicialPoint((20.0, 30.0)), 4)
+    for K in (0, -1, -2):
+        with pytest.raises(ValueError, match=f"order K = {K} must be at least 1"):
+            asymptotic_eval(2, {1}, SimplicialPoint((20.0, 0.3)), K, constants=C)
     short = MultiSeries(("b",), {(-1,): -1.0 + 0j, (0,): 1j * math.pi}, (1,), (-1,))
     with pytest.raises(MissingConstants):
         asymptotic_eval(2, {1, 2}, SimplicialPoint((20.0, 30.0)), 4, constants=short)
