@@ -15,17 +15,9 @@ from fractions import Fraction
 from functools import partial
 
 from .errors import SizeBudgetExceeded
-from .rational import Poly, rational_sum
+from .rational import Poly, _exact, rational_sum
 
 DEFAULT_SIZE_BUDGET = 10**6
-
-
-def _exact(c):
-    """One exact label entry: an int, or a Fraction when it is not integral."""
-    if type(c) is int:
-        return c
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
 
 
 def _vec(width, entries=None):
@@ -75,10 +67,10 @@ class ASymbol:
     `ts` are 1-based point indices into the ambient tuple (index n is the
     slot fixed at 1 in realizations).  Labels are exact vectors over a free
     basis b_1..b_w and must sum to zero; the last label of a string symbol
-    is minus the sum of the others by construction.  An integral entry is
-    stored as an int (Fraction(1) == 1 with the same hash, so keys, order
-    and reprs do not depend on how it was given); any other entry stays an
-    exact Fraction.
+    is minus the sum of the others by construction.  rational._exact, which
+    Poly coefficients share, stores an integral entry as an int
+    (Fraction(1) == 1 with the same hash, so keys, order and reprs do not
+    depend on how it was given) and any other entry as an exact Fraction.
     """
 
     __slots__ = ("ts", "labels")

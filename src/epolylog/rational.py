@@ -1,7 +1,10 @@
 """Exact multivariate polynomials and sums of reciprocals of linear forms.
 
-Coefficients are fractions.Fraction, exponents live in a fixed variable
-tuple.  The only rational functions we meet are signed sums
+Coefficients are ints when integral and Fractions otherwise (_exact, shared
+with hopf's labels): a verdict's LCM expansion multiplies thousands of
+coefficients, all integers, and Fraction arithmetic on them cost most of its
+time.  Exponents live in a fixed variable tuple, which both operands of a
+sum or product share.  The only rational functions we meet are signed sums
 sum_i c_i / prod(F_i) in which every denominator F_i is a multiset of linear
 Polys, and the only question asked of them is "is this identically zero?".
 rational_sum answers it over the least common multiple of the denominators:
@@ -18,8 +21,16 @@ from collections import Counter
 from fractions import Fraction
 
 
+def _exact(c):
+    """One exact number: an int, or a Fraction when it is not integral."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class Poly:
-    """Multivariate polynomial: dict exponent-tuple -> Fraction."""
+    """Multivariate polynomial: dict exponent-tuple -> int or Fraction."""
 
     __slots__ = ("vars", "terms")
 
@@ -27,13 +38,13 @@ class Poly:
         self.vars = tuple(vars)
         self.terms = {}
         for e, c in (terms or {}).items():
-            c = Fraction(c)
+            c = _exact(c)
             if c:
                 self.terms[tuple(e)] = c
 
     @classmethod
     def const(cls, vars, c):
-        return cls(vars, {(0,) * len(tuple(vars)): Fraction(c)})
+        return cls(vars, {(0,) * len(tuple(vars)): c})
 
     @classmethod
     def variable(cls, vars, name):
@@ -41,7 +52,7 @@ class Poly:
         e = tuple(1 if v == name else 0 for v in vars)
         if sum(e) != 1:
             raise ValueError(f"unknown variable {name!r}")
-        return cls(vars, {e: Fraction(1)})
+        return cls(vars, {e: 1})
 
     def is_zero(self):
         return not self.terms
@@ -53,9 +64,11 @@ class Poly:
         return hash((self.vars, tuple(sorted(self.terms.items()))))
 
     def __add__(self, other):
+        if self.vars != other.vars:
+            raise ValueError(f"variable tuples differ: {self.vars} and {other.vars}")
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
+            s = out.get(e, 0) + c
             if s:
                 out[e] = s
             else:
@@ -63,11 +76,13 @@ class Poly:
         return Poly(self.vars, out)
 
     def __mul__(self, other):
+        if self.vars != other.vars:
+            raise ValueError(f"variable tuples differ: {self.vars} and {other.vars}")
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
+                s = out.get(e, 0) + c1 * c2
                 if s:
                     out[e] = s
                 else:
@@ -90,12 +105,12 @@ def rational_sum(parts):
     """Numerator and denominator factors of sum_i c_i / prod(factors_i).
 
     parts: iterable of (c_i, factors_i), c_i a number and factors_i a list of
-    nonzero linear Polys over one variable tuple.  Returns (num, lcm): lcm
-    lists the factors of the least common multiple of the denominators with
-    multiplicity, and the sum equals num / prod(lcm).  Factors are matched as
-    Polys, so x and -x count as different factors; the result is then over a
-    common multiple that is not least, which changes num but not whether it
-    is zero."""
+    nonzero linear Polys, all over one variable tuple (else ValueError).
+    Returns (num, lcm): lcm lists the factors of the least common multiple
+    of the denominators with multiplicity, and the sum equals
+    num / prod(lcm).  Factors are matched as Polys, so x and -x count as
+    different factors; the result is then over a common multiple that is not
+    least, which changes num but not whether it is zero."""
     parts = [(c, Counter(fs)) for c, fs in parts]
     if not parts:
         raise ValueError("empty sum")
@@ -105,6 +120,9 @@ def rational_sum(parts):
     if any(f.is_zero() for f in lcm):
         raise ZeroDivisionError("zero denominator factor")
     vars = next(iter(lcm)).vars if lcm else ()
+    for f in lcm:
+        if f.vars != vars:
+            raise ValueError(f"variable tuples differ: {vars} and {f.vars}")
     num = Poly(vars, {})
     for c, fs in parts:
         piece = Poly.const(vars, c)

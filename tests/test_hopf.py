@@ -297,7 +297,7 @@ def test_kid_identities_n7_n8():
 
 
 @pytest.mark.parametrize("which", ["kid1", "kid2"])
-@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
 def test_kid_sums_break_on_any_flip_or_drop(which, n):
     for parts in kid_terms(n, which):
         assert rational_sum(parts)[0].is_zero()

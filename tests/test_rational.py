@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from epolylog.hopf import kid_terms
 from epolylog.rational import Poly, rational_sum
 from oracles import poly_value
 
@@ -54,6 +55,41 @@ def test_rational_sum_rejects_zero_factor():
         rational_sum([(1, [x]), (1, [Poly(V, {})])])
     with pytest.raises(ValueError):
         rational_sum([])
+
+
+def test_integral_coefficients_are_ints():
+    p = Poly(V, {X: Fraction(4, 2), Y: Fraction(1, 3), Z: 2.0})
+    assert p.terms == {X: 2, Y: Fraction(1, 3), Z: 2}
+    assert [type(p.terms[e]) for e in (X, Y, Z)] == [int, Fraction, int]
+    # a Fraction sum that comes out integral is stored as an int as well
+    assert type((p + Poly(V, {Y: Fraction(2, 3)})).terms[Y]) is int
+    x1 = Poly(V, {X: 1, ONE: 1})
+    y = Poly.variable(V, "y")
+    for q in (x1 * y, x1 + y, x1 * x1 * Poly.const(V, -3), Poly.const(V, 0) + x1):
+        assert all(type(c) is int for c in q.terms.values())
+    # the LCM numerator of a broken identity: every coefficient an int
+    parts = kid_terms(6, "kid1")[0]
+    flipped = [(-parts[0][0], parts[0][1])] + parts[1:]
+    num = rational_sum(flipped)[0]
+    assert not num.is_zero()
+    assert all(type(c) is int for c in num.terms.values())
+
+
+def test_arithmetic_refuses_different_variable_tuples():
+    """Exponent tuples are only comparable over one variable tuple: mixing
+    two is refused rather than zipped into a wrong answer."""
+    x = Poly(("x",), {(1,): 1})
+    y = Poly(("x", "y"), {(0, 1): 1})
+    both = r"\('x',\) and \('x', 'y'\)"
+    with pytest.raises(ValueError, match=both):
+        x * y
+    with pytest.raises(ValueError, match=both):
+        x + y
+    xy = Poly.variable(("x", "y"), "x")
+    y_only = Poly.variable(("y",), "y")
+    for parts in ([(1, [xy]), (-1, [y_only])], [(1, [xy, y_only])]):
+        with pytest.raises(ValueError, match="variable tuples differ"):
+            rational_sum(parts)
 
 
 small = st.integers(min_value=-3, max_value=3)
