@@ -7,8 +7,9 @@ divisor-asymptotics assembly built from it, and the partial-fraction
 identities used for residue bookkeeping.  A string is the plain tuple of its
 1-based positions in the symbol, in the order it runs.  The assembly is one
 filtered coproduct, applied to the symbol and then once to each distinct
-left-slot factor.  Everything here is exact; numeric realizations are
-supplied by callers as callbacks.
+left-slot factor, each searching only strings that a kept term can hold.
+Everything here is exact; numeric realizations are supplied by callers as
+callbacks.
 """
 
 from fractions import Fraction
@@ -305,10 +306,14 @@ def assemble_asymptotic(sym, J):
     in key order: the terms of the iterated coproduct whose phi and C slots
     are all essential and whose Lambda slot is all regular.  Only those terms
     are built, by one filtered coproduct applied twice.  The first keeps the
-    terms of sym whose right slot is essential; every string is tried, since
-    the test is on the quotient.  The second expands each distinct left-slot
-    factor once per call into its (essential, regular) terms, searched among
-    its essential strings, and the product over factors multiplies them out.
+    terms of sym whose right slot is essential, searched among the strings
+    whose last point is in J or is sym's last point.  That drops no kept
+    term: the final position is covered only as a string's last position, so
+    it is always the quotient's last slot, and any other string's last
+    position is a non-last quotient slot, which essential requires in J.  The
+    second expands each distinct left-slot factor once per call into its
+    (essential, regular) terms, searched among its essential strings, and the
+    product over factors multiplies them out.
     The classification is a conjunction over factors, so nothing that
     survives is dropped.  The test oracles hold the full
     Delta^(3)-then-filter path.  Callers realize the slots and multiply the
@@ -320,7 +325,8 @@ def assemble_asymptotic(sym, J):
     ess, reg = partial(essential, J=J), partial(regular, J=J)
     kept = {}  # left-slot factor -> its (essential, regular) terms
     el = HopfElement()
-    for c0, left, c_slot in _kept_terms(sym, lambda ts: True, ess):
+    last = sym.ts[-1]
+    for c0, left, c_slot in _kept_terms(sym, lambda ts: ts[-1] in J or ts[-1] == last, ess):
         acc = [(c0, (), ())]
         for f in left:
             if f not in kept:

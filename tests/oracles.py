@@ -32,9 +32,14 @@ pytest's test_*.py pattern, so nothing here is collected.
   iterates, on the collections above, with string symbols and quotients cut
   from their definitions.  iterated_delta(sym, 3) followed by the
   essential / regular / essential filter is the oracle of
-  hopf.assemble_asymptotic, which builds only the surviving terms
-  (test_assemble_matches_full_delta3); the coproduct tests of test_hopf.py
-  check the structure of these elements.
+  hopf.assemble_asymptotic, which builds only the surviving terms: for
+  every J of the canonical symbols up to n = 7
+  (test_assemble_matches_full_delta3) and of two n = 6 symbols whose point
+  indices are out of position order
+  (test_assemble_matches_full_delta3_permuted_points).  At n = 8 the oracle
+  is too slow, so test_assemble_n8_term_lists_digest pins the term lists
+  of all 127 J by a sha256 recorded from the parity-checked assembly.  The
+  coproduct tests of test_hopf.py check the structure of these elements.
 * monomial_exponent: the monomial character, invariant under the reduced
   coproduct (test_monomial_character_invariant).
 * point_from_xi: an EllipticPoint from a complex xi, for the kernel tests
