@@ -341,25 +341,16 @@ def assemble_asymptotic(sym, J):
     return [(coeff, *key) for key, coeff in el.sorted_terms()]
 
 
-def _beta_run(vars, lo, hi):
-    """Poly for beta_lo + ... + beta_hi (either order)."""
-    step = 1 if hi >= lo else -1
-    out = Poly.const(vars, 0)
-    for k in range(lo, hi + step, step):
-        out = out + Poly.variable(vars, vars[k - 1])
-    return out
-
-
-def _a_factor(vars, i, j):
+def _a_factor(run, i, j):
     """Factors of a_[i,j] = beta_i (beta_i+beta_{i-1}) ... (beta_i+...+beta_j);
     none when i < j."""
-    return [_beta_run(vars, i, k) for k in range(i, j - 1, -1)]
+    return [run(i, k) for k in range(i, j - 1, -1)]
 
 
-def _b_factor(vars, i, j):
+def _b_factor(run, i, j):
     """Factors of b_[i,j] = beta_i (beta_i+beta_{i+1}) ... (beta_i+...+beta_j);
     none when i > j."""
-    return [_beta_run(vars, i, k) for k in range(i, j + 1)]
+    return [run(i, k) for k in range(i, j + 1)]
 
 
 def kid_terms(n, which):
@@ -369,7 +360,8 @@ def kid_terms(n, which):
     kid1 (n >= 3): sum_{i=1}^{n-1} (-1)^{i-1} / (a_[i,2] b_[i+1,n-1]).
     kid2 (n >= 4): for each 1 < k < n-1, the analogous sum with the
     b_[1,k-1] prefix, summed over i = k..n-1 (the i = k and i = n-1 boundary
-    terms carry empty a / b factors).
+    terms carry empty a / b factors).  Each run beta_lo + ... + beta_hi is
+    built once per call, as one linear Poly that every term holding it shares.
     """
     if which not in ("kid1", "kid2"):
         raise ValueError(f"unknown identity {which!r}")
@@ -377,15 +369,24 @@ def kid_terms(n, which):
     if n < low:
         raise ValueError(f"{which} is an identity for n >= {low}, not n = {n}")
     vars = tuple(f"b{i}" for i in range(1, n + 1))
+    units = [tuple(int(i == k) for i in range(1, n + 1)) for k in range(1, n + 1)]
+    runs = {}
+
+    def run(lo, hi):
+        lo, hi = min(lo, hi), max(lo, hi)
+        if (lo, hi) not in runs:
+            runs[lo, hi] = Poly(vars, {units[k - 1]: 1 for k in range(lo, hi + 1)})
+        return runs[lo, hi]
+
     if which == "kid1":
         return [[
-            ((-1) ** (i - 1), _a_factor(vars, i, 2) + _b_factor(vars, i + 1, n - 1))
+            ((-1) ** (i - 1), _a_factor(run, i, 2) + _b_factor(run, i + 1, n - 1))
             for i in range(1, n)
         ]]
     return [[
         ((-1) ** ((i - k + 1) % 2),
-         _b_factor(vars, 1, k - 1) + _a_factor(vars, i, k + 1)
-         + _b_factor(vars, i + 1, n - 1))
+         _b_factor(run, 1, k - 1) + _a_factor(run, i, k + 1)
+         + _b_factor(run, i + 1, n - 1))
         for i in range(k, n)
     ] for k in range(2, n - 1)]
 

@@ -343,6 +343,9 @@ def _F_qseries(xi, eta, ctx):
     # tau-shifts of xi cost e(eta)^-1 with the *unreduced* eta, and shifts
     # of eta cost e(xi0)^-1; together w0^-k z0^-l q^-kl
     factor = _quasi_period_factor(lambda: w ** (-k) * z ** (-l) * ctx.q ** (-k * l), (xi, eta))
+    # only the n = 0 denominators can vanish: for n >= 1 the reduced
+    # |q^n z| and |q^n / z| are at most |q|^(1/2), and LatticeContext
+    # refuses |q| > 0.7, so 1 - q^n z^(+-1) stays above 1 - 0.7^(1/2) > 0.16
     if abs(1 - z) < _LATTICE_TOL or abs(1 - w) < _LATTICE_TOL:
         raise OnSingularLocus("kernel pole after reduction")
     total = z / (1 - z) + 1 / (1 - w)
@@ -355,11 +358,8 @@ def _F_qseries(xi, eta, ctx):
         qn *= q
         wn *= w
         win /= w
-        d1 = 1 - qn * z
-        d2 = 1 - qn / z
-        if abs(d1) < _LATTICE_TOL or abs(d2) < _LATTICE_TOL:
-            raise OnSingularLocus("kernel pole after reduction")
-        inc = wn * (qn * z) / d1 - win * (qn / z) / d2
+        a, b = qn * z, qn / z
+        inc = wn * a / (1 - a) - win * b / (1 - b)
         total += inc
         if abs(inc) < eps * (abs(total) + 1):
             break

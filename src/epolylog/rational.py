@@ -4,9 +4,12 @@ Coefficients are ints when integral and Fractions otherwise (_exact, shared
 with hopf's labels): a verdict's LCM expansion multiplies thousands of
 coefficients, all integers, and Fraction arithmetic on them cost most of its
 time.  Exponents live in a fixed variable tuple, which both operands of a
-sum or product share.  The only rational functions we meet are signed sums
-sum_i c_i / prod(F_i) in which every denominator F_i is a multiset of linear
-Polys, and the only question asked of them is "is this identically zero?".
+sum or product share; the constructor refuses an exponent that is not a
+monomial in it.  Results of + and * are built unchecked from their checked
+operands (_poly), and a Poly's hash is computed once and cached.  The only
+rational functions we meet are signed sums sum_i c_i / prod(F_i) in which
+every denominator F_i is a multiset of linear Polys, and the only question
+asked of them is "is this identically zero?".
 rational_sum answers it over the least common multiple of the denominators:
 the LCM is the per-factor maximum multiplicity, each term's numerator is
 c_i times the LCM factors its own denominator lacks, and the sum is zero iff
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from operator import add
 
 
 def _exact(c):
@@ -30,29 +34,30 @@ def _exact(c):
 
 
 class Poly:
-    """Multivariate polynomial: dict exponent-tuple -> int or Fraction."""
+    """Multivariate polynomial: dict exponent-tuple -> int or Fraction.
 
-    __slots__ = ("vars", "terms")
+    The constructor raises ValueError for an exponent whose length is not
+    len(vars) or that has a negative entry; + and * build their results
+    unchecked.  A Poly is not mutated after construction, so its hash is
+    computed once, on first use, and cached."""
+
+    __slots__ = ("vars", "terms", "_hash")
 
     def __init__(self, vars, terms=None):
         self.vars = tuple(vars)
         self.terms = {}
+        self._hash = None
         for e, c in (terms or {}).items():
+            e = tuple(e)
+            if len(e) != len(self.vars) or min(e, default=0) < 0:
+                raise ValueError(f"exponent {e} is not a monomial in {self.vars}")
             c = _exact(c)
             if c:
-                self.terms[tuple(e)] = c
+                self.terms[e] = c
 
     @classmethod
     def const(cls, vars, c):
         return cls(vars, {(0,) * len(tuple(vars)): c})
-
-    @classmethod
-    def variable(cls, vars, name):
-        vars = tuple(vars)
-        e = tuple(1 if v == name else 0 for v in vars)
-        if sum(e) != 1:
-            raise ValueError(f"unknown variable {name!r}")
-        return cls(vars, {e: 1})
 
     def is_zero(self):
         return not self.terms
@@ -61,33 +66,30 @@ class Poly:
         return isinstance(other, Poly) and self.vars == other.vars and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.vars, tuple(sorted(self.terms.items()))))
+        if self._hash is None:
+            self._hash = hash((self.vars, frozenset(self.terms.items())))
+        return self._hash
 
     def __add__(self, other):
         if self.vars != other.vars:
             raise ValueError(f"variable tuples differ: {self.vars} and {other.vars}")
         out = dict(self.terms)
+        get = out.get
         for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return Poly(self.vars, out)
+            out[e] = get(e, 0) + c
+        return _poly(self.vars, out)
 
     def __mul__(self, other):
         if self.vars != other.vars:
             raise ValueError(f"variable tuples differ: {self.vars} and {other.vars}")
         out = {}
+        get = out.get
+        right = list(other.terms.items())
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return Poly(self.vars, out)
+            for e2, c2 in right:
+                e = tuple(map(add, e1, e2))
+                out[e] = get(e, 0) + c1 * c2
+        return _poly(self.vars, out)
 
     def __repr__(self):
         if not self.terms:
@@ -99,6 +101,17 @@ class Poly:
             )
             bits.append(f"{c}" + (f"*{mono}" if mono else ""))
         return " + ".join(bits)
+
+
+def _poly(vars, terms):
+    """The Poly of a sum or product of checked operands, without the
+    constructor's checks: its exponents are sums of valid ones.  Zeros are
+    dropped and integral Fractions become ints."""
+    p = object.__new__(Poly)
+    p.vars = vars
+    p.terms = {e: c if type(c) is int else _exact(c) for e, c in terms.items() if c}
+    p._hash = None
+    return p
 
 
 def rational_sum(parts):

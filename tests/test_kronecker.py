@@ -370,6 +370,21 @@ def test_kernel_quasi_periodicity(ctx):
     assert abs(b - a / w**3) < 1e-9 * max(1, abs(b))
 
 
+
+@pytest.mark.parametrize("digits", [15, 30])
+def test_qseries_matches_theta_ratio_at_largest_modulus(digits):
+    """At the largest supported |q| = 0.7, with r at or next to the
+    reduction's edges -1/2 and 1/2, the double series has no pole past its
+    n = 0 term and agrees with the theta ratio."""
+    ctx = LatticeContext(0.1 + 1j * (-math.log(0.7) / (2 * math.pi)), digits)
+    assert abs(abs(complex(ctx.q)) - 0.7) < 1e-15
+    for rx in (0.4999999, 0.5, -0.5, -0.4999999, 1.5):
+        for re in (0.4999999, -0.5, 0.5, -1.4999999):
+            xi, eta = EllipticPoint(0.31, rx), EllipticPoint(0.22, re)
+            a = complex(F(xi, eta, ctx))
+            b = complex(F(xi, eta, ctx, "double_q_series"))
+            assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
+
 def _near_lattice(p):
     return abs(p.s - round(p.s)) < 1e-3 and abs(p.r - round(p.r)) < 1e-3
 

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,7 @@ def test_poly_eval():
 
 def test_rational_sum_telescopes():
     # 1/(x(x+1)) = 1/x - 1/(x+1), so the three-part sum cancels exactly
-    x = Poly.variable(V, "x")
+    x = Poly(V, {X: 1})
     x1 = Poly(V, {X: 1, ONE: 1})
     num, lcm = rational_sum([(1, [x, x1]), (-1, [x]), (1, [x1])])
     assert num.is_zero()
@@ -34,7 +35,7 @@ def test_rational_sum_telescopes():
 
 def test_rational_sum_nonzero():
     # 1/x + 1/x = 2/x: the LCM is x, not the product x^2
-    x = Poly.variable(V, "x")
+    x = Poly(V, {X: 1})
     num, lcm = rational_sum([(1, [x]), (1, [x])])
     assert not num.is_zero()
     assert num == Poly.const(V, 2) and lcm == [x]
@@ -42,7 +43,7 @@ def test_rational_sum_nonzero():
 
 def test_rational_sum_keeps_multiplicity():
     # 1/x^2 - 1/(x(x+1)) = 1/(x^2(x+1)): LCM x^2 (x+1), numerator 1
-    x = Poly.variable(V, "x")
+    x = Poly(V, {X: 1})
     x1 = Poly(V, {X: 1, ONE: 1})
     num, lcm = rational_sum([(1, [x, x]), (-1, [x, x1])])
     assert num == Poly.const(V, 1)
@@ -50,7 +51,7 @@ def test_rational_sum_keeps_multiplicity():
 
 
 def test_rational_sum_rejects_zero_factor():
-    x = Poly.variable(V, "x")
+    x = Poly(V, {X: 1})
     with pytest.raises(ZeroDivisionError):
         rational_sum([(1, [x]), (1, [Poly(V, {})])])
     with pytest.raises(ValueError):
@@ -64,7 +65,7 @@ def test_integral_coefficients_are_ints():
     # a Fraction sum that comes out integral is stored as an int as well
     assert type((p + Poly(V, {Y: Fraction(2, 3)})).terms[Y]) is int
     x1 = Poly(V, {X: 1, ONE: 1})
-    y = Poly.variable(V, "y")
+    y = Poly(V, {Y: 1})
     for q in (x1 * y, x1 + y, x1 * x1 * Poly.const(V, -3), Poly.const(V, 0) + x1):
         assert all(type(c) is int for c in q.terms.values())
     # the LCM numerator of a broken identity: every coefficient an int
@@ -85,12 +86,70 @@ def test_arithmetic_refuses_different_variable_tuples():
         x * y
     with pytest.raises(ValueError, match=both):
         x + y
-    xy = Poly.variable(("x", "y"), "x")
-    y_only = Poly.variable(("y",), "y")
+    xy = Poly(("x", "y"), {(1, 0): 1})
+    y_only = Poly(("y",), {(1,): 1})
     for parts in ([(1, [xy]), (-1, [y_only])], [(1, [xy, y_only])]):
         with pytest.raises(ValueError, match="variable tuples differ"):
             rational_sum(parts)
 
+
+
+def test_constructor_refuses_non_monomial_exponents():
+    """An exponent must have one nonnegative entry per variable: a short key
+    once made x^2 a 1-tuple that equality and zero tests then misread."""
+    for bad in ({(1,): 1, (0, 1): 2}, {(1, 0, 0): 1}, {(-1, 0): 1}):
+        with pytest.raises(ValueError, match="not a monomial"):
+            Poly(("x", "y"), bad)
+    with pytest.raises(ValueError, match="not a monomial"):
+        Poly(("x",), {(-1,): 1})
+    assert Poly((), {(): 3}) == Poly.const((), 3)
+
+
+def test_equal_polys_hash_equal_however_built():
+    """The cached hash follows the value: a dict literal, a sum of variables
+    and a product give one hash, so equal factors match in rational_sum."""
+    x, y = Poly(V, {X: 1}), Poly(V, {Y: 1})
+    literal = Poly(V, {Y: 1, X: 1})
+    built = [x + y, y + x, (x + y) * Poly.const(V, 1), Poly.const(V, 0) + y + x]
+    for p in built:
+        assert p == literal and hash(p) == hash(literal)
+    square = Poly(V, {(2, 0, 0): 1, (1, 1, 0): 2, (0, 2, 0): 1})
+    assert hash((x + y) * (y + x)) == hash(square)
+    num, lcm = rational_sum([(1, [x + y]), (-1, [y + x])])
+    assert num.is_zero()
+    assert lcm == [literal]
+
+
+@pytest.mark.parametrize("which, n", [("kid1", 6), ("kid1", 7), ("kid2", 6), ("kid2", 7)])
+def test_kid_terms_build_each_run_once(which, n):
+    """Within one call, factors equal by value are one shared object."""
+    factors = [f for parts in kid_terms(n, which) for _, fs in parts for f in fs]
+    assert len({id(f) for f in factors}) == len(set(factors)) < len(factors)
+
+
+def _kid_sums_and_breaks():
+    """Every kid_terms sum (kid1 n = 3..7, kid2 n = 4..7), each followed by
+    its single sign flips and single drops, interleaved per term."""
+    for which, ns in (("kid1", range(3, 8)), ("kid2", range(4, 8))):
+        for n in ns:
+            for parts in kid_terms(n, which):
+                yield parts
+                for j in range(len(parts)):
+                    yield parts[:j] + [(-parts[j][0], parts[j][1])] + parts[j + 1:]
+                    yield parts[:j] + parts[j + 1:]
+
+
+def test_kid_lcm_arithmetic_digest():
+    """The exact LCM arithmetic is pinned: sha256 over the concatenated
+    repr((num, lcm)) of rational_sum, with no separator, for the 115 sums of
+    _kid_sums_and_breaks: any change to the numerators or LCM lists shows."""
+    h = hashlib.sha256()
+    count = 0
+    for parts in _kid_sums_and_breaks():
+        h.update(repr(rational_sum(parts)).encode())
+        count += 1
+    assert count == 115
+    assert h.hexdigest() == "3aa85371b956b6eb431b8e1f619318dc8116e6581ab21205406b0796c8e5a2c0"
 
 small = st.integers(min_value=-3, max_value=3)
 # nonzero linear forms c_x x + c_y y + c_z z + c_0 over V
