@@ -21,9 +21,9 @@ from .rational import Poly, _exact, rational_sum
 DEFAULT_SIZE_BUDGET = 10**6
 
 
-def _vec(width, entries=None):
+def _vec(width, entries):
     v = [0] * width
-    for i, c in (entries or {}).items():
+    for i, c in entries.items():
         v[i] = _exact(c)
     return tuple(v)
 
@@ -251,27 +251,6 @@ def regular(ts, J):
     """Point indices ts are regular when all lie inside J or all outside."""
     inside = [i in J for i in ts]
     return all(inside) or not any(inside)
-
-
-def phi_parts(sym):
-    """Data of the leading-monomial realization of an essential symbol:
-    (point indices, their exponent labels negated, denominator partial sums).
-    """
-    exps = [_vec_neg(lab) for lab in sym.labels]
-    partials = []
-    run = _vec(len(sym.labels[0]))
-    for lab in sym.labels[:-1]:
-        run = _vec_add(run, lab)
-        partials.append(run)
-    return sym.ts, exps, partials
-
-
-def lambda_args(sym):
-    """Realization data ((numerator index, denominator index) pairs, labels)
-    for the Debye function attached to a symbol: depth length-1 with
-    arguments t_{i_k}/t_{i_l}."""
-    last = sym.ts[-1]
-    return tuple((i, last) for i in sym.ts[:-1]), sym.labels[:-1]
 
 
 def _kept_terms(sym, left_ok, right_ok):

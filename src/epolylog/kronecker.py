@@ -51,6 +51,7 @@ import math
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from types import SimpleNamespace
 
 from .errors import BadModulus, OnSingularLocus, OutOfRegion, TruncationTooSmall
 from .precision import get_context
@@ -108,9 +109,6 @@ class EllipticPoint:
 
     def z(self, ctx):
         return ctx.prec.e(self.s + self.r * ctx.tau)
-
-    def __add__(self, other):
-        return EllipticPoint(self.s + other.s, self.r + other.r)
 
     def shift(self, dr):
         """The point moved by dr periods tau."""
@@ -192,13 +190,14 @@ def _q_product(z, ctx, val):
 
 def theta(p, ctx):
     """The odd theta function, normalized so theta'(0) = 2*pi*i*q^(1/12)
-    prod(1-q^j)^2.  Arbitrary (s, r) handled by exact quasi-periodicity
-    reduction into s, r in [0, 1); the reduced value is q^(1/12)
+    prod(1-q^j)^2.  p carries s and r as doubles or as the context's reals;
+    arbitrary (s, r) are handled by exact quasi-periodicity reduction, in
+    the context's reals, into s, r in [0, 1); the reduced value is q^(1/12)
     (z^(1/2) - z^(-1/2)) times the q-product at z = e(xi0)."""
     m = math.floor(p.s)
     k = math.floor(p.r)
-    e = ctx.prec.e
-    xi0 = (p.s - m) + (p.r - k) * ctx.tau
+    e, real = ctx.prec.e, ctx.prec.real
+    xi0 = (real(p.s) - m) + (real(p.r) - k) * ctx.tau
     sign = -1 if (m + k) % 2 else 1
     pref = _quasi_period_factor(lambda: sign * e(-(k * k) * ctx.tau / 2) * e(-k * xi0), p)
     val = e(ctx.tau / 12) * (e(xi0 / 2) - e(-xi0 / 2))
@@ -328,7 +327,11 @@ def kronecker_F(xi, eta, ctx, definition="theta_ratio"):
 
 
 def _F_theta(xi, eta, ctx):
-    return theta_prime0(ctx) * theta(xi + eta, ctx) / (theta(xi, ctx) * theta(eta, ctx))
+    # the sum point's coordinates are summed in the context's reals: a sum
+    # of doubles would cap a 30-digit F near 16 digits
+    real = ctx.prec.real
+    both = SimpleNamespace(s=real(xi.s) + real(eta.s), r=real(xi.r) + real(eta.r))
+    return theta_prime0(ctx) * theta(both, ctx) / (theta(xi, ctx) * theta(eta, ctx))
 
 
 def _F_qseries(xi, eta, ctx):

@@ -19,6 +19,7 @@ UnsupportedPrecision.
 import cmath
 import math
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -93,8 +94,7 @@ class DebyeSeries:
         self.channels = channels
         self.branch_tag = branch_tag
         vars = ("b",) if coeffs.ndim == 1 else ("b1", "b2")
-        zero = (0,) * coeffs.ndim
-        self.value = MultiSeries._of(vars, coeffs, zero, (coeffs.shape[0] - 1,) * coeffs.ndim, zero)
+        self.value = MultiSeries._of(vars, coeffs, (0,) * coeffs.ndim, (coeffs.shape[0] - 1,) * coeffs.ndim)
 
     @property
     def depth(self):
@@ -399,6 +399,8 @@ def continue_debye(series, legs):
     series is left as it was.  Every leg is one adaptive pass to
     DEFAULT_TOL, the depth-2 table on its K x K window, and every arc must
     keep CLEARANCE from 1 at its closest approach (a line arc from 0 too).
+    At depth 2 that tolerance is checked only up to K = 8: from K = 10 on
+    the cell (K-1, K-1) loses digits, and no error is raised.
     """
     tag = series.branch_tag + f" -> continued[{len(legs)} legs]"
     if series.depth == 1:
@@ -411,7 +413,9 @@ def continue_debye(series, legs):
 def transport_debye(shift, K, route="diagonal"):
     """Transport the Debye series along the spiral t_i -> q^{m_i} t_i, to
     DEFAULT_TOL, with every arc CLEARANCE away from 1; each leg is one
-    adaptive pass, the depth-2 table on its K x K window.
+    adaptive pass, the depth-2 table on its K x K window.  At depth 2 that
+    tolerance is checked only up to K = 8: from K = 10 on the cell
+    (K-1, K-1) loses digits, and no error is raised.
 
     route (depth 2 only, checked at any depth): "diagonal" moves both
     coordinates at once, "axes" moves t_1 first and then t_2.  Both must
@@ -455,7 +459,7 @@ def _inv_linear(coeffs, vars, K):
     n = len(vars)
     if not rest:
         e = tuple(-1 if i == p else 0 for i in range(n))
-        return MultiSeries._of(vars, np.full((1,) * n, 1.0 / lead), e, (INF,) * n, e)
+        return MultiSeries._of(vars, np.full((1,) * n, 1.0 / lead), e, (INF,) * n)
     if len(rest) > 1:
         raise NotImplementedError("more than two active variables")
     q = rest[0]
@@ -468,39 +472,28 @@ def _inv_linear(coeffs, vars, K):
     )
     max_o = tuple(K + 1 if i == q else INF for i in range(n))
     min_o = tuple((-2 - K) if i == p else 0 for i in range(n))
-    return MultiSeries._of(vars, a, min_o, max_o, min_o)
+    return MultiSeries._of(vars, a, min_o, max_o)
 
 
 def _compose_linear(coeffs_1d, lab, vars, M):
     """sum_n c_n (lab . beta)^n as a regular series, truncated at order M:
-    the coefficient of beta^k is c_{|k|} |k|! prod_i lab_i^{k_i} / k_i!."""
+    the coefficient of beta^k is c_{|k|} |k|! prod_i lab_i^{k_i} / k_i!.
+    A zero lab leaves c_0 alone."""
     active = [i for i, c in enumerate(lab) if c != 0]
-    if not 1 <= len(active) <= 2:
-        raise NotImplementedError("one or two active variables only")
-    N = min(len(coeffs_1d) - 1, M)
+    if len(active) > 2:
+        raise NotImplementedError("at most two active variables")
+    N = min(len(coeffs_1d) - 1, M) if active else 0
     k = np.arange(N + 1)
     fact = np.array([math.factorial(j) for j in range(N + 1)], dtype=float)
     cn = np.asarray(coeffs_1d[: N + 1], dtype=complex) * fact  # c_n n!
     w = [complex(lab[i]) ** k / fact for i in active]  # lab_i^k / k!
-    if len(active) == 1:
-        a = cn * w[0]
+    if len(active) < 2:
+        a = cn * w[0] if active else cn
     else:  # cell (k1, k2) takes c_n n! at n = k1 + k2, and 0 beyond N
         a = np.concatenate([cn, np.zeros(N, dtype=complex)])[np.add.outer(k, k)]
         a *= np.outer(w[0], w[1])
-    zero = (0,) * len(vars)
     shape = [N + 1 if i in active else 1 for i in range(len(vars))]
-    return MultiSeries._of(vars, a.reshape(shape), zero, (M,) * len(vars), zero)
-
-
-def _linear_series(lab, logs, vars, M):
-    """sum over slots of (lab_k . beta) * log(t_{slot k}) as a linear series."""
-    n = len(vars)
-    a = np.zeros((2,) * n, dtype=complex)
-    for labvec, l in zip(lab, logs):
-        for i, c in enumerate(labvec):
-            if c != 0 and l != 0:
-                a[tuple(int(j == i) for j in range(n))] += complex(c) * l
-    return MultiSeries._of(vars, a, (0,) * n, (M,) * n, (0,) * n)
+    return MultiSeries._of(vars, a.reshape(shape), (0,) * len(vars), (M,) * len(vars))
 
 
 @lru_cache(maxsize=32)
@@ -542,7 +535,7 @@ def asymptotic_eval(r, J, pt, K, constants):
         raise ValueError(f"order K = {K} must be at least 1")
     if len(constants.vars) != 1:
         raise ValueError("constants must be a series in one variable")
-    (lo,) = constants.lo
+    (lo,) = constants.min_order
     if np.any(constants.a[: max(0, -1 - lo)]):
         raise ValueError("constants may have at most a simple pole")
     M = constants_order(K)
@@ -560,10 +553,12 @@ def asymptotic_eval(r, J, pt, K, constants):
     c_pole = constants.coeff((-1,))
 
     def phi_realize(s):
-        tsl, exps, partials = hopf.phi_parts(s)
-        num = _linear_series(exps, [logs[i - 1] for i in tsl], vars, M)
-        out = num.exp()
-        for p in partials:
+        """Leading monomial of an essential symbol: exp(-sum_k (lab_k . beta)
+        log t_k) over the product of the partial sums of its labels."""
+        slots = list(zip(s.ts, s.labels))
+        v = [sum((complex(-lab[j]) * logs[i - 1] for i, lab in slots), 0j) for j in range(len(vars))]
+        out = _compose_linear([0, 1], v, vars, M).exp()
+        for p in accumulate(s.labels[:-1], lambda x, y: [a + b for a, b in zip(x, y)]):
             out = out * _inv_linear([complex(c) for c in p], vars, K)
         return out
 
@@ -578,8 +573,7 @@ def asymptotic_eval(r, J, pt, K, constants):
         """Depth-1 value at the surviving ratio argument; outside the unit
         disk it is continued through the inversion identity on the
         principal branch."""
-        (pair,), (lab,) = hopf.lambda_args(s)
-        num_i, den_i = pair
+        (num_i, den_i), (lab, _) = s.ts, s.labels
         ratio = ts[num_i - 1] / ts[den_i - 1]
         lab = [complex(c) for c in lab]
         if abs(ratio) <= 1.0 - DEFAULT_MARGIN:
@@ -587,7 +581,7 @@ def asymptotic_eval(r, J, pt, K, constants):
         if abs(ratio) >= 1.0 / (1.0 - DEFAULT_MARGIN):
             flipped = lam_series(1.0 / ratio, [-c for c in lab])
             pole = _inv_linear(lab, vars, K)
-            pref = _linear_series([lab], [-cmath.log(ratio)], vars, M).exp()
+            pref = _compose_linear([0, 1], [-cmath.log(ratio) * c for c in lab], vars, M).exp()
             return flipped + pole * pref + c_linear(lab)
         raise OutOfRegion(f"ratio argument {ratio} too close to the unit circle")
 

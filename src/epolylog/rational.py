@@ -43,11 +43,11 @@ class Poly:
 
     __slots__ = ("vars", "terms", "_hash")
 
-    def __init__(self, vars, terms=None):
+    def __init__(self, vars, terms):
         self.vars = tuple(vars)
         self.terms = {}
         self._hash = None
-        for e, c in (terms or {}).items():
+        for e, c in terms.items():
             e = tuple(e)
             if len(e) != len(self.vars) or min(e, default=0) < 0:
                 raise ValueError(f"exponent {e} is not a monomial in {self.vars}")

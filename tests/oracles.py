@@ -21,8 +21,9 @@ pytest's test_*.py pattern, so nothing here is collected.
   arc; the multi-arc and chain checks of test_quadrature.py and
   simplicial_integral in test_polylog.py.  The package integrates one leg
   at a time over the shared parameter and has no chain mode.
-* eval_at: a MultiSeries evaluated at a point, for the evaluation checks
-  of test_series.py and the direct-sum checks of test_polylog.py.
+* eval_at: a MultiSeries evaluated at a point, reading its array from
+  index 0 at min_order, for the evaluation checks of test_series.py and the
+  direct-sum checks of test_polylog.py.
 * strings, string_sign, collections_by_recursion: the directed strings of
   a symbol, their signs and their admissible collections, each from its
   definition and without hopf's enumeration; the oracles of
@@ -44,8 +45,9 @@ pytest's test_*.py pattern, so nothing here is collected.
   coproduct (test_monomial_character_invariant).
 * point_from_xi: an EllipticPoint from a complex xi, for the kernel tests
   that step xi or tau by finite differences (test_kronecker.py).
-* point_sub, point_neg: EllipticPoint difference and negation, for the Fay
-  identity and the parity tests of test_kronecker.py.
+* point_add, point_sub, point_neg: EllipticPoint sum, difference and
+  negation, in doubles, for the Fay identities, the parity tests and the
+  random battery's lattice clearance in test_kronecker.py.
 * poly_value: a Poly evaluated at a rational point, for test_rational.py.
 """
 
@@ -122,9 +124,10 @@ def chain(arcs, forms, tol=1e-11):
 
 
 def eval_at(series, values):
-    """Numeric value of a MultiSeries; values maps every variable to a number."""
+    """Numeric value of a MultiSeries, whose array starts at min_order;
+    values maps every variable to a number."""
     out = series.a
-    for v, l in zip(series.vars, series.lo):
+    for v, l in zip(series.vars, series.min_order):
         powers = complex(values[v]) ** np.arange(l, l + out.shape[0])
         out = np.tensordot(powers, out, axes=(0, 0))
     return complex(out)
@@ -272,6 +275,11 @@ def point_from_xi(xi, tau):
     xi, tau = complex(xi), complex(tau)
     r = xi.imag / tau.imag
     return EllipticPoint(xi.real - r * tau.real, r)
+
+
+def point_add(a, b):
+    """The EllipticPoint a + b, pair by pair."""
+    return EllipticPoint(a.s + b.s, a.r + b.r)
 
 
 def point_sub(a, b):

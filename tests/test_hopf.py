@@ -18,8 +18,6 @@ from epolylog.hopf import (
     enumerate_strings,
     essential,
     kid_terms,
-    lambda_args,
-    phi_parts,
     regular,
     verify_identities,
 )
@@ -306,17 +304,6 @@ def test_kid_sums_break_on_any_flip_or_drop(which, n):
             flipped = parts[:j] + [(-sign, factors)] + parts[j + 1:]
             assert not rational_sum(flipped)[0].is_zero()
             assert not rational_sum(parts[:j] + parts[j + 1:])[0].is_zero()
-
-
-def test_phi_and_lambda_parts():
-    sym = canonical_symbol(3)
-    ts, exps, partials = phi_parts(sym)
-    assert ts == (1, 2, 3)
-    assert exps[0] == (F(-1), F(0))
-    assert partials == [(F(1), F(0)), (F(1), F(1))]
-    ratios, labels = lambda_args(sym)
-    assert ratios == ((1, 3), (2, 3))
-    assert labels == ((F(1), F(0)), (F(0), F(1)))
 
 
 def test_assemble_depth1():

@@ -23,7 +23,7 @@ from epolylog.kronecker import (
     zeta_even,
 )
 from epolylog.precision import get_context
-from oracles import point_from_xi, point_neg, point_sub
+from oracles import point_add, point_from_xi, point_neg, point_sub
 
 TAU = 0.1 + 0.8j
 
@@ -395,7 +395,7 @@ def test_kernel_random_cross_battery(ctx):
     while checked < 12:
         x = EllipticPoint(random.uniform(-1.5, 1.5), random.uniform(-1.5, 1.5))
         h = EllipticPoint(random.uniform(-1.5, 1.5), random.uniform(-1.5, 1.5))
-        if any(_near_lattice(p) for p in (x, h, x + h)):
+        if any(_near_lattice(p) for p in (x, h, point_add(x, h))):
             continue
         a = F(x, h, ctx)
         b = F(x, h, ctx, "double_q_series")
@@ -421,7 +421,7 @@ def test_fay_identity(ctx):
     h1 = EllipticPoint(0.05, 0.13)
     h2 = EllipticPoint(0.31, -0.22)
     lhs = F(x1, h1, ctx) * F(x2, h2, ctx)
-    rhs = F(x1, h1 + h2, ctx) * F(point_sub(x2, x1), h2, ctx) + F(x2, h1 + h2, ctx) * F(
+    rhs = F(x1, point_add(h1, h2), ctx) * F(point_sub(x2, x1), h2, ctx) + F(x2, point_add(h1, h2), ctx) * F(
         point_sub(x1, x2), h1, ctx
     )
     assert abs(lhs - rhs) < 1e-9 * max(1, abs(lhs))
@@ -440,7 +440,7 @@ def test_fay_derivative_corollary(ctx):
         ) / (2 * h)
 
     lhs = F(xi, h1, ctx) * d2F(xi, h2) - d2F(xi, h1) * F(xi, h2, ctx)
-    rhs = F(xi, h1 + h2, ctx) * (
+    rhs = F(xi, point_add(h1, h2), ctx) * (
         eisenstein_E(2, h1, ctx)[-1] - eisenstein_E(2, h2, ctx)[-1]
     )
     assert abs(lhs - rhs) < 1e-7 * max(1, abs(lhs))
@@ -510,6 +510,29 @@ def test_quasi_period_factors_finite_at_30_digits(x, e):
     assert abs(a - b) < 1e-10 * abs(b)
 
 
+@pytest.mark.parametrize(
+    "tau, x, e",
+    [(0.1 + 0.3j, (0.1, 0.7), (0.2, 0.4)), (0.1 + 0.3j, (0.31, 0.17), (0.22, -0.05)),
+     (TAU, (-0.4, 1.3), (0.13, -0.45)), (-0.2 + 0.45j, (0.8, -1.6), (0.45, 1.2))],
+)
+def test_theta_ratio_30_digits_against_jacobi_theta(tau, x, e):
+    """F = theta'(0) theta(xi + eta) / (theta(xi) theta(eta)) at 30 digits,
+    against mpmath's theta_1 at the exact sums of the given doubles: the
+    sum point and the reductions stay in the context's reals."""
+    with mpmath.workdps(50):
+        s, r = (mpmath.mpf(a) + mpmath.mpf(b) for a, b in zip(x, e))
+        assert (s, r) != (mpmath.mpf(x[0] + e[0]), mpmath.mpf(x[1] + e[1]))  # not a double sum
+        t = mpmath.mpc(tau.real, tau.imag)
+        nome = mpmath.expjpi(t)
+
+        def theta1(s, r):
+            return mpmath.jtheta(1, mpmath.pi * (mpmath.mpf(s) + mpmath.mpf(r) * t), nome)
+
+        want = mpmath.pi * mpmath.jtheta(1, 0, nome, 1) * theta1(s, r) / (theta1(*x) * theta1(*e))
+        got = kronecker_F(EllipticPoint(*x), EllipticPoint(*e), LatticeContext(tau, 30), "theta_ratio")
+        assert abs(got - want) <= 1e-28 * abs(want)
+
+
 def test_singular_locus_rejected(ctx):
     with pytest.raises(OnSingularLocus):
         F(EllipticPoint(0.0, 1.0), EllipticPoint(0.2, 0.1), ctx)
@@ -534,14 +557,17 @@ def test_unsettled_q_series_refused():
 # (tau, xi, eta, digits, F by theta_ratio, F by double_q_series, omega up to
 # K = 8), recorded when each E_j walked the lattice rows on its own; the shared
 # walk keeps every E_j's rows, order and stop row, so the values hold exactly.
-# At 30 digits F is (real, imag) as decimal strings that round-trip.
+# At 30 digits F is (real, imag) as decimal strings that round-trip; four of
+# the theta_ratio values were recorded again when theta came to reduce its
+# point, and F to sum xi + eta, in the context's reals (each moved from about
+# 16 to 30 digits against mpmath's Jacobi theta).
 OMEGA_GOLDEN = [
     ((0.1+0.8j), (0.31, 0.17), (0.22, -0.05), 15,
      (5.277262857837642-0.708303200356511j),
      (5.277262857837642-0.708303200356512j),
      [(1+0j), (1.6052705843991317-0.5346864402754892j), (-2.1640870124803664+1.1522362053419284j), (-2.4026038191897023-3.4213723201951933j), (0.1108954231975563+1.5844670772878566j), (4.29195404574667+1.0826802171305234j), (-3.0213000518859756-2.5580167380818306j), (-5.653353967151162-8.229707578394907j), (1.6761632648453517+3.170775259080518j)]),
     ((0.1+0.8j), (0.31, 0.17), (0.22, -0.05), 30,
-     ('5.27726285783764251355241266981464', '-0.70830320035651141833355335199949'),
+     ('5.277262857837642589994875382705', '-0.7083032003565119906662099281023'),
      ('5.2772628578376425899948753827117', '-0.708303200356511990666209928102645'),
      [(1+0j), (1.6052705843991315-0.534686440275488j), (-2.164087012480367+1.15223620534193j), (-2.4026038191897046-3.421372320195203j), (0.11089542319756492+1.5844670772878413j), (4.291954045746697+1.0826802171305372j), (-3.0213000518857407-2.558016738081806j), (-5.65335396715079-8.22970757839454j), (1.67616326484268+3.1707752590816884j)]),
     ((0.1+0.8j), (0.31, 1.17), (0.62, -0.35), 15,
@@ -549,7 +575,7 @@ OMEGA_GOLDEN = [
      (-0.20952195491193776+0.00910378386209175j),
      [(1+0j), (1.605270584399131-0.5346864402754896j), (-2.164087012480369+1.152236205341925j), (-2.402603819189686-3.421372320195232j), (0.11089542319754742+1.5844670772878828j), (4.291954045746451+1.082680217131042j), (-3.0213000518851914-2.5580167380818466j), (-5.653353967149087-8.229707578395619j), (1.6761632648456555+3.1707752590823475j)]),
     ((0.1+0.8j), (0.31, 1.17), (0.62, -0.35), 30,
-     ('-0.209521954911937733779302134535882', '0.00910378386209175992878468823958636'),
+     ('-0.20952195491193770057582865335353', '0.009103783862091768393589597627908'),
      ('-0.209521954911937700575828653353603', '0.00910378386209176839358959762793868'),
      [(1+0j), (1.6052705843991317-0.5346864402754878j), (-2.1640870124803677+1.1522362053419297j), (-2.4026038191897037-3.4213723201952027j), (0.11089542319756371+1.584467077287841j), (4.291954045746697+1.0826802171305379j), (-3.0213000518857416-2.5580167380818057j), (-5.65335396715079-8.22970757839454j), (1.6761632648426792+3.1707752590816884j)]),
     ((0.1+0.8j), (-0.4, 2.3), (0.13, -1.45), 15,
@@ -565,7 +591,7 @@ OMEGA_GOLDEN = [
      (0.14298494090370362-2.2982277348072904j),
      [(1+0j), (-1.4349135497651195+0.7630797862958105j), (-3.6961013497160202+4.96534352051704j), (4.006700576486217-8.05854402260396j), (0.16228199824192124-21.995113733663956j), (24.959319979476092+38.87452088258952j), (87.82936977819227+60.370882338805615j), (-189.4054273784888-42.589854980911355j), (-408.59351303366293+82.09458060714968j)]),
     ((-0.2+0.45j), (0.62, 0.55), (0.27, 0.33), 30,
-     ('0.142984940903704420664773539294372', '-2.2982277348072875774926474107146'),
+     ('0.1429849409037048723450508002819', '-2.298227734807287307504826628748'),
      ('0.142984940903704872345050800280216', '-2.2982277348072873075048266287461'),
      [(1+0j), (-1.4349135497651209+0.7630797862958097j), (-3.6961013497160193+4.965343520517044j), (4.0067005764862325-8.058544022603963j), (0.1622819982418959-21.995113733663967j), (24.95931997947604+38.8745208825895j), (87.82936977819257+60.37088233880563j), (-189.4054273784887-42.589854980910786j), (-408.5935130336646+82.09458060715058j)]),
     ((-0.2+0.45j), (0.8, -1.6), (0.45, 1.2), 15,
@@ -573,7 +599,7 @@ OMEGA_GOLDEN = [
      (-0.0148874224722436-1.5438855379908828e-05j),
      [(1+0j), (-2.3616932566745152+1.5039311518806056j), (2.9504195658140873-1.708961381959412j), (7.573585152415205-18.63104712655121j), (1.5066172277975056+5.464849253532634j), (33.317390367154076+55.67576914377901j), (-34.71578837322431-24.5380617227911j), (-265.91781135936253-59.656512840347204j), (173.10593155313472-32.98101937900174j)]),
     ((-0.2+0.45j), (0.8, -1.6), (0.45, 1.2), 30,
-     ('-0.0148874224722435932656973083482347', '-0.0000154388553798980802687964972526211'),
+     ('-0.01488742247224359513755256867076', '-0.00001543885537989896935847950006301'),
      ('-0.0148874224722435951375525686707746', '-0.0000154388553798989693584795000579475'),
      [(1+0j), (-2.3616932566745152+1.5039311518806124j), (2.9504195658140726-1.708961381959426j), (7.5735851524152595-18.63104712655124j), (1.506617227797614+5.464849253532437j), (33.317390367153685+55.67576914378042j), (-34.71578837322437-24.538061722787123j), (-265.91781135935327-59.65651284034837j), (173.1059315531553-32.98101937902319j)]),
     ((0.25+1.2j), (0.13, 3.4), (-0.71, -2.2), 15,

@@ -930,6 +930,16 @@ def test_asymptotic_golden_values(case):
     assert set(polar) <= set(below)
 
 
+def test_asymptotic_eval_never_reads_terms(monkeypatch):
+    """The assembly stays on the arrays: no path of it builds the terms dict."""
+    reads, read = [], MultiSeries.terms.fget
+    C = constants_series(GOLDEN_K)
+    monkeypatch.setattr(MultiSeries, "terms", property(lambda s: reads.append(s) or read(s)))
+    for _, r, J, ts, *_ in GOLDEN:
+        asymptotic_eval(r, J, SimplicialPoint(ts), GOLDEN_K, constants=C)
+    assert not reads
+
+
 def test_constants_refused_when_misread():
     """asymptotic_eval reads C's regular orders and its simple pole only: a
     deeper pole or a second variable is refused, not ignored."""
@@ -980,13 +990,19 @@ def _compose_reference(coeffs, lab, M):
 
 
 @pytest.mark.parametrize(
-    "lab, M", [((0.7 - 0.2j,), 9), ((0.0, -1.3 + 0.4j), 9), ((0.5 + 0.1j, -1.3), 9),
-               ((1.0, 2.0), 4)],
+    "lab, M, column",
+    [((0.7 - 0.2j,), 9, None), ((0.0, -1.3 + 0.4j), 9, None), ((0.5 + 0.1j, -1.3), 9, None),
+     ((1.0, 2.0), 4, None), ((0.5 + 0.1j, -1.3), 9, [0, 1]), ((0.0, -1.3 + 0.4j), 9, [0, 1]),
+     ((0.0, 0.0), 9, [0, 1]), ((0.0, 0.0), 9, None)],
+    ids=["lab0-9", "lab1-9", "lab2-9", "lab3-4", "exp-lab4-9", "exp-lab5-9", "exp-zero-9", "zero-9"],
 )
-def test_compose_linear_matches_composition_sum(lab, M):
+def test_compose_linear_matches_composition_sum(lab, M, column):
+    """Random columns, and the column [0, 1] that turns a label into the
+    linear series exp() reads: a zero label leaves c_0 alone."""
     rng = np.random.default_rng(5)
     coeffs = rng.normal(size=8) + 1j * rng.normal(size=8)
     coeffs[3] = 0
+    coeffs = coeffs if column is None else column
     vars = ("b",) if len(lab) == 1 else ("b1", "b2")
     got = polylog._compose_linear(coeffs, lab, vars, M)
     want = _compose_reference(coeffs, lab, M)

@@ -26,7 +26,7 @@ MODULES = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in sorted(PAC
 BENCH_WORDS = set(
     re.findall(r"\w+", "\n".join((ROOT / "bench" / f).read_text() for f in ("workloads.py", "make_reference.py")))
 )
-DEFAULTED_PARAMETERS = 7
+DEFAULTED_PARAMETERS = 6
 
 
 def _names(node):
