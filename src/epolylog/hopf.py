@@ -21,13 +21,6 @@ from .rational import Poly, _exact, rational_sum
 DEFAULT_SIZE_BUDGET = 10**6
 
 
-def _vec(width, entries):
-    v = [0] * width
-    for i, c in entries.items():
-        v[i] = _exact(c)
-    return tuple(v)
-
-
 def _vec_add(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
@@ -116,7 +109,7 @@ def canonical_symbol(n):
     if n < 2:
         raise ValueError("need at least two slots")
     width = n - 1
-    labels = [_vec(width, {i: 1}) for i in range(width)]
+    labels = [tuple(int(j == i) for j in range(width)) for i in range(width)]
     labels.append(_vec_neg(_vec_add_many(labels)))
     return ASymbol(range(1, n + 1), labels)
 

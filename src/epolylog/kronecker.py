@@ -18,12 +18,12 @@ lattice check in kronecker_F:
                     factor 1/e(eta)) and resumming the inner geometric series
 
 Its Laurent expansion in a formal second slot alpha -- a simple pole times
-the exponential of weighted Eisenstein functions -- is the generating
-series of the one-form coefficients (omega_coefficients).  That expansion
-is one-variable, so it is kept on plain coefficient lists in the context's
-scalar type (_mul, _exp): the module needs neither numpy nor the series
-module, and a double-precision kernel evaluation loads neither numpy nor
-mpmath.
+the exponential of weighted Eisenstein functions -- generates the one-form
+coefficients (omega_coefficients): omega_0 .. omega_K need E_1 .. E_K and
+K + 1 exponential coefficients, no E_j for K = 0.  It is one-variable, so
+it is kept on plain coefficient lists in the context's scalar type (_mul,
+_exp): the module needs neither numpy nor the series module, and a
+double-precision kernel evaluation loads neither numpy nor mpmath.
 
 Eisenstein sums use the conditionally convergent double-sum order: the inner
 (integer) direction is summed in closed form via cotangent polynomials,
@@ -390,31 +390,38 @@ def _inv_factorial(k, prec):
 
 
 def _exp(g, prec):
-    """exp of the power series g (a list with g[0] == 0) to len(g)
-    coefficients: the powers of g weighted by 1/k! and summed in one
-    accumulator.  1/k! is in the real scalar of the precision context prec,
-    so mpmath coefficients keep their own precision."""
+    """exp of g (a series list, g[0] == 0) to len(g) coefficients: the powers
+    g^k weighted by 1/k! in prec's reals, so mpmath keeps its digits.  g^k[m]
+    sums g^(k-1)[i] g[m - i] over i = k - 1 .. m - 1, the full product's order
+    less its c * 0 terms, and is written over g^(k-1) from the top m down."""
     n = len(g)
     acc = [1] + [0] * (n - 1)
-    term = acc
+    term = acc[:]
     for k in range(1, n):
-        term = _mul(term, g, n)
         w = _inv_factorial(k, prec)
-        acc = [a + t * w if t != 0 else a for a, t in zip(acc, term)]
+        for m in range(n - 1, k - 1, -1):
+            s = 0
+            for i in range(k - 1, m):
+                if term[i] != 0:
+                    s += term[i] * g[m - i]
+            term[m] = s
+            if s != 0:
+                acc[m] += s * w
     return acc
 
 
 def _F_series(xi, K, ctx):
-    """Laurent coefficients of F(xi, alpha) in the formal variable alpha,
-    the list of alpha^-1 .. alpha^(K-1): the simple pole 1/alpha times
-    exp(sum_j -(-1)^j (E_j(xi) - e_j) alpha^j / j), so entry i is the
-    coefficient of alpha^i in the exponential."""
+    """Laurent coefficients of F(xi, alpha) at alpha^-1 .. alpha^(K-1): the
+    pole 1/alpha times exp(sum_j -(-1)^j (E_j(xi) - e_j) alpha^j / j), so
+    entry i is the coefficient of alpha^i in the exponential and needs only
+    E_1 .. E_i.  K = 0 gives [1] and calls no Eisenstein function."""
     if xi.is_lattice():
         raise OnSingularLocus("kernel pole: xi on the lattice")
+    if K == 0:
+        return [1]
     arg = [0]
     for j, E in enumerate(eisenstein_E(K, xi, ctx), 1):
-        val = E - lattice_constant(j, ctx)
-        arg.append(-((-1) ** j) * val / j)
+        arg.append(-((-1) ** j) * (E - lattice_constant(j, ctx)) / j)
     return _exp(arg, ctx.prec)
 
 
@@ -423,12 +430,12 @@ def _F_series(xi, K, ctx):
 
 def omega_coefficients(p, K, ctx):
     """Values of the one-form coefficients at the point p: entry k is the
-    dxi-coefficient of the alpha^(k-1) term of e(alpha*r) F(xi; alpha).
-    The series are expanded in the context's scalar type and only the
-    returned values are collapsed to machine complex numbers."""
+    dxi-coefficient of the alpha^(k-1) term of e(alpha*r) F(xi; alpha), so
+    omega_0 .. omega_K need E_1 .. E_K (none for K = 0).  The series are kept
+    in the context's scalar type; only the returned values become complex."""
     if K < 0:
         raise ValueError("K must be >= 0")
-    fser = _F_series(p, K + 1, ctx)
+    fser = _F_series(p, K, ctx)
     r2pi = ctx.prec.two_pi_i * p.r
     eser = [r2pi**k / math.factorial(k) for k in range(K + 1)]
     return [ctx.prec.to_complex(c) for c in _mul(fser, eser, K + 1)]

@@ -308,7 +308,7 @@ def test_eisenstein_prefix_independent(digits):
 @pytest.mark.parametrize("digits", [15, 30])
 def test_one_row_walk_per_point(digits, monkeypatch):
     """One omega_coefficients call walks the lattice rows once for the whole
-    ladder E_1 .. E_(K+1), to the context's row count: two cotangents per
+    ladder E_1 .. E_K, to the context's row count: two cotangents per
     row n = 1 .. lattice_cutoff + int(|r|) plus row 0, once the context
     holds its lattice constants."""
     ctx = LatticeContext(TAU, digits)
@@ -326,6 +326,41 @@ def test_one_row_walk_per_point(digits, monkeypatch):
         omega_coefficients(EllipticPoint(s, r), 8, ctx)
         n_min = int(abs(r)) + 1
         assert len(calls) == 2 * (ctx.lattice_cutoff + n_min - 1) + 1
+
+
+@pytest.mark.parametrize("digits", [15, 30])
+def test_omega_asks_only_for_the_orders_it_returns(digits, monkeypatch):
+    """omega_0 .. omega_K are the alpha^-1 .. alpha^(K-1) coefficients: one
+    ladder E_1 .. E_K serves them, and K = 0 needs no Eisenstein function."""
+    ctx = LatticeContext(TAU, digits)
+    asked = []
+    ladder = kronecker.eisenstein_E
+
+    def spy(K, *rest):
+        asked.append(K)
+        return ladder(K, *rest)
+
+    monkeypatch.setattr(kronecker, "eisenstein_E", spy)
+    p = EllipticPoint(0.31, 0.17)
+    omega_coefficients(p, 8, ctx)
+    assert asked == [8]
+    asked.clear()
+    assert omega_coefficients(p, 0, ctx) == [1 + 0j]
+    assert asked == []
+
+
+@pytest.mark.parametrize("digits", [15, 30])
+def test_omega_and_F_series_prefix_independent(digits):
+    """A coefficient of the exponential depends only on E_j of lower or
+    equal order, so cutting the series at K returns the same values as
+    cutting a longer one."""
+    ctx = LatticeContext(TAU, digits)
+    for s, r in ((0.31, 0.17), (0.62, -1.35), (-0.4, 2.3)):
+        p = EllipticPoint(s, r)
+        omega, fser = omega_coefficients(p, 8, ctx), kronecker._F_series(p, 8, ctx)
+        for k in range(9):
+            assert omega[: k + 1] == omega_coefficients(p, k, ctx)
+            assert fser[: k + 1] == kronecker._F_series(p, k, ctx)
 
 
 # ------------------------------------------------------------------- kernel F
@@ -538,6 +573,8 @@ def test_singular_locus_rejected(ctx):
         F(EllipticPoint(0.0, 1.0), EllipticPoint(0.2, 0.1), ctx)
     with pytest.raises(OnSingularLocus):
         kronecker._F_series(EllipticPoint(2.0, 0.0), 5, ctx)
+    with pytest.raises(OnSingularLocus):
+        omega_coefficients(EllipticPoint(2.0, 0.0), 0, ctx)
 
 
 def test_unsettled_q_series_refused():
