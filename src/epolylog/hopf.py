@@ -14,6 +14,7 @@ callbacks.
 
 from fractions import Fraction
 from functools import partial
+from operator import itemgetter
 
 from .errors import SizeBudgetExceeded
 from .rational import Poly, _exact, rational_sum
@@ -21,15 +22,8 @@ from .rational import Poly, _exact, rational_sum
 DEFAULT_SIZE_BUDGET = 10**6
 
 
-def _vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _vec_add_many(vecs):
-    out = vecs[0]
-    for v in vecs[1:]:
-        out = _vec_add(out, v)
-    return out
+def _vec_sum(vecs):
+    return tuple(map(sum, zip(*vecs)))
 
 
 def _vec_neg(a):
@@ -55,48 +49,43 @@ def label_str(vec):
     return out[1:] if out.startswith("+") else out
 
 
-class ASymbol:
-    """One bracket symbol (t_{i_1}: ... : t_{i_l}; labels).
+class ASymbol(tuple):
+    """One bracket symbol (t_{i_1}: ... : t_{i_l}; labels), the validated
+    pair (ts, labels): it equals, hashes and orders as that plain pair.
 
     `ts` are 1-based point indices into the ambient tuple (index n is the
     slot fixed at 1 in realizations).  Labels are exact vectors over a free
     basis b_1..b_w and must sum to zero; the last label of a string symbol
     is minus the sum of the others by construction.  rational._exact, which
     Poly coefficients share, stores an integral entry as an int
-    (Fraction(1) == 1 with the same hash, so keys, order and reprs do not
+    (Fraction(1) == 1 with the same hash, so hashes, order and reprs do not
     depend on how it was given) and any other entry as an exact Fraction.
     """
 
-    __slots__ = ("ts", "labels")
+    __slots__ = ()
 
-    def __init__(self, ts, labels):
-        self.ts = tuple(int(i) for i in ts)
-        self.labels = tuple(tuple(map(_exact, lab)) for lab in labels)
-        if len(self.ts) < 2:
+    def __new__(cls, ts, labels):
+        ts = tuple(int(i) for i in ts)
+        labels = tuple(tuple(map(_exact, lab)) for lab in labels)
+        if len(ts) < 2:
             raise ValueError("symbol needs at least two slots")
-        if len(self.labels) != len(self.ts):
+        if len(labels) != len(ts):
             raise ValueError("one label per slot required")
-        width = len(self.labels[0])
-        if any(len(lab) != width for lab in self.labels):
+        if any(len(lab) != len(labels[0]) for lab in labels):
             raise ValueError("ragged label vectors")
-        if any(c != 0 for c in _vec_add_many(self.labels)):
+        if any(c != 0 for c in _vec_sum(labels)):
             raise ValueError("labels must sum to zero")
+        return super().__new__(cls, (ts, labels))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    ts = property(itemgetter(0))
+    labels = property(itemgetter(1))
 
     @property
     def length(self):
         return len(self.ts)
-
-    def key(self):
-        return (self.ts, self.labels)
-
-    def __eq__(self, other):
-        return isinstance(other, ASymbol) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def __lt__(self, other):
-        return self.key() < other.key()
 
     def __repr__(self):
         heads = ":".join(f"t{i}" for i in self.ts)
@@ -110,7 +99,7 @@ def canonical_symbol(n):
         raise ValueError("need at least two slots")
     width = n - 1
     labels = [tuple(int(j == i) for j in range(width)) for i in range(width)]
-    labels.append(_vec_neg(_vec_add_many(labels)))
+    labels.append(_vec_neg(_vec_sum(labels)))
     return ASymbol(range(1, n + 1), labels)
 
 
@@ -168,8 +157,7 @@ def string_symbol(sym, string):
     """The symbol A_S cut out of `sym` by a string of positions."""
     ts = tuple(sym.ts[p - 1] for p in string)
     body = [sym.labels[p - 1] for p in string[:-1]]
-    beta_s = _vec_add_many(body)
-    return ASymbol(ts, body + [_vec_neg(beta_s)])
+    return ASymbol(ts, body + [_vec_neg(_vec_sum(body))])
 
 
 def _remaining(total, collection):
@@ -184,13 +172,10 @@ def _remaining(total, collection):
 def _quotient_at(sym, collection, remaining):
     """The quotient of `sym` by an admissible collection on its remaining
     positions (two or more)."""
-    labels = []
-    for p in remaining:
-        lab = sym.labels[p - 1]
-        for s in collection:
-            if s[-1] == p:
-                lab = _vec_add(lab, _vec_add_many([sym.labels[q - 1] for q in s[:-1]]))
-        labels.append(lab)
+    labels = [
+        _vec_sum([sym.labels[p - 1]] + [sym.labels[q - 1] for s in collection if s[-1] == p for q in s[:-1]])
+        for p in remaining
+    ]
     return ASymbol((sym.ts[p - 1] for p in remaining), labels)
 
 

@@ -264,28 +264,16 @@ def _form(arc, K):
     return BranchedForm(f)
 
 
-class _RatioArc:
-    """u -> (arc(u) / t)**s, s = +1 or -1: a coordinate ratio while one
-    coordinate moves along a line arc and the other stays at t (log log_t).
-    Spiral legs need no such class: their ratios are spirals themselves."""
+def _ratio_forms(arc, K):
+    """rho^{-b} drho/(1-rho) and its reading at 1/rho, rho^b drho/(rho(1-rho)),
+    along a ratio arc rho at parameters us: two node-first blocks, (N, 2, K)."""
 
-    def __init__(self, arc, s, t, log_t):
-        self.arc = arc
-        self.s = s
-        self.t = t
-        self.log_t = log_t
+    def f(us):
+        rho, lr = arc.point(us), arc.log_point(us)
+        dlog = arc.velocity(us) / (1.0 - rho)
+        return exp_column(np.stack([-lr, lr], axis=1), K) * np.stack([dlog, dlog / rho], axis=1)[:, :, None]
 
-    def point(self, u):
-        return (self.arc.point(u) / self.t) ** self.s
-
-    def velocity(self, u):
-        return self.s * self.point(u) * self.arc.velocity(u) / self.arc.point(u)
-
-    def log_point(self, u):
-        return self.s * (self.arc.log_point(u) - self.log_t)
-
-    def suggested_panels(self):
-        return self.arc.suggested_panels()
+    return BranchedForm(f)
 
 
 def _rebase(arc, t, l):
@@ -311,23 +299,27 @@ def _advance(series, arcs, tag):
 
         d' = rows(a) * spread(c2(u)) + cols(w2) * rows(c1(u)) - cols(c) * spread(c1(u))
 
-    with a, c the forms of the ratio arcs of t1/t2 and t2/t1, * the
-    truncated-series product, rows / cols a column laid along b1 / b2, and
-    spread its re-expansion from b1 + b2 (exact on the window from the first
-    2K-1 entries).  With a fixed coordinate read as the spiral SpiralArc(l,
-    0), two spirals have the spiral (l_a - l_b, d_a - d_b) as their ratio; a
-    line leg's ratios are its pointwise quotients by the fixed coordinate.
-    Every arc of the leg shares the parameter u, and each form samples its
-    own arc there.  One pass, accepted over the whole state, carries it all
-    over u, starting from the largest suggested panel count of the spine.
-    Every arc must keep CLEARANCE from 1, and a line arc from 0 as well,
-    where its log and the form w^{-b} dw/(1-w) are singular too.
+    with a, c the forms of t1/t2 and t2/t1, * the truncated-series product,
+    rows / cols a column laid along b1 / b2, and spread its re-expansion
+    from b1 + b2 (exact on the window from the first 2K-1 entries).  One
+    form samples the leg's one ratio arc rho for both: rho^{-b} drho/(1-rho)
+    and its reading at 1/rho.  With a fixed coordinate read as the spiral
+    SpiralArc(l, 0), two spirals give rho = t1/t2, the spiral (l_a - l_b,
+    d_a - d_b); a line leg moving t_i over the fixed t gives the line rho =
+    t_i/t, so moving t2 swaps the two forms.  Every arc of the leg shares
+    the parameter u, and each form samples its own arc there.  One pass,
+    accepted over the whole state, carries it all over u, starting from the
+    largest suggested panel count of the spine.  The coordinate arcs and rho
+    keep CLEARANCE from 1 (1/rho up to a factor |rho|); a coordinate line
+    arc keeps it from 0 too, where its log and the form are singular, but
+    rho, whose distance from 0 scales with |t|, is not tested there.
     """
     ts, logs, K = series.point.ts, series.logs, series.order()
     arcs = [a if a is None else _rebase(a, t, l) for a, t, l in zip(arcs, ts, logs)]
     moving = [i for i, arc in enumerate(arcs) if arc is not None]
+    spine = [arcs[i] for i in moving]
     if series.depth == 1:
-        chans, ratios = [series.coeffs], []
+        chans = [series.coeffs]
     else:
         if series.channels is None:
             raise ValueError("depth-2 series without transport channels")
@@ -336,17 +328,15 @@ def _advance(series, arcs, tag):
             raise ValueError("channels shorter than 2K-1: rectangle would go stale")
         a, b = (SpiralArc(l, 0.0) if arc is None else arc for arc, l in zip(arcs, logs))
         if isinstance(a, SpiralArc) and isinstance(b, SpiralArc):
-            ratios = [SpiralArc(a.log_t - b.log_t, a.dlog - b.dlog),
-                      SpiralArc(b.log_t - a.log_t, b.dlog - a.dlog)]
+            rho, order = SpiralArc(a.log_t - b.log_t, a.dlog - b.dlog), (0, 1)
         else:  # one line leg against the other coordinate, held fixed
             (i,) = moving
-            sign = 1 - 2 * i
-            ratios = [_RatioArc(arcs[i], sign, ts[1 - i], logs[1 - i]),
-                      _RatioArc(arcs[i], -sign, ts[1 - i], logs[1 - i])]
-    spine = [arcs[i] for i in moving] + ratios
+            line, t = arcs[i], ts[1 - i]
+            rho, order = LineArc(line.z0 / t, line.z1 / t, start_log=line.start_log - logs[1 - i]), (i, 1 - i)
+        spine.append(rho)
     check_clearance(spine, 1.0, CLEARANCE)
-    check_clearance([a for a in spine if isinstance(a, LineArc)], 0.0, CLEARANCE)
-    forms = [_form(arcs[i], len(chans[i])) for i in moving] + [_form(arc, K) for arc in ratios]
+    check_clearance([a for a in arcs if isinstance(a, LineArc)], 0.0, CLEARANCE)
+    forms = [_form(arcs[i], len(chans[i])) for i in moving]
 
     def channel(i):
         if i in moving:
@@ -357,22 +347,24 @@ def _advance(series, arcs, tag):
         # a column as a (K, 1) block lies along b1, as a (1, K) block along b2;
         # convolve_product pads it to the K x K window
         c1, c2 = lower
-        d = convolve_product(s[-2][:, :, None], _spread_col(c2, K))
-        d -= convolve_product(s[-1][:, None, :], _spread_col(c1, K))
+        a, c = (s[-1][:, k] for k in order)
+        d = convolve_product(a[:, :, None], _spread_col(c2, K))
+        d -= convolve_product(c[:, None, :], _spread_col(c1, K))
         if 1 in moving:
             w2 = s[moving.index(1)][:, :K]
             d += convolve_product(w2[:, None, :], c1[:, :K, None])
         return d
 
     levels = [(c, channel(i)) for i, c in enumerate(chans)]
-    if ratios:
+    if series.depth == 2:
+        forms.append(_ratio_forms(rho, K))
         levels.append((series.coeffs, table))
     panels = max(a.suggested_panels() for a in spine)
     ends = iterated_integral(panels, forms, levels, DEFAULT_TOL)
     logs, ts = list(logs), list(ts)
     for i in moving:
         logs[i], ts[i] = arcs[i].log_point(1.0), arcs[i].point(1.0)
-    chans = tuple(ends[:2]) if ratios else None  # at depth 1, ends[-1] is the column
+    chans = tuple(ends[:2]) if series.depth == 2 else None  # at depth 1, ends[-1] is the column
     return DebyeSeries(SimplicialPoint(ts), ends[-1], logs, chans, tag)
 
 
@@ -516,11 +508,12 @@ def asymptotic_eval(r, J, pt, K, constants):
     (MissingConstants otherwise) and at most a simple pole (ValueError
     otherwise): only its regular orders and its (-1,) coefficient are read.
 
-    Ratio arguments within DEFAULT_MARGIN of the unit circle are refused;
-    those beyond the unit disk are inverted with the upper-crossing
-    constant.  A fixed ratio in the lower half-plane sits one sheet below
-    that choice: the prediction is offset by 2*pi*i times the tail
-    constant at the merged label.
+    A zero coordinate in J, whose log the leading monomials read, is refused
+    with OutOfRegion; one outside J keeps its prediction.  Ratio arguments
+    within DEFAULT_MARGIN of the unit circle are refused; those beyond the
+    unit disk are inverted with the upper-crossing constant.  A fixed ratio
+    in the lower half-plane sits one sheet below that choice: the prediction
+    is offset by 2*pi*i times the tail constant at the merged label.
     """
     if r != pt.depth:
         raise ValueError("depth mismatch")
@@ -531,6 +524,8 @@ def asymptotic_eval(r, J, pt, K, constants):
         raise ValueError("J must index the first r coordinates")
     if r > 2:
         raise ValueError("numeric asymptotics implemented for depth <= 2")
+    if any(pt.ts[j - 1] == 0 for j in J):
+        raise OutOfRegion("a coordinate in J is 0, where its log is singular")
     if K < 1:
         raise ValueError(f"order K = {K} must be at least 1")
     if len(constants.vars) != 1:

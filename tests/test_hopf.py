@@ -1,8 +1,10 @@
+import copy
 import gc
 import hashlib
 import itertools
 import json
 import pathlib
+import pickle
 from fractions import Fraction
 from functools import lru_cache
 
@@ -52,9 +54,22 @@ def test_symbol_validation():
         ASymbol((1,), [(F(1),)])
     with pytest.raises(ValueError):
         ASymbol((1, 2), [(F(1),), (F(1),)])
+    with pytest.raises(ValueError, match="ragged"):
+        ASymbol((1, 2, 3), [(1, 0), (0,), (-1, 0)])
     s = canonical_symbol(3)
     assert s.length == 3
     assert s.labels[2] == (F(-1), F(-1))
+
+
+@pytest.mark.parametrize("sym", [canonical_symbol(4), ASymbol((2, 1), [(F(1, 2),), (F(-1, 2),)])])
+def test_symbol_is_its_pair_through_copy_and_pickle(sym):
+    """A symbol equals and hashes as its plain (ts, labels) pair, and copy,
+    deepcopy and pickle rebuild it through the checked constructor."""
+    assert sym == (sym.ts, sym.labels) and hash(sym) == hash((sym.ts, sym.labels))
+    for other in (copy.copy(sym), copy.deepcopy(sym), pickle.loads(pickle.dumps(sym))):
+        assert type(other) is ASymbol
+        assert other == sym and hash(other) == hash(sym) and repr(other) == repr(sym)
+        assert other.ts == sym.ts and other.labels == sym.labels
 
 
 def test_string_constraints():
@@ -427,6 +442,18 @@ def test_assemble_n8_term_lists_digest():
     text = "\n".join(repr(assemble_asymptotic(sym, set(J))) for J in _all_J(8))
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "5c8f2d1473bd966436de7e951b3af51e792c63d9893aae914358c16d86147eee"
+    )
+
+
+def test_assemble_n2_to_n7_term_lists_digest():
+    """The term lists of all 120 (n, J) with n = 2..7, n ascending and then
+    in _all_J order, pinned like the n = 8 lists: reprs, so the digest holds
+    the symbols' exact format at every n."""
+    text = "\n".join(
+        repr(assemble_asymptotic(canonical_symbol(n), set(J))) for n in range(2, 8) for J in _all_J(n)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "16166d22324aac8812de7763377515983828b691116a7c0a93a2bfa6fa26f730"
     )
 
 

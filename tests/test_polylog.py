@@ -621,8 +621,8 @@ def test_transport_meets_default_tol(ctx, ts, route, ray_leg):
 
 def test_one_pass_per_leg(ctx, monkeypatch):
     """Every leg is one adaptive pass that evaluates each distinct column
-    once per panel and order: arc1, arc2 and both ratio arcs on a diagonal
-    leg, the moving arc and both ratio arcs on an axis leg (spiral or line),
+    once per panel and order: arc1, arc2 and the one ratio arc on a diagonal
+    leg, the moving arc and the ratio arc on an axis leg (spiral or line),
     the one arc at depth 1."""
     sizes = []
     call = quadrature.BranchedForm.__call__
@@ -644,59 +644,64 @@ def test_one_pass_per_leg(ctx, monkeypatch):
     pt2 = SimplicialPoint((0.25 + 0.1j, 0.5 - 0.2j))
     b2 = debye_lambda(2, pt2, 4)
     b1 = debye_lambda(1, SimplicialPoint((0.3 + 0.2j,)), 6)
-    assert calls_per_pass(lambda: transport_debye(SpiralShift((1, 1), pt2, ctx), 4)) == {4}
+    assert calls_per_pass(lambda: transport_debye(SpiralShift((1, 1), pt2, ctx), 4)) == {3}
     axes = SpiralShift((1, 1), pt2, ctx)
-    assert calls_per_pass(lambda: transport_debye(axes, 4, route="axes")) == {3}
+    assert calls_per_pass(lambda: transport_debye(axes, 4, route="axes")) == {2}
     for j, t in zip((1, 2), pt2.ts):
-        assert calls_per_pass(lambda: continue_debye(b2, [(j, LineArc(t, 1.5 * t))])) == {3}
+        assert calls_per_pass(lambda: continue_debye(b2, [(j, LineArc(t, 1.5 * t))])) == {2}
     assert calls_per_pass(lambda: continue_debye(b1, [LineArc(0.3 + 0.2j, 0.6 + 0.4j)])) == {1}
 
 
 def test_spiral_ratio_arcs_are_pointwise_quotients(ctx, monkeypatch):
-    """The ratio arcs of a spiral leg, one log-linear arc each, are the
-    quotients t1/t2 and t2/t1 of the coordinate arcs (a fixed coordinate is
-    its constant point): point, velocity and branch, at the panel nodes."""
+    """Each spiral leg samples one ratio arc, a log-linear arc that is the
+    quotient t1/t2 of the coordinate arcs (a fixed coordinate is its
+    constant point): point, velocity and branch, at the panel nodes.  The
+    second block of its forms is the form of the explicit inverse quotient
+    t2/t1."""
     legs = []
-    advance, form = polylog._advance, polylog._form
+    advance, form, ratio_forms = polylog._advance, polylog._form, polylog._ratio_forms
 
     def spy_advance(series, arcs, tag):
-        legs.append((series.logs, [a is not None for a in arcs], []))
+        legs.append((series.logs, [a is not None for a in arcs], [], []))
         return advance(series, arcs, tag)
 
     def spy_form(arc, K):
         legs[-1][2].append(arc)
         return form(arc, K)
 
+    def spy_ratio_forms(arc, K):
+        legs[-1][3].append(arc)
+        return ratio_forms(arc, K)
+
     monkeypatch.setattr(polylog, "_advance", spy_advance)
     monkeypatch.setattr(polylog, "_form", spy_form)
+    monkeypatch.setattr(polylog, "_ratio_forms", spy_ratio_forms)
     x, _ = quadrature._panel_rule(quadrature.PANEL_ORDER + 4)
     us = (x + 1.0) / 2.0
+    K = 4
     shift = SpiralShift((1, 1), SimplicialPoint((0.25 + 0.1j, 0.5 - 0.2j)), ctx)
     for route, count in (("diagonal", 1), ("axes", 2)):
         legs.clear()
-        transport_debye(shift, 4, route=route)
+        transport_debye(shift, K, route=route)
         assert len(legs) == count
-        for logs, moving, arcs in legs:
+        for logs, moving, arcs, ratios in legs:
+            (rho,) = ratios
             it = iter(arcs)
-            coords = []
-            for m, l in zip(moving, logs):
-                if m:
-                    a = next(it)
-                    coords.append((a.point(us), a.velocity(us), a.log_point(us)))
-                else:  # a fixed coordinate stays at its point
-                    n = len(us)
-                    coords.append((np.full(n, cmath.exp(l)), np.zeros(n), np.full(n, l)))
-            r12, r21 = it
+            coords = [next(it) if m else SpiralArc(l, 0.0) for m, l in zip(moving, logs)]
+            (pa, va, la), (pb, vb, lb) = ((c.point(us), c.velocity(us), c.log_point(us)) for c in coords)
             # each expected value next to the size of its terms, the scale of
             # its own rounding
-            for arc, (pa, va, la), (pb, vb, lb) in ((r12, *coords), (r21, *coords[::-1])):
-                for got, want, scale in (
-                    (arc.point(us), pa / pb, np.abs(pa / pb)),
-                    (arc.velocity(us), (va * pb - pa * vb) / pb**2,
-                     (np.abs(va * pb) + np.abs(pa * vb)) / np.abs(pb) ** 2),
-                    (arc.log_point(us), la - lb, np.abs(la) + np.abs(lb)),
-                ):
-                    assert np.all(np.abs(got - want) <= 1e-15 * scale), route
+            for got, want, scale in (
+                (rho.point(us), pa / pb, np.abs(pa / pb)),
+                (rho.velocity(us), (va * pb - pa * vb) / pb**2,
+                 (np.abs(va * pb) + np.abs(pa * vb)) / np.abs(pb) ** 2),
+                (rho.log_point(us), la - lb, np.abs(la) + np.abs(lb)),
+            ):
+                assert np.all(np.abs(got - want) <= 1e-15 * scale), route
+            a, b = coords
+            inverse = form(SpiralArc(b.log_t - a.log_t, b.dlog - a.dlog), K)(us)
+            got = ratio_forms(rho, K)(us)[:, 1]
+            assert np.all(np.abs(got - inverse) <= 1e-14 * np.abs(inverse)), route
 
 
 def test_spiral_continuation_is_the_axes_route(ctx):
@@ -753,19 +758,35 @@ def _through_one(kind):
     L = 0.6 + 1e-6j
     if kind == "line":
         return LineArc(1 - L / 64, 1 + 63 * L / 64, start_log=0.0)
-    if kind == "spiral":
-        return SpiralArc(-2j * math.pi * TAU / 64, 2j * math.pi * TAU)
-    t = 0.8 + 0.1j
-    line = LineArc(t - L / 64, t + 63 * L / 64, start_log=cmath.log(t - L / 64))
-    return polylog._RatioArc(line, 1 if kind == "ratio" else -1, t, cmath.log(t))
+    return SpiralArc(-2j * math.pi * TAU / 64, 2j * math.pi * TAU)
 
 
-@pytest.mark.parametrize("kind", ["line", "spiral", "ratio", "inverse-ratio"])
+@pytest.mark.parametrize("kind", ["line", "spiral"])
 def test_clearance_finds_closest_approach(kind):
     arc = _through_one(kind)
     assert abs(arc.point(1 / 64) - 1) < 1e-12
     with pytest.raises(PathTooClose):
         check_clearance([arc], 1.0, polylog.CLEARANCE)
+
+
+@pytest.mark.parametrize("j", [1, 2])
+def test_line_leg_ratio_through_one_refused(monkeypatch, j):
+    """A depth-2 line leg moving t_j whose t1/t2 passes through 1 at u =
+    1/64, between two clearance samples, is refused before any panel pass:
+    t_j/t for j = 1, its inverse for j = 2."""
+
+    def integrate(*args):
+        raise AssertionError("the leg reached the integrator")
+
+    t, L = 0.4 + 0.2j, 0.3 + 0.1j
+    z0 = t - L / 64
+    ts = (z0, t) if j == 1 else (t, z0)
+    base = debye_lambda(2, SimplicialPoint(ts), 4)
+    leg = LineArc(z0, z0 + L)
+    assert abs(leg.point(1 / 64) / t - 1) < 1e-12
+    monkeypatch.setattr(polylog, "iterated_integral", integrate)
+    with pytest.raises(PathTooClose, match="singular point 1"):
+        continue_debye(base, [(j, leg)])
 
 
 def test_spiral_point_on_orbit_rejected(ctx):
@@ -816,6 +837,21 @@ def test_region_argument_checks():
     short = MultiSeries(("b",), {(-1,): -1.0 + 0j, (0,): 1j * math.pi}, (1,), (-1,))
     with pytest.raises(MissingConstants):
         asymptotic_eval(2, {1, 2}, SimplicialPoint((20.0, 30.0)), 4, constants=short)
+
+
+@pytest.mark.parametrize("ts, J", [((0.0,), {1}), ((0.0, 20.0), {1}), ((20.0, 0.0), {2}),
+                                   ((0.0, 0.0), {1, 2})])
+def test_zero_coordinate_in_J_refused(ts, J):
+    """A coordinate sent to infinity has a log in the leading monomials: at 0
+    the prediction is refused, not read with log 0 as 0."""
+    with pytest.raises(OutOfRegion, match="coordinate in J is 0"):
+        asymptotic_eval(len(ts), J, SimplicialPoint(ts), 4, constants=constants_series(4))
+
+
+def test_zero_coordinate_outside_J_predicts_zero():
+    """t2 = 0 outside J: the series is 0 there, and so is the prediction."""
+    pred = asymptotic_eval(2, {1}, SimplicialPoint((20.0, 0.0)), 4, constants=constants_series(4))
+    assert not any(pred.terms.values())
 
 
 # Recorded predictions of asymptotic_eval, K = 3, which a change of its
