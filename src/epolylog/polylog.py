@@ -254,24 +254,19 @@ def debye_lambda(r, pt, K):
 # ----------------------------------------------------------------- transport
 
 
-def _form(arc, K):
-    """Coefficients of w^{-b} dw/(1-w) along an arc at parameters us, (N, K)."""
+def _form(arcs, n, inverse):
+    """The forms w^{-b} dw/(1-w) along the arcs at parameters us, one
+    node-first block (N, rows, n): row k is arcs[k]'s form.  With inverse,
+    one more row reads the last arc's form at 1/w, w^b dw/(w(1-w))."""
 
     def f(us):
-        dlog = arc.velocity(us) / (1.0 - arc.point(us))
-        return exp_column(-arc.log_point(us), K) * dlog[:, None]
-
-    return BranchedForm(f)
-
-
-def _ratio_forms(arc, K):
-    """rho^{-b} drho/(1-rho) and its reading at 1/rho, rho^b drho/(rho(1-rho)),
-    along a ratio arc rho at parameters us: two node-first blocks, (N, 2, K)."""
-
-    def f(us):
-        rho, lr = arc.point(us), arc.log_point(us)
-        dlog = arc.velocity(us) / (1.0 - rho)
-        return exp_column(np.stack([-lr, lr], axis=1), K) * np.stack([dlog, dlog / rho], axis=1)[:, :, None]
+        ws = [arc.point(us) for arc in arcs]
+        logs = [-arc.log_point(us) for arc in arcs]
+        dlogs = [arc.velocity(us) / (1.0 - w) for arc, w in zip(arcs, ws)]
+        if inverse:
+            logs.append(-logs[-1])
+            dlogs.append(dlogs[-1] / ws[-1])
+        return exp_column(np.stack(logs, axis=1), n) * np.stack(dlogs, axis=1)[:, :, None]
 
     return BranchedForm(f)
 
@@ -301,18 +296,19 @@ def _advance(series, arcs, tag):
 
     with a, c the forms of t1/t2 and t2/t1, * the truncated-series product,
     rows / cols a column laid along b1 / b2, and spread its re-expansion
-    from b1 + b2 (exact on the window from the first 2K-1 entries).  One
-    form samples the leg's one ratio arc rho for both: rho^{-b} drho/(1-rho)
-    and its reading at 1/rho.  With a fixed coordinate read as the spiral
-    SpiralArc(l, 0), two spirals give rho = t1/t2, the spiral (l_a - l_b,
-    d_a - d_b); a line leg moving t_i over the fixed t gives the line rho =
-    t_i/t, so moving t2 swaps the two forms.  Every arc of the leg shares
-    the parameter u, and each form samples its own arc there.  One pass,
-    accepted over the whole state, carries it all over u, starting from the
-    largest suggested panel count of the spine.  The coordinate arcs and rho
-    keep CLEARANCE from 1 (1/rho up to a factor |rho|); a coordinate line
-    arc keeps it from 0 too, where its log and the form are singular, but
-    rho, whose distance from 0 scales with |t|, is not tested there.
+    from b1 + b2 (exact on the window from the first 2K-1 entries).  With a
+    fixed coordinate read as the spiral SpiralArc(l, 0), two spirals give
+    rho = t1/t2, the spiral (l_a - l_b, d_a - d_b); a line leg moving t_i
+    over the fixed t gives the line rho = t_i/t, so moving t2 swaps a and c.
+    The leg's spine is its moving coordinate arcs, then rho at depth 2, all
+    on the parameter u.  One form samples the spine once per panel pass, as
+    one block: a row per arc, then at depth 2 rho's form read at 1/rho.  One
+    pass, accepted over the whole state, carries it all over u, starting
+    from the largest suggested panel count of the spine.  The coordinate
+    arcs and rho keep CLEARANCE from 1 (1/rho up to a factor |rho|); a
+    coordinate line arc keeps it from 0 too, where its log and the form are
+    singular, but rho, whose distance from 0 scales with |t|, is not tested
+    there.
     """
     ts, logs, K = series.point.ts, series.logs, series.order()
     arcs = [a if a is None else _rebase(a, t, l) for a, t, l in zip(arcs, ts, logs)]
@@ -336,31 +332,30 @@ def _advance(series, arcs, tag):
         spine.append(rho)
     check_clearance(spine, 1.0, CLEARANCE)
     check_clearance([a for a in arcs if isinstance(a, LineArc)], 0.0, CLEARANCE)
-    forms = [_form(arcs[i], len(chans[i])) for i in moving]
 
     def channel(i):
         if i in moving:
-            return lambda s, lower: s[moving.index(i)]
-        return lambda s, lower: np.zeros((len(s[0]), len(chans[i])), dtype=complex)
+            return lambda s, lower: s[:, moving.index(i), : len(chans[i])]
+        return lambda s, lower: np.zeros((len(s), len(chans[i])), dtype=complex)
 
     def table(s, lower):
-        # a column as a (K, 1) block lies along b1, as a (1, K) block along b2;
-        # convolve_product pads it to the K x K window
+        # rows -2, -1 are rho's forms; a column as a (K, 1) block lies along
+        # b1, as a (1, K) block along b2; convolve_product pads it to K x K
         c1, c2 = lower
-        a, c = (s[-1][:, k] for k in order)
+        a, c = (s[:, k - 2, :K] for k in order)
         d = convolve_product(a[:, :, None], _spread_col(c2, K))
         d -= convolve_product(c[:, None, :], _spread_col(c1, K))
         if 1 in moving:
-            w2 = s[moving.index(1)][:, :K]
+            w2 = s[:, moving.index(1), :K]
             d += convolve_product(w2[:, None, :], c1[:, :K, None])
         return d
 
     levels = [(c, channel(i)) for i, c in enumerate(chans)]
     if series.depth == 2:
-        forms.append(_ratio_forms(rho, K))
         levels.append((series.coeffs, table))
+    form = _form(spine, max(len(c) for c in chans), series.depth == 2)
     panels = max(a.suggested_panels() for a in spine)
-    ends = iterated_integral(panels, forms, levels, DEFAULT_TOL)
+    ends = iterated_integral(panels, form, levels, DEFAULT_TOL)
     logs, ts = list(logs), list(ts)
     for i in moving:
         logs[i], ts[i] = arcs[i].log_point(1.0), arcs[i].point(1.0)

@@ -8,9 +8,9 @@ makes branch tracking trivial, and a fixed point is the arc with dlog = 0).
 check_clearance refuses arcs that come too close to a singular point.
 
 iterated_integral is composite Gauss-Legendre over u in [0, 1], for levels
-that each have a start value and an integrand computed from the form
-samples and the node values of the levels before it.  A form samples its
-own arc: on each panel it is called once with the node vector.  Each level
+that each have a start value and an integrand computed from the form's
+block and the node values of the levels before it.  One form samples all
+the arcs: on each panel it is called once with the node vector.  Each level
 takes one real matmul of a stacked rule against its node block: the
 spectral prefix-integration matrix (Legendre expansion, exact on
 polynomials through the node count) gives the prefix integrals at the
@@ -136,9 +136,9 @@ def _closest_approach(arc, s, clearance, us=None, rounds=CLEARANCE_ROUNDS):
 
 
 class BranchedForm:
-    """A form that samples its own arc: f(us) is the node-first block of the
-    form at the parameters us (f(us)[n] is the value at us[n]), read from
-    the arc's point, velocity and branch (log_point) at us."""
+    """A form that samples its own arcs: f(us) is one node-first block at
+    the parameters us (f(us)[n] is the value at us[n]), read from the arcs'
+    points, velocities and branches (log_point) at us."""
 
     def __init__(self, f):
         self.f = f
@@ -147,16 +147,16 @@ class BranchedForm:
         return self.f(us)
 
 
-def _panel_pass(forms, levels, u0, u1, state, order):
-    """One panel at one order.  state[k] is level k's value at the panel
-    start; returns the levels' values at the panel end."""
+def _panel_pass(form, levels, u0, u1, state, order):
+    """One panel at one order, one form call.  state[k] is level k's value
+    at the panel start; returns the levels' values at the panel end."""
     x, rule = _panel_rule(order)
     h = (u1 - u0) / 2.0
     us = u0 + (u1 - u0) * (x + 1.0) / 2.0
-    samples = [np.asarray(w(us), dtype=complex) for w in forms]
+    block = form(us)
     nodes, ends = [], []
     for start, (_, integrand) in zip(state, levels):
-        g = integrand(samples, nodes)
+        g = integrand(block, nodes)
         # real rule on the (re, im) pairs of g: rows 0..order-1 are the prefix
         # integrals at the nodes, row order the integral over the panel
         flat = np.ascontiguousarray(g, dtype=complex).view(float).reshape(order, -1)
@@ -171,15 +171,15 @@ def _diff(a, b):
     return float(np.max(np.abs(d)))
 
 
-def iterated_integral(panels, forms, levels, tol):
+def iterated_integral(panels, form, levels, tol):
     """End values of the levels over the parameter u in [0, 1], one per
     level, starting from `panels` equal panels.
 
-    forms are callables sampled once per panel pass at the node vector us,
-    each returning a node-first block.  levels is a list of (start,
-    integrand) pairs, in order: level k's value is start plus the integral
-    over u of integrand(samples, lower), samples holding one block per form
-    and lower the node values of levels 0..k-1.
+    form is one callable sampled once per panel pass at the node vector us,
+    returning a node-first block.  levels is a list of (start, integrand)
+    pairs, in order: level k's value is start plus the integral over u of
+    integrand(block, lower), block the form's value as it is returned and
+    lower the node values of levels 0..k-1.
 
     tol is a panel-wise test over the whole state, not a bound on the
     returned values' error: a panel is accepted when the largest
@@ -192,8 +192,8 @@ def iterated_integral(panels, forms, levels, tol):
     stack = [(k / panels, (k + 1) / panels, 0) for k in reversed(range(panels))]
     while stack:
         u0, u1, depth = stack.pop()
-        lo = _panel_pass(forms, levels, u0, u1, state, PANEL_ORDER)
-        hi = _panel_pass(forms, levels, u0, u1, state, PANEL_ORDER + 4)
+        lo = _panel_pass(form, levels, u0, u1, state, PANEL_ORDER)
+        hi = _panel_pass(form, levels, u0, u1, state, PANEL_ORDER + 4)
         errs = [_diff(a, b) for a, b in zip(lo, hi)]
         sizes = [_diff(v, s0) for v, (s0, _) in zip(hi, levels)]
         if not np.all(np.isfinite(errs + sizes)):

@@ -37,9 +37,9 @@ class Poly:
     """Multivariate polynomial: dict exponent-tuple -> int or Fraction.
 
     The constructor raises ValueError for an exponent whose length is not
-    len(vars) or that has a negative entry; + and * build their results
-    unchecked.  A Poly is not mutated after construction, so its hash is
-    computed once, on first use, and cached."""
+    len(vars) or with an entry that is not an int >= 0 (1.5, nan); + and *
+    build their results unchecked.  A Poly is not mutated after
+    construction, so its hash is computed once, on first use, and cached."""
 
     __slots__ = ("vars", "terms", "_hash")
 
@@ -49,7 +49,7 @@ class Poly:
         self._hash = None
         for e, c in terms.items():
             e = tuple(e)
-            if len(e) != len(self.vars) or min(e, default=0) < 0:
+            if len(e) != len(self.vars) or any(not isinstance(x, int) or x < 0 for x in e):
                 raise ValueError(f"exponent {e} is not a monomial in {self.vars}")
             c = _exact(c)
             if c:

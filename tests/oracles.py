@@ -106,8 +106,9 @@ def chain(arcs, forms, tol=1e-11):
     to the path endpoint; no forms integrate to 1).  A form is f(z, v) =
     f(z) * v at one point z and v = dz/du: a scalar or coefficients, every
     form but the innermost w_n a convolve_product factor.  Each arc is one
-    iterated_integral from its own suggested panel count, level k being
-    w_(n-k) times level k-1, started where the arc before left the levels."""
+    iterated_integral from its own suggested panel count, its one form the
+    list of every w's node values, level k being w_(n-k) times level k-1,
+    started where the arc before left the levels."""
     if not forms:
         return 1.0
     n = len(forms)
@@ -118,7 +119,10 @@ def chain(arcs, forms, tol=1e-11):
 
     state = [0j] * n
     for arc in arcs:
-        nodes = [lambda us, w=w, a=arc: [w(a.point(u), a.velocity(u)) for u in us] for w in forms]
+
+        def nodes(us, a=arc):
+            return [np.array([w(a.point(u), a.velocity(u)) for u in us], dtype=complex) for w in forms]
+
         state = iterated_integral(arc.suggested_panels(), nodes, [(s0, link) for s0 in state], tol)
     return state[-1]
 

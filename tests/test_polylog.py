@@ -3,6 +3,7 @@ import itertools
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import numpy.linalg as la
 import pytest
@@ -286,25 +287,26 @@ def test_full_loop_monodromy():
 
 
 def test_large_argument_column_oracle():
-    mp = pytest.importorskip("mpmath")
     K = 8
     b1 = 0.05 * cmath.exp(2.5j)
     cont = continue_debye(
         debye_lambda(1, SimplicialPoint((b1,)), K), [LineArc(b1, 512 * b1)]
     )
     got = coeffs1(cont.value, K)
-    N, R = 64, 0.45
-    cauchy = np.zeros(K, dtype=complex)
+    # the ray at arg 2.5 meets neither the cut [1, inf) of Li_m nor the
+    # negative real axis, so the principal branches are the continuation;
+    # coefficient k is sum_{m=1}^{k+1} Li_m(s) (-L)^(k+1-m) / (k+1-m)!
+    want = np.zeros(K, dtype=complex)
     # 20 digits keep the oracle's own error far below the 1e-12 bound
-    with mp.workdps(20):
-        s = mp.mpc(512 * b1)
-        L = mp.mpc(cont.logs[0])
-        for j in range(N):
-            sig = R * mp.e ** (2j * mp.pi * j / N)
-            f = mp.e ** (-sig * L) * s * mp.lerchphi(s, 1, 1 - sig)
-            for k in range(K):
-                cauchy[k] += complex(f / sig**k) / N
-    assert np.max(np.abs(cauchy - got)) < 1e-12
+    with mpmath.workdps(20):
+        s = mpmath.mpc(512 * b1)
+        L = mpmath.log(s)
+        li = [mpmath.polylog(m, s) for m in range(1, K + 1)]
+        for k in range(K):
+            terms = (li[m - 1] * (-L) ** (k + 1 - m) / mpmath.factorial(k + 1 - m) for m in range(1, k + 2))
+            want[k] = complex(mpmath.fsum(terms))
+        assert abs(cont.logs[0] - complex(L)) < 1e-12
+    assert np.max(np.abs(want - got)) < 1e-12
 
 
 def test_short_channels_rejected():
@@ -620,62 +622,60 @@ def test_transport_meets_default_tol(ctx, ts, route, ray_leg):
 
 
 def test_one_pass_per_leg(ctx, monkeypatch):
-    """Every leg is one adaptive pass that evaluates each distinct column
-    once per panel and order: arc1, arc2 and the one ratio arc on a diagonal
-    leg, the moving arc and the ratio arc on an axis leg (spiral or line),
-    the one arc at depth 1."""
-    sizes = []
+    """Every leg is one adaptive pass whose one form samples the leg's whole
+    spine once per panel pass, as one block: rows for arc1, arc2, the one
+    ratio arc and its reading at 1/rho on a diagonal leg; the moving arc and
+    the two ratio rows on an axis leg (spiral or line); the one arc at
+    depth 1."""
+    calls = []
     call = quadrature.BranchedForm.__call__
 
     def counted(self, us):
-        sizes.append(len(us))
-        return call(self, us)
+        block = call(self, us)
+        calls.append((len(us), block.shape[1]))
+        return block
 
     monkeypatch.setattr(quadrature.BranchedForm, "__call__", counted)
 
     def calls_per_pass(leg):
         # the panel passes alternate between orders 16 and 20, so a run of
-        # calls on one node count is one pass
-        sizes.clear()
+        # calls on one node count is one pass; returns the run lengths and
+        # the block row counts
+        calls.clear()
         leg()
+        sizes = [n for n, _ in calls]
         assert set(sizes) == {16, 20}
-        return {len(list(run)) for _, run in itertools.groupby(sizes)}
+        return {len(list(run)) for _, run in itertools.groupby(sizes)}, {rows for _, rows in calls}
 
     pt2 = SimplicialPoint((0.25 + 0.1j, 0.5 - 0.2j))
     b2 = debye_lambda(2, pt2, 4)
     b1 = debye_lambda(1, SimplicialPoint((0.3 + 0.2j,)), 6)
-    assert calls_per_pass(lambda: transport_debye(SpiralShift((1, 1), pt2, ctx), 4)) == {3}
+    assert calls_per_pass(lambda: transport_debye(SpiralShift((1, 1), pt2, ctx), 4)) == ({1}, {4})
     axes = SpiralShift((1, 1), pt2, ctx)
-    assert calls_per_pass(lambda: transport_debye(axes, 4, route="axes")) == {2}
+    assert calls_per_pass(lambda: transport_debye(axes, 4, route="axes")) == ({1}, {3})
     for j, t in zip((1, 2), pt2.ts):
-        assert calls_per_pass(lambda: continue_debye(b2, [(j, LineArc(t, 1.5 * t))])) == {2}
-    assert calls_per_pass(lambda: continue_debye(b1, [LineArc(0.3 + 0.2j, 0.6 + 0.4j)])) == {1}
+        assert calls_per_pass(lambda: continue_debye(b2, [(j, LineArc(t, 1.5 * t))])) == ({1}, {3})
+    assert calls_per_pass(lambda: continue_debye(b1, [LineArc(0.3 + 0.2j, 0.6 + 0.4j)])) == ({1}, {1})
 
 
 def test_spiral_ratio_arcs_are_pointwise_quotients(ctx, monkeypatch):
-    """Each spiral leg samples one ratio arc, a log-linear arc that is the
-    quotient t1/t2 of the coordinate arcs (a fixed coordinate is its
+    """Each spiral leg's spine ends in one ratio arc, a log-linear arc that
+    is the quotient t1/t2 of the coordinate arcs (a fixed coordinate is its
     constant point): point, velocity and branch, at the panel nodes.  The
-    second block of its forms is the form of the explicit inverse quotient
-    t2/t1."""
+    block's extra row is the form of the explicit inverse quotient t2/t1."""
     legs = []
-    advance, form, ratio_forms = polylog._advance, polylog._form, polylog._ratio_forms
+    advance, form = polylog._advance, polylog._form
 
     def spy_advance(series, arcs, tag):
-        legs.append((series.logs, [a is not None for a in arcs], [], []))
+        legs.append((series.logs, [a is not None for a in arcs], []))
         return advance(series, arcs, tag)
 
-    def spy_form(arc, K):
-        legs[-1][2].append(arc)
-        return form(arc, K)
-
-    def spy_ratio_forms(arc, K):
-        legs[-1][3].append(arc)
-        return ratio_forms(arc, K)
+    def spy_form(arcs, n, inverse):
+        legs[-1][2].append((arcs, n, inverse))
+        return form(arcs, n, inverse)
 
     monkeypatch.setattr(polylog, "_advance", spy_advance)
     monkeypatch.setattr(polylog, "_form", spy_form)
-    monkeypatch.setattr(polylog, "_ratio_forms", spy_ratio_forms)
     x, _ = quadrature._panel_rule(quadrature.PANEL_ORDER + 4)
     us = (x + 1.0) / 2.0
     K = 4
@@ -684,8 +684,10 @@ def test_spiral_ratio_arcs_are_pointwise_quotients(ctx, monkeypatch):
         legs.clear()
         transport_debye(shift, K, route=route)
         assert len(legs) == count
-        for logs, moving, arcs, ratios in legs:
-            (rho,) = ratios
+        for logs, moving, forms in legs:
+            ((spine, n, inverse),) = forms
+            assert inverse
+            *arcs, rho = spine
             it = iter(arcs)
             coords = [next(it) if m else SpiralArc(l, 0.0) for m, l in zip(moving, logs)]
             (pa, va, la), (pb, vb, lb) = ((c.point(us), c.velocity(us), c.log_point(us)) for c in coords)
@@ -699,8 +701,8 @@ def test_spiral_ratio_arcs_are_pointwise_quotients(ctx, monkeypatch):
             ):
                 assert np.all(np.abs(got - want) <= 1e-15 * scale), route
             a, b = coords
-            inverse = form(SpiralArc(b.log_t - a.log_t, b.dlog - a.dlog), K)(us)
-            got = ratio_forms(rho, K)(us)[:, 1]
+            inverse = form([SpiralArc(b.log_t - a.log_t, b.dlog - a.dlog)], n, False)(us)[:, 0]
+            got = form(spine, n, True)(us)[:, -1]
             assert np.all(np.abs(got - inverse) <= 1e-14 * np.abs(inverse)), route
 
 

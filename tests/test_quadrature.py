@@ -113,7 +113,7 @@ def test_branched_form_sees_arc():
     arc = spiral(1.0, 2, tau)
     # integrate d(log z) from the form's own arc
     w = BranchedForm(lambda us: arc.velocity(us) / arc.point(us))
-    (val,) = iterated_integral(arc.suggested_panels(), [w], [(0j, lambda s, lower: s[0])], 1e-11)
+    (val,) = iterated_integral(arc.suggested_panels(), w, [(0j, lambda s, lower: s)], 1e-11)
     assert abs(val - 2 * 2j * cmath.pi * tau) < 1e-11
 
 
@@ -127,7 +127,7 @@ def test_branched_form_gets_node_vector_once_per_panel_pass():
             calls.append(us)
             return np.stack([arc.velocity(us) * arc.point(us) ** k for k in range(3)], axis=1)
 
-        (vals,) = iterated_integral(panels, [BranchedForm(f)], [(0j, lambda s, lower: s[0])], 1e-11)
+        (vals,) = iterated_integral(panels, BranchedForm(f), [(0j, lambda s, lower: s)], 1e-11)
         # orders 16 and 20 on each starting panel, none bisected
         assert [np.shape(us) for us in calls] == [(16,), (20,)] * panels
         ends.append(vals)

@@ -95,9 +95,10 @@ def test_arithmetic_refuses_different_variable_tuples():
 
 
 def test_constructor_refuses_non_monomial_exponents():
-    """An exponent must have one nonnegative entry per variable: a short key
-    once made x^2 a 1-tuple that equality and zero tests then misread."""
-    for bad in ({(1,): 1, (0, 1): 2}, {(1, 0, 0): 1}, {(-1, 0): 1}):
+    """An exponent must have one nonnegative int entry per variable: a short
+    key once made x^2 a 1-tuple that equality and zero tests then misread,
+    and a float key made 2*x^1.5, whose square had the key (3.0,)."""
+    for bad in ({(1,): 1, (0, 1): 2}, {(1, 0, 0): 1}, {(-1, 0): 1}, {(1.5, 0): 1}, {(float("nan"), 0): 1}):
         with pytest.raises(ValueError, match="not a monomial"):
             Poly(("x", "y"), bad)
     with pytest.raises(ValueError, match="not a monomial"):
