@@ -39,10 +39,14 @@ cot(pi n tau) the same way, computed once per context.
 The cotangent polynomial P_j has the parity of j, so each row runs Horner
 over its nonzero coefficients only, two degrees a step, and the walk moves
 both cotangents of a row through that loop inline: at double precision the
-cost of a call per row, cotangent and j was most of an evaluation.  A step
-is (acc * c) * c + coef, which rounds exactly as the full Horner scheme
-over the zero coefficients did; the cheaper acc * c^2 rounds differently,
-so it waits for a change that re-pins the golden values on purpose.
+cost of a call per row, cotangent and j was most of an evaluation.  The
+walk is chosen once per call, by precision.  The extended walk runs Horner
+in c^2, each cotangent squared once and pi^j applied once per row: that
+moves E_j only at the 30-digit floor (about 1e-27 relative), so an output
+collapsed to doubles moves only if it sits that close to a rounding tie.
+The double walk steps (acc * c) * c + coef, which rounds as the full
+Horner scheme over the zero coefficients did and which the golden values
+pin with ==; acc * c^2 waits there for a change that re-pins them.
 """
 
 from __future__ import annotations
@@ -248,7 +252,9 @@ def eisenstein_E(K, p, ctx):
     One walk over the rows n = 1 .. lattice_cutoff + int(|r|) serves every
     j: each row's two cotangents are computed once, and each j runs its own
     cotangent polynomial on them and keeps its own total.  Every j walks
-    every row, so E_j is the same whichever K it was asked with."""
+    every row, so E_j is the same whichever K it was asked with.  The
+    extended walk runs Horner in c^2, the double walk (acc * c) * c steps
+    (module docstring)."""
     if K < 1:
         raise ValueError("K must be >= 1")
     if p.is_lattice():
@@ -260,14 +266,28 @@ def eisenstein_E(K, p, ctx):
     c = cot_pi(p.s + p.r * tau)
     totals = [_inner_row(row, c) for row in rows]
     r = prec.real(p.r)  # r -/+ n in the context's type, not rounded to a double
-    for n in range(1, ctx.lattice_cutoff + int(abs(p.r)) + 1):
+    walk = range(1, ctx.lattice_cutoff + int(abs(p.r)) + 1)
+    if prec.digits > 16:  # Horner in c^2, chosen once per call
+        for n in walk:
+            c_up = cot_pi(p.s + (r + n) * tau)
+            c_down = cot_pi(p.s + (r - n) * tau)
+            s_up, s_down = c_up * c_up, c_down * c_down
+            for i, (lead, rest, odd, pi_j) in enumerate(rows):
+                up = down = lead
+                for coef in rest:
+                    up = up * s_up + coef
+                    down = down * s_down + coef
+                if odd:
+                    up = up * c_up
+                    down = down * c_down
+                totals[i] = totals[i] + pi_j * (up + down)
+        return totals
+    for n in walk:
         c_up = cot_pi(p.s + (r + n) * tau)
         c_down = cot_pi(p.s + (r - n) * tau)
         for i, (lead, rest, odd, pi_j) in enumerate(rows):
-            # _inner_row at c_up and c_down, inline: a call per row, cotangent
-            # and j was most of a double-precision evaluation.  The steps
-            # stay (acc * c) * c, the rounding of the full Horner scheme;
-            # acc * c^2 would move the golden values.
+            # _inner_row at c_up and c_down, inline; the steps stay
+            # (acc * c) * c, which the golden values pin
             up = down = lead
             for coef in rest:
                 up = up * c_up * c_up + coef

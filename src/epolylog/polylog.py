@@ -342,9 +342,12 @@ def _advance(series, arcs, tag):
         # rows -2, -1 are rho's forms; a column as a (K, 1) block lies along
         # b1, as a (1, K) block along b2; convolve_product pads it to K x K
         c1, c2 = lower
-        a, c = (s[:, k - 2, :K] for k in order)
-        d = convolve_product(a[:, :, None], _spread_col(c2, K))
-        d -= convolve_product(c[:, None, :], _spread_col(c1, K))
+        if isinstance(rho, SpiralArc) and rho.dlog == 0:  # still: both forms are zero
+            d = np.zeros((len(s), K, K), dtype=complex)
+        else:
+            a, c = (s[:, k - 2, :K] for k in order)
+            d = convolve_product(a[:, :, None], _spread_col(c2, K))
+            d -= convolve_product(c[:, None, :], _spread_col(c1, K))
         if 1 in moving:
             w2 = s[:, moving.index(1), :K]
             d += convolve_product(w2[:, None, :], c1[:, :K, None])
