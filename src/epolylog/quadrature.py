@@ -5,7 +5,9 @@ parameter u in [0, 1]: straight segments, and log-linear arcs u ->
 exp(log_t + u*dlog), the q-power spirals of the lattice-shift transports
 (dlog = m*2*pi*i*tau; their logarithm is linear in the parameter, which
 makes branch tracking trivial, and a fixed point is the arc with dlog = 0).
-check_clearance refuses arcs that come too close to a singular point.
+Arcs refuse non-finite data (OutOfRegion); singular_params(s) are the u
+with point(u) = s, and check_clearance reads the distance from s at u = 0,
+1 and clip(Re u, 0, 1): exact on a segment, on a spiral up to O(d^2).
 
 iterated_integral is composite Gauss-Legendre over u in [0, 1], for levels
 that each have a start value and an integrand computed from the form's
@@ -27,17 +29,16 @@ matmul against lower-triangular Toeplitz blocks of the form.
 
 from __future__ import annotations
 
+import cmath
 from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
 
-from .errors import PathTooClose, QuadratureDiverged
+from .errors import OutOfRegion, PathTooClose, QuadratureDiverged
 
 PANEL_ORDER = 16
 MAX_DEPTH = 12  # bisections of one starting panel before QuadratureDiverged
-CLEARANCE_SAMPLES = 33  # points per panel and refinement round of check_clearance
-CLEARANCE_ROUNDS = 9  # refinement rounds: a 16-fold narrower bracket each
 
 
 @lru_cache(maxsize=32)
@@ -64,6 +65,7 @@ class LineArc:
     through 0 has no branch there."""
 
     def __init__(self, z0, z1, start_log=None):
+        _finite(z0, z1, 0.0 if start_log is None else start_log)
         self.z0 = complex(z0)
         self.z1 = complex(z1)
         self.start_log = start_log
@@ -82,6 +84,12 @@ class LineArc:
     def suggested_panels(self):
         return 1
 
+    def singular_params(self, s):
+        """The parameter u = (s - z0)/(z1 - z0) where point(u) = s, none on a
+        still segment; clip(Re u, 0, 1) is the segment's closest point to s."""
+        dz = self.z1 - self.z0
+        return np.array([(s - self.z0) / dz] if dz else [], dtype=complex)
+
 
 class SpiralArc:
     """The log-linear arc u -> exp(log_t + u * dlog), on the branch log_t
@@ -89,6 +97,7 @@ class SpiralArc:
     m * 2*pi*i*tau), and a coordinate held fixed is SpiralArc(log t, 0)."""
 
     def __init__(self, log_t, dlog):
+        _finite(log_t, dlog)
         self.log_t = complex(log_t)
         self.dlog = complex(dlog)
 
@@ -104,35 +113,34 @@ class SpiralArc:
     def suggested_panels(self):
         return max(1, int(np.ceil(abs(self.dlog) / (2 * np.pi))))
 
+    def singular_params(self, s):
+        """u_k = (log s + 2*pi*i*k - log_t)/dlog, point(u_k) = s, for k from floor
+        to ceil of the arc's Im(log - log s)/(2*pi); none when dlog = 0 or s =
+        0, where |point(u)| is monotone in u and the ends are closest."""
+        if self.dlog == 0 or s == 0:
+            return np.empty(0, dtype=complex)
+        rel = self.log_t - cmath.log(s)
+        lo, hi = sorted((rel.imag, (rel + self.dlog).imag))
+        ks = np.arange(np.floor(lo / (2 * np.pi)), np.ceil(hi / (2 * np.pi)) + 1)
+        return (2j * np.pi * ks - rel) / self.dlog
+
+
+def _finite(*values):
+    if not all(cmath.isfinite(complex(v)) for v in values):
+        raise OutOfRegion(f"non-finite arc data {values}")
+
 
 def check_clearance(arcs, s, clearance):
-    """PathTooClose if an arc's closest approach to the point s is within
-    clearance."""
+    """PathTooClose if an arc comes within clearance of the point s, read at
+    u = 0, 1 and each clip(Re u, 0, 1) of its singular_params(s): exact on a
+    segment, on a spiral (straight in its log) up to a relative O(d^2)."""
     for arc in arcs:
-        d = _closest_approach(arc, s, clearance)
+        us = np.append(np.clip(np.real(arc.singular_params(s)), 0.0, 1.0), [0.0, 1.0])
+        d = float(np.min(np.abs(arc.point(us) - s)))
         if d < clearance:
             raise PathTooClose(
                 f"arc passes within {d:.2e} of singular point {s} (clearance {clearance:.2e})"
             )
-
-
-def _closest_approach(arc, s, clearance, us=None, rounds=CLEARANCE_ROUNDS):
-    """Smallest |arc(u) - s| over us (CLEARANCE_SAMPLES per suggested panel
-    on [0, 1] by default), or a value above clearance: each local minimum of
-    the sampled distance is refined over its two neighbouring intervals while
-    their arc (at most twice its chords) could come within clearance."""
-    if us is None:
-        us = np.linspace(0.0, 1.0, CLEARANCE_SAMPLES * arc.suggested_panels())
-    p = arc.point(us)
-    d = np.abs(p - s)
-    pad = np.concatenate([[np.inf], d, [np.inf]])
-    best = float(d.min())
-    for k in np.flatnonzero((d < pad[:-2]) & (d <= pad[2:])) if rounds else ():
-        lo, hi = max(k - 1, 0), min(k + 1, len(us) - 1)
-        if d[k] - 2 * (abs(p[k] - p[lo]) + abs(p[hi] - p[k])) < clearance:
-            inner = np.linspace(us[lo], us[hi], CLEARANCE_SAMPLES)
-            best = min(best, _closest_approach(arc, s, clearance, inner, rounds - 1))
-    return best
 
 
 class BranchedForm:

@@ -21,6 +21,12 @@ pytest's test_*.py pattern, so nothing here is collected.
   arc; the multi-arc and chain checks of test_quadrature.py and
   simplicial_integral in test_polylog.py.  The package integrates one leg
   at a time over the shared parameter and has no chain mode.
+* closest_approach: an arc's closest approach to a point by sampling, 33
+  points per suggested panel, each local minimum refined over its two
+  neighbouring intervals for up to 9 rounds; the sampled search the package
+  ran before singular_params gave the distance in closed form, and the
+  oracle of test_closed_form_clearance_matches_sampled_search
+  (test_quadrature.py).
 * eval_at: a MultiSeries evaluated at a point, reading its array from
   index 0 at min_order, for the evaluation checks of test_series.py and the
   direct-sum checks of test_polylog.py.
@@ -125,6 +131,29 @@ def chain(arcs, forms, tol=1e-11):
 
         state = iterated_integral(arc.suggested_panels(), nodes, [(s0, link) for s0 in state], tol)
     return state[-1]
+
+
+CLEARANCE_SAMPLES = 33  # points per panel and refinement round of closest_approach
+CLEARANCE_ROUNDS = 9  # refinement rounds: a 16-fold narrower bracket each
+
+
+def closest_approach(arc, s, clearance, us=None, rounds=CLEARANCE_ROUNDS):
+    """Smallest |arc(u) - s| over us (CLEARANCE_SAMPLES per suggested panel
+    on [0, 1] by default), or a value above clearance: each local minimum of
+    the sampled distance is refined over its two neighbouring intervals while
+    their arc (at most twice its chords) could come within clearance."""
+    if us is None:
+        us = np.linspace(0.0, 1.0, CLEARANCE_SAMPLES * arc.suggested_panels())
+    p = arc.point(us)
+    d = np.abs(p - s)
+    pad = np.concatenate([[np.inf], d, [np.inf]])
+    best = float(d.min())
+    for k in np.flatnonzero((d < pad[:-2]) & (d <= pad[2:])) if rounds else ():
+        lo, hi = max(k - 1, 0), min(k + 1, len(us) - 1)
+        if d[k] - 2 * (abs(p[k] - p[lo]) + abs(p[hi] - p[k])) < clearance:
+            inner = np.linspace(us[lo], us[hi], CLEARANCE_SAMPLES)
+            best = min(best, closest_approach(arc, s, clearance, inner, rounds - 1))
+    return best
 
 
 def eval_at(series, values):

@@ -227,11 +227,13 @@ def test_extended_eisenstein_against_q_expansion(tau):
     in the context's type, and 2 zeta(j) comes from its closed form; rounded
     to doubles, these held E_j near 1e-13 and e_j near 1e-12.  tau = 0.1+0.3i
     is the bench's largest |q|; r = 1.37 and -0.45 lie outside [0, 1), which
-    the walk takes as it is and the oracle reduces first."""
+    the walk takes as it is and the oracle reduces first.  At r = 20.37 and
+    -19.45 the walk needs the int(|r|) rows it adds past the lattice cutoff:
+    the spare rows of the cutoff cover |r| near 1, not near 20."""
     ctx = LatticeContext(tau, 30)
     worst_E = max(
         _rel_err(E, _qexp_E(j, s, r, tau))
-        for s, r in ((0.31, 0.37), (0.62, 0.55), (0.31, 1.37), (0.62, -0.45))
+        for s, r in ((0.31, 0.37), (0.62, 0.55), (0.31, 1.37), (0.62, -0.45), (0.31, 20.37), (0.62, -19.45))
         for j, E in enumerate(eisenstein_E(9, EllipticPoint(s, r), ctx), 1)
     )
     worst_e = max(_rel_err(lattice_constant(j, ctx), _qexp_e(j, tau)) for j in range(2, 9, 2))

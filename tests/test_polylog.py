@@ -743,6 +743,30 @@ def test_line_leg_through_zero_refused_up_front(monkeypatch, end):
         continue_debye(debye_lambda(1, SimplicialPoint((0.5,)), 4), [LineArc(0.5, end)])
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: LineArc(math.nan, 0.4),
+        lambda: LineArc(0.5, complex(0.4, math.inf)),
+        lambda: LineArc(0.5, 0.4, start_log=math.nan),
+        lambda: SpiralArc(math.nan, 0.1j),
+        lambda: SpiralArc(math.log(0.5), math.nan),
+        lambda: SpiralArc(math.log(0.5), complex(0, math.inf)),
+    ],
+    ids=["line-z0", "line-z1", "line-start_log", "spiral-log_t", "spiral-dlog-nan", "spiral-dlog-inf"],
+)
+def test_non_finite_arc_refused(make):
+    """Non-finite arc data is OutOfRegion when the arc is built, so a leg
+    never meets the start-point test or the integrator with it: a NaN start
+    compares as close to any point, and a NaN distance as clear of 1."""
+    with pytest.raises(OutOfRegion, match="non-finite"):
+        make()
+    for depth, leg in ((1, make), (2, lambda: (1, make()))):
+        base = debye_lambda(depth, SimplicialPoint((0.5, 0.3)[:depth]), 4)
+        with pytest.raises(OutOfRegion, match="non-finite"):
+            continue_debye(base, [leg()])
+
+
 def test_transport_refuses_extended_context():
     shift = SpiralShift((1,), SimplicialPoint((0.3 + 0.1j,)), LatticeContext(TAU, 30))
     with pytest.raises(UnsupportedPrecision, match="30 digits"):

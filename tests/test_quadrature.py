@@ -1,4 +1,6 @@
 import cmath
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from epolylog.quadrature import (
     convolve_product,
     iterated_integral,
 )
-from oracles import chain
+from oracles import chain, closest_approach
 
 
 def line(a, b):
@@ -181,13 +183,14 @@ def test_convolve_product_matches_brute_force(fshape, gshape, density):
 
 def _pair_sum_convolve(f, g):
     """Every (f index, g index) pair summed into the truncated window, as
-    one einsum against 0/1 index-sum tensors (2-D trailing axes)."""
-    window = tuple(max(a, b) for a, b in zip(f.shape[1:], g.shape[1:]))
-    hits = [
-        np.equal.outer(np.add.outer(np.arange(a), np.arange(b)), np.arange(w)).astype(float)
-        for a, b, w in zip(f.shape[1:], g.shape[1:], window)
-    ]
-    return np.einsum("nab,ncd,ack,bdl->nkl", f, g, *hits, optimize=True)
+    one slice-add of g shifted by (a, b) per entry f[:, a, b] (2-D trailing
+    axes)."""
+    P, Q = (max(a, b) for a, b in zip(f.shape[1:], g.shape[1:]))
+    out = np.zeros((g.shape[0], P, Q), dtype=complex)
+    for a, b in itertools.product(range(f.shape[1]), range(f.shape[2])):
+        part = g[:, : P - a, : Q - b]
+        out[:, a : a + part.shape[1], b : b + part.shape[2]] += f[:, a, b, None, None] * part
+    return out
 
 
 def _transport_support(rng, kind, shape):
@@ -244,6 +247,106 @@ def test_clearance_validation():
     with pytest.raises(PathTooClose):
         check_clearance([LineArc(0.0, 1.0)], 0.5 + 1e-5j, 1e-3)
     check_clearance([LineArc(0.0, 1.0)], 0.5 + 0.2j, 1e-3)
+
+
+def _random_arc(rng, kind, s):
+    """A line or spiral arc near s in {0, 1}: its closest approach is near a
+    log-uniform distance in [1e-6, 1e-1], or nearer where a line's tilt or
+    end takes it there.  A spiral near 0 has its modulus there."""
+    d = 10 ** rng.uniform(-6, -1)
+    if kind == "line":
+        theta = rng.uniform(0, 2 * np.pi)
+        p = s + d * cmath.exp(1j * theta)
+        e = cmath.exp(1j * (theta + np.pi / 2 + rng.normal(0, 0.3)))
+        L, a = rng.uniform(0.1, 1.5), rng.uniform(-0.2, 1.2)
+        return LineArc(p - a * L * e, p + (1 - a) * L * e)
+    dlog = rng.normal(0, 0.5) + 1j * rng.choice([-1, 1]) * rng.uniform(1, 15)
+    if s == 0:
+        return SpiralArc(math.log(d) + 1j * rng.uniform(-np.pi, np.pi), dlog)
+    off = d * 1j * dlog / abs(dlog) * rng.choice([-1, 1]) * cmath.exp(1j * rng.normal(0, 0.3))
+    return SpiralArc(off - rng.uniform(-0.1, 1.1) * dlog, dlog)
+
+
+def _random_arcs(kind):
+    rng = np.random.default_rng(len(kind))
+    return [(_random_arc(rng, kind, s), s) for s in (0.0, 1.0) * 100]
+
+
+def _closed_form_distance(arc, s):
+    us = [0.0, 1.0] + [min(max(u.real, 0.0), 1.0) for u in arc.singular_params(s)]
+    return min(abs(arc.point(u) - s) for u in us)
+
+
+def _refused(arc, s, clearance):
+    try:
+        check_clearance([arc], s, clearance)
+    except PathTooClose:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("kind", ["line", "spiral"])
+def test_closed_form_clearance_matches_sampled_search(kind):
+    """On 200 random arcs near 0 and 1, check_clearance refuses at 1e-3
+    exactly where the sampled search does, and below 1e-2 the closed-form
+    distance agrees with the sampled one within 1 %."""
+    near = 0
+    for arc, s in _random_arcs(kind):
+        sampled = closest_approach(arc, s, 1e-3)
+        assert _refused(arc, s, 1e-3) == (sampled < 1e-3)
+        if sampled < 1e-2:
+            near += 1
+            assert abs(_closed_form_distance(arc, s) - sampled) <= 0.01 * sampled
+    assert near >= 100
+
+
+@pytest.mark.parametrize("kind", ["line", "spiral"])
+def test_singular_params_meet_the_point(kind):
+    for arc, s in _random_arcs(kind):
+        for u in arc.singular_params(s):
+            assert abs(arc.point(u) - s) <= 1e-12 * max(1.0, abs(s))
+
+
+def _two_winding_spiral():
+    """Two windings, dlog = 0.8 + 4*pi*i, from modulus e^-0.5: the arc meets
+    1 at the complex parameters u_0 ~ 1/8, where its point at Re u_0 is
+    e^-0.4, and u_1 ~ 5/8, where it passes 2e-4 from 1 across its path."""
+    dlog = 0.8 + 4j * math.pi
+    return SpiralArc(2j * math.pi - 0.625 * dlog + 2e-4j * dlog / abs(dlog), dlog)
+
+
+def test_two_winding_spiral_lists_both_crossings():
+    arc = _two_winding_spiral()
+    us = arc.singular_params(1.0)
+    windings = np.round((arc.log_point(us) / (2j * math.pi)).real)
+    assert {0.0, 1.0} <= set(windings)
+    for k in (0, 1):
+        u = us[windings == k][0]
+        assert abs(arc.point(u) - 1.0) <= 1e-12
+        assert abs(u - (1 + 4 * k) / 8) < 0.05
+
+
+def test_two_winding_spiral_refused_at_second_crossing():
+    arc = _two_winding_spiral()
+    with pytest.raises(PathTooClose, match="within 2.00e-04"):
+        check_clearance([arc], 1.0, 1e-3)
+    # its first half holds only the k = 0 crossing, e^-0.4 from 1 at its closest
+    check_clearance([SpiralArc(arc.log_t, arc.dlog / 2)], 1.0, 0.3)
+
+
+def test_still_spiral_clearance():
+    with pytest.raises(PathTooClose):
+        check_clearance([SpiralArc(cmath.log(1 + 5e-4j), 0.0)], 1.0, 1e-3)
+    check_clearance([SpiralArc(cmath.log(1 + 2e-3), 0.0)], 1.0, 1e-3)
+
+
+def test_line_end_clearance_is_exact():
+    """A segment whose closest point to 1 is its end z1 reads |z1 - 1|."""
+    z1 = 1 - 2.0**-11
+    arc = LineArc(0.5, z1)
+    check_clearance([arc], 1.0, abs(z1 - 1))
+    with pytest.raises(PathTooClose):
+        check_clearance([arc], 1.0, np.nextafter(abs(z1 - 1), 1.0))
 
 
 def test_divergence_reported(monkeypatch):
