@@ -18,6 +18,8 @@ UnsupportedPrecision.
 
 import cmath
 import math
+import numbers
+import operator
 from functools import lru_cache
 from itertools import accumulate
 
@@ -105,12 +107,17 @@ class DebyeSeries:
 
 
 class SpiralShift:
-    """Integer spiral exponents m against a base point and lattice context."""
+    """Integer spiral exponents m against a base point and lattice context:
+    ints, or what operator.index accepts, and ValueError for anything else
+    (1.5, nan)."""
 
     __slots__ = ("m", "base", "context")
 
     def __init__(self, m, base, context):
-        self.m = tuple(int(x) for x in m)
+        try:
+            self.m = tuple(map(operator.index, m))
+        except TypeError:
+            raise ValueError(f"spiral exponents {m} must be integers") from None
         self.base = base
         self.context = context
         if len(self.m) != base.depth:
@@ -218,8 +225,8 @@ def debye_lambda(r, pt, K):
     with both prefactors, each a product along its own variable's axis.
     Prefactor exponentials are expanded into the coefficients (principal
     logs).  Coordinates must keep DEFAULT_MARGIN from the unit circle, and
-    K >= 1 coefficients are kept per variable.  A series at a zero
-    coordinate is zero and has no log branch, so it cannot be continued.
+    K >= 1 coefficients are kept per variable, K an integer.  A series at a
+    zero coordinate is zero and has no log branch, so it cannot be continued.
     The series is computed in doubles, so an ELLIP_PRECISION above double
     is refused with UnsupportedPrecision.
     """
@@ -228,6 +235,8 @@ def debye_lambda(r, pt, K):
     digits = get_context().digits
     if digits > 16:
         raise UnsupportedPrecision(f"debye_lambda computes in doubles, not {digits} digits")
+    if not isinstance(K, numbers.Integral):
+        raise ValueError(f"order K = {K} must be an integer")
     if K < 1:
         raise ValueError(f"order K = {K} must be at least 1")
     if any(abs(t) > 1.0 - DEFAULT_MARGIN for t in pt.ts):
@@ -501,10 +510,11 @@ def asymptotic_eval(r, J, pt, K, constants):
     arguments, and boundary constants C evaluated on the essential tails.
     pt supplies the actual coordinate values (large along J) and has depth
     r; ratios of J-coordinates stay finite.  K: the coefficients [0, K) are
-    predicted, K >= 1 (ValueError otherwise).  constants: the 1-variable
-    MultiSeries for C, with at least constants_order(K) regular orders
-    (MissingConstants otherwise) and at most a simple pole (ValueError
-    otherwise): only its regular orders and its (-1,) coefficient are read.
+    predicted, K an integer >= 1 (ValueError otherwise).  constants: the
+    1-variable MultiSeries for C, with at least constants_order(K) regular
+    orders (MissingConstants otherwise) and at most a simple pole
+    (ValueError otherwise): only its regular orders and its (-1,)
+    coefficient are read.
 
     A zero coordinate in J, whose log the leading monomials read, is refused
     with OutOfRegion; one outside J keeps its prediction.  Ratio arguments
@@ -524,6 +534,8 @@ def asymptotic_eval(r, J, pt, K, constants):
         raise ValueError("numeric asymptotics implemented for depth <= 2")
     if any(pt.ts[j - 1] == 0 for j in J):
         raise OutOfRegion("a coordinate in J is 0, where its log is singular")
+    if not isinstance(K, numbers.Integral):
+        raise ValueError(f"order K = {K} must be an integer")
     if K < 1:
         raise ValueError(f"order K = {K} must be at least 1")
     if len(constants.vars) != 1:

@@ -37,7 +37,10 @@ pytest's test_*.py pattern, so nothing here is collected.
   to essential strings, test_essential_string_collections_match_filtered_oracle.
 * delta_prime, apply_delta, iterated_delta: the full coproduct and its
   iterates, on the collections above, with string symbols and quotients cut
-  from their definitions.  iterated_delta(sym, 3) followed by the
+  from their definitions.  An element is a plain dict from its key (a tuple
+  of slots, each a sorted tuple of ASymbol, the empty tuple the unit) to an
+  exact coefficient, summed by _add, which drops a zero sum; the oracle
+  borrows no package accumulator.  iterated_delta(sym, 3) followed by the
   essential / regular / essential filter is the oracle of
   hopf.assemble_asymptotic, which builds only the surviving terms: for
   every J of the canonical symbols up to n = 7
@@ -266,27 +269,36 @@ def _delta_slot(slot):
     return acc
 
 
+def _add(el, key, coeff):
+    """Add coeff to el[key], dropping the key when its sum is zero."""
+    c = el.get(key, 0) + coeff
+    if c:
+        el[key] = c
+    else:
+        el.pop(key, None)
+
+
 def delta_prime(sym):
-    """Reduced coproduct of a single symbol as a rank-2 element."""
-    el = hopf.HopfElement()
+    """Reduced coproduct of a single symbol as a rank-2 element: a dict from
+    (left slot, right slot) to its exact coefficient."""
+    el = {}
     for coeff, left, q in _reduced(sym):
-        el.add((left, (q,)), coeff)
+        _add(el, (left, (q,)), coeff)
     return el
 
 
 def apply_delta(element, slot_index):
     """Replace one tensor slot by its full coproduct, raising the rank by 1."""
-    out = hopf.HopfElement()
-    for key, coeff in element.terms.items():
+    out = {}
+    for key, coeff in element.items():
         for c, left, right in _delta_slot(key[slot_index]):
-            out.add(key[:slot_index] + (left, right) + key[slot_index + 1 :], coeff * c)
+            _add(out, key[:slot_index] + (left, right) + key[slot_index + 1 :], coeff * c)
     return out
 
 
 def iterated_delta(sym, m):
     """The m-fold coproduct (m >= 2) of one symbol, a rank-m element."""
-    el = hopf.HopfElement()
-    el.add(((sym,),), 1)
+    el = {((sym,),): Fraction(1)}
     for _ in range(m - 1):
         el = apply_delta(el, 0)
     return el

@@ -8,13 +8,13 @@ import pickle
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from epolylog import hopf
 from epolylog.errors import SizeBudgetExceeded
 from epolylog.hopf import (
     ASymbol,
-    HopfElement,
     assemble_asymptotic,
     canonical_symbol,
     enumerate_strings,
@@ -56,9 +56,25 @@ def test_symbol_validation():
         ASymbol((1, 2), [(F(1),), (F(1),)])
     with pytest.raises(ValueError, match="ragged"):
         ASymbol((1, 2, 3), [(1, 0), (0,), (-1, 0)])
+    for n in (1, 0):
+        with pytest.raises(ValueError, match="two slots"):
+            canonical_symbol(n)
     s = canonical_symbol(3)
     assert s.length == 3
     assert s.labels[2] == (F(-1), F(-1))
+
+
+@pytest.mark.parametrize("ts", [(1.7, 2), (1, 2.0), (1, "2"), (1, float("nan"))])
+def test_symbol_point_indices_must_be_integers(ts):
+    """A non-integer point index is refused, not truncated: (1.7, 2) would
+    otherwise build (t1:t2; b1, -b1)."""
+    with pytest.raises(ValueError, match="point indices must be integers"):
+        ASymbol(ts, [(1,), (-1,)])
+
+
+def test_symbol_point_indices_accept_numpy_ints():
+    sym = ASymbol((np.int64(1), np.int32(2)), [(1,), (-1,)])
+    assert sym == ASymbol((1, 2), [(1,), (-1,)]) and all(type(i) is int for i in sym.ts)
 
 
 @pytest.mark.parametrize("sym", [canonical_symbol(4), ASymbol((2, 1), [(F(1, 2),), (F(-1, 2),)])])
@@ -140,21 +156,21 @@ def test_depth2_coproduct_exact():
         ((sym2(2, 1, b2, w),), (sym2(1, 3, b12, w),)): F(-1),
         ((sym2(2, 3, b2, w),), (sym2(1, 3, b1, w),)): F(1),
     }
-    assert delta_prime(sym).terms == expected
+    assert delta_prime(sym) == expected
 
 
 def test_monomial_character_invariant():
     for n in (3, 4, 5):
         sym = canonical_symbol(n)
         target = monomial_exponent((sym,))
-        for key, _ in delta_prime(sym).sorted_terms():
+        for key in sorted(delta_prime(sym)):
             assert monomial_exponent(key[0] + key[1]) == target
 
 
 def test_grading_invariant():
     for n in (3, 4, 5):
         sym = canonical_symbol(n)
-        for key, _ in delta_prime(sym).sorted_terms():
+        for key in sorted(delta_prime(sym)):
             total = sum(s.length - 1 for slot in key for s in slot)
             assert total == n - 1
 
@@ -162,7 +178,7 @@ def test_grading_invariant():
 def pair_component(sym, side):
     """Terms of the full coproduct whose left (side 0: one-star) or right
     (side 1: star-one) slot is a single length-2 symbol."""
-    terms = iterated_delta(sym, 2).terms
+    terms = iterated_delta(sym, 2)
     return {k: c for k, c in terms.items() if len(k[side]) == 1 and k[side][0].length == 2}
 
 
@@ -263,7 +279,7 @@ def test_delta_prime_typical_term_n6():
         [vec(w, {0: 1, 1: 1, 2: 1, 3: 1}), vec(w, {0: -1, 1: -1, 2: -1, 3: -1})],
     )
     key = (tuple(sorted((head, down, tail))), (quotient,))
-    assert el.terms.get(key) == F(-1)
+    assert el.get(key) == F(-1)
 
 
 def test_coassociativity():
@@ -275,9 +291,9 @@ def test_coassociativity():
 def test_iterated_delta3_n3():
     sym = canonical_symbol(3)
     el = iterated_delta(sym, 3)
-    assert len(el.terms) == 12
+    assert len(el) == 12
     unit_patterns = sorted(
-        tuple(not slot for slot in key) for key in el.terms
+        tuple(not slot for slot in key) for key in el
     )
     # three terms with two unit slots, nine with one
     assert unit_patterns.count((False, True, True)) == 1
@@ -293,6 +309,24 @@ def test_kid_identities():
         assert verify_identities(n, "kid2")["ok"]
     with pytest.raises(ValueError):
         verify_identities(4, "diff_vs_coproduct")
+
+
+def test_failed_identity_reports_its_residual(monkeypatch):
+    """A broken identity reads ok False and, as its residual, the number of
+    nonzero terms over its numerators; a holding one reads residual 0."""
+    assert verify_identities(5, "kid1") == {"identity": "kid1", "n": 5, "ok": True, "residual": 0}
+    terms_of = hopf.kid_terms
+
+    def flipped(n, which):
+        (sign, factors), *rest = (sums := terms_of(n, which))[0]
+        return [[(-sign, factors), *rest], *sums[1:]]
+
+    monkeypatch.setattr(hopf, "kid_terms", flipped)
+    for which in ("kid1", "kid2"):
+        out = verify_identities(5, which)
+        want = sum(len(rational_sum(parts)[0].terms) for parts in flipped(5, which))
+        assert out["ok"] is False and type(out["residual"]) is int
+        assert out["residual"] == want > 0
 
 
 @pytest.mark.parametrize("which, n", [("kid1", 1), ("kid1", 2), ("kid2", 2), ("kid2", 3)])
@@ -389,7 +423,7 @@ def full_delta3_then_filter(sym, J):
     """Oracle: the whole iterated coproduct, then the essential / regular /
     essential classification over its sorted terms."""
     J = frozenset(J)
-    return [(coeff, *key) for key, coeff in _full_delta3(sym).sorted_terms() if _classified(key, J)]
+    return [(coeff, *key) for key, coeff in sorted(_full_delta3(sym).items()) if _classified(key, J)]
 
 
 def _all_J(n):
@@ -486,21 +520,25 @@ def test_assemble_matches_full_delta3_rational_labels():
 
 @pytest.mark.parametrize("J", [{1, 3}, set(range(1, 7))])
 def test_assemble_builds_only_surviving_terms(monkeypatch, J):
-    """No key that the classification drops ever reaches an accumulator:
-    building the whole Delta^(3) and filtering afterwards fails here."""
-    inserted = []
-    add = HopfElement.add
+    """No term that the classification drops is ever built: every quotient
+    of the first coproduct step is essential, and every term of a factor's
+    expansion is (essential, regular).  Building the whole Delta^(3) and
+    filtering afterwards fails here."""
+    steps = []
+    kept_terms = hopf._kept_terms
 
-    def spy(self, key, coeff):
-        inserted.append(key)
-        return add(self, key, coeff)
+    def spy(sym, left_ok, right_ok):
+        steps.append(kept_terms(sym, left_ok, right_ok))
+        return steps[-1]
 
-    monkeypatch.setattr(HopfElement, "add", spy)
-    kept = assemble_asymptotic(canonical_symbol(7), J)
+    monkeypatch.setattr(hopf, "_kept_terms", spy)
     frozen = frozenset(J)
-    dropped = [key for key in inserted if len(key) != 3 or not _classified(key, frozen)]
-    assert not dropped, f"{len(dropped)} dropped keys inserted, e.g. {dropped[0]}"
-    assert {t[1:] for t in kept} == set(inserted)
+    assert assemble_asymptotic(canonical_symbol(7), J)
+    first, *factors = steps
+    assert first and factors
+    assert all(essential(q.ts, frozen) for _, _, c_slot in first for q in c_slot)
+    for _, phi, lam in itertools.chain.from_iterable(factors):
+        assert all(essential(s.ts, frozen) for s in phi) and all(regular(s.ts, frozen) for s in lam)
 
 
 def test_labels_are_ints_with_exact_rational_fallback():

@@ -831,6 +831,39 @@ def test_spiral_zero_coordinate_rejected(ctx):
             SpiralShift((1,) * len(ts), SimplicialPoint(ts), ctx).validate()
 
 
+@pytest.mark.parametrize("x", [1.5, 2.5, math.nan])
+def test_spiral_exponent_must_be_an_integer(ctx, x):
+    """A fractional exponent is refused by name, not truncated to a q^1
+    transport."""
+    with pytest.raises(ValueError, match="must be integers") as err:
+        SpiralShift((x,), SimplicialPoint((0.23 + 0.11j,)), ctx)
+    assert repr(x) in str(err.value)
+
+
+def test_spiral_exponent_accepts_numpy_int(ctx):
+    p = SimplicialPoint((0.23 + 0.11j,))
+    shift = SpiralShift((np.int64(1),), p, ctx)
+    assert shift.m == (1,) and type(shift.m[0]) is int
+    tr, want = transport_debye(shift, 4), transport_debye(SpiralShift((1,), p, ctx), 4)
+    np.testing.assert_array_equal(tr.coeffs, want.coeffs)
+    assert tr.branch_tag == want.branch_tag and "m=(1,)" in tr.branch_tag
+
+
+@pytest.mark.parametrize("ts", [(0.3,), (0.3, 0.2)])
+def test_order_must_be_an_integer(ctx, ts):
+    """A fractional K is refused, not widened to the next window, by the
+    series, by transport and by the prediction; a numpy int is an order."""
+    r, pt = len(ts), SimplicialPoint(ts)
+    with pytest.raises(ValueError, match="order K = 4.5 must be an integer"):
+        debye_lambda(r, pt, 4.5)
+    with pytest.raises(ValueError, match="order K = 4.5 must be an integer"):
+        transport_debye(SpiralShift((1,) * r, pt, ctx), 4.5)
+    far = SimplicialPoint((20.0,) + ts[1:])
+    with pytest.raises(ValueError, match="order K = 4.5 must be an integer"):
+        asymptotic_eval(r, {1}, far, 4.5, constants=constants_series(5))
+    assert debye_lambda(r, pt, np.int64(4)).coeffs.shape == (4,) * r
+
+
 # the last point lies on a real q-power: the route is checked before the shift
 @pytest.mark.parametrize("ts", [(0.23 + 0.11j,), (0.25 + 0.1j, 0.5 - 0.2j),
                                 (cmath.exp(2j * math.pi * 0.6 * TAU),)])
