@@ -18,7 +18,8 @@ class TruncationTooSmall(EpolylogError):
 
 
 class QuadratureDiverged(EpolylogError):
-    """Adaptive bisection hit its depth limit without the orders agreeing."""
+    """A panel's orders still disagree at the bisection limit, or a panel
+    value is not finite."""
 
 
 class PathTooClose(EpolylogError):
@@ -30,15 +31,16 @@ class BadModulus(EpolylogError):
 
 
 class OnSingularLocus(EpolylogError):
-    """Arguments sit on a singular divisor (t_i = t_j, t_i = 1, ...)."""
+    """A kernel, Eisenstein or one-form argument sits on a lattice pole."""
 
 
 class OutOfRegion(EpolylogError):
-    """Series evaluation requested outside its convergence region."""
+    """Outside a series' convergence region, a non-finite input, a zero
+    coordinate with no log branch, or a value past the double range."""
 
 
 class MissingConstants(EpolylogError):
-    """No corner-constant model is available at the requested depth."""
+    """The constants series has too few regular orders for the assembly."""
 
 
 class SizeBudgetExceeded(EpolylogError):

@@ -58,7 +58,7 @@ from functools import lru_cache
 from types import SimpleNamespace
 
 from .errors import BadModulus, OnSingularLocus, OutOfRegion, TruncationTooSmall
-from .precision import get_context
+from .precision import _integer, get_context
 
 _LATTICE_TOL = 1e-12
 
@@ -89,8 +89,9 @@ def _bernoulli(n):
 
 
 def zeta_even(j):
-    """zeta(j) for positive even j, from the Bernoulli closed form."""
-    if j <= 0 or j % 2:
+    """zeta(j) for positive even integer j, from the Bernoulli closed form."""
+    j = _integer(j, "index j", 1)
+    if j % 2:
         raise ValueError("even positive index required")
     k = j // 2
     b = _bernoulli(j)
@@ -128,7 +129,7 @@ class EllipticPoint:
 
 
 class LatticeContext:
-    """Fixed modulus tau plus truncation policy.
+    """Fixed modulus tau plus truncation policy, at get_context(precision).
 
     Both truncations are derived from |q| and the working precision:
     q_series_cutoff bounds the number of q-powers in theta products and the
@@ -143,7 +144,7 @@ class LatticeContext:
     to count terms by.
     """
 
-    def __init__(self, tau, precision=None):
+    def __init__(self, tau, precision):
         self.prec = get_context(precision)
         self.tau = self.prec.complex(tau)
         if not self.tau.imag > 0:  # refuses a NaN Im(tau) as well
@@ -254,9 +255,8 @@ def eisenstein_E(K, p, ctx):
     cotangent polynomial on them and keeps its own total.  Every j walks
     every row, so E_j is the same whichever K it was asked with.  The
     extended walk runs Horner in c^2, the double walk (acc * c) * c steps
-    (module docstring)."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
+    (module docstring).  K is an integer >= 1."""
+    K = _integer(K, "K", 1)
     if p.is_lattice():
         raise OnSingularLocus(f"E_j pole at {p!r}")
     tau = ctx.tau
@@ -300,11 +300,11 @@ def eisenstein_E(K, p, ctx):
 
 
 def lattice_constant(j, ctx):
-    """e_j: the lattice sum without the origin over the rows n = 1 ..
-    lattice_cutoff, all of them; vanishes for odd j.  The row cotangents
-    cot(pi n tau) do not depend on j and are computed once per context."""
-    if j < 1:
-        raise ValueError("index must be >= 1")
+    """e_j, j an integer >= 1: the lattice sum without the origin over the
+    rows n = 1 .. lattice_cutoff, all of them; vanishes for odd j.  The row
+    cotangents cot(pi n tau) do not depend on j and are computed once per
+    context."""
+    j = _integer(j, "index j", 1)
     if j % 2:
         return ctx.prec.complex(0)
     if j in ctx._e_cache:
@@ -453,8 +453,7 @@ def omega_coefficients(p, K, ctx):
     dxi-coefficient of the alpha^(k-1) term of e(alpha*r) F(xi; alpha), so
     omega_0 .. omega_K need E_1 .. E_K (none for K = 0).  The series are kept
     in the context's scalar type; only the returned values become complex."""
-    if K < 0:
-        raise ValueError("K must be >= 0")
+    K = _integer(K, "K", 0)
     fser = _F_series(p, K, ctx)
     r2pi = ctx.prec.two_pi_i * p.r
     eser = [r2pi**k / math.factorial(k) for k in range(K + 1)]

@@ -11,9 +11,8 @@ window.  Its MultiSeries value wraps that same array, without a copy, for
 callers that evaluate or compare the series.  The asymptotic assembly
 builds its factors as MultiSeries arrays too, filled directly.
 
-This pipeline computes in doubles: debye_lambda refuses an ELLIP_PRECISION
-above double, and transport_debye a lattice context above double, with
-UnsupportedPrecision.
+This pipeline computes in doubles: transport_debye refuses a lattice
+context above double with UnsupportedPrecision.
 """
 
 import cmath
@@ -32,7 +31,6 @@ from .errors import (
     OutOfRegion,
     UnsupportedPrecision,
 )
-from .precision import get_context
 from .quadrature import (
     BranchedForm,
     LineArc,
@@ -145,8 +143,6 @@ class SpiralShift:
 def _tail_length(mod, tol, lo=24, hi=20000):
     """Terms of a power series in |x| = mod whose geometric tail is below
     tol; OutOfRegion when that takes more than hi terms."""
-    if mod <= 0:
-        return lo
     n = max(lo, int(math.ceil(math.log(tol * (1.0 - mod)) / math.log(mod))) + 4)
     if n > hi:
         raise OutOfRegion(f"|x| = {mod} needs {n} terms for tolerance {tol:.1e} (limit {hi})")
@@ -156,8 +152,6 @@ def _tail_length(mod, tol, lo=24, hi=20000):
 def _li_column(t, K, tol):
     """[Li_1(t), ..., Li_K(t)]: the powers t^k against the table 1/k^m, one
     product."""
-    if t == 0:
-        return np.zeros(K, dtype=complex)
     N = _tail_length(abs(t), tol)
     k = np.arange(1, N + 1, dtype=float)
     return t ** k @ (1.0 / k[:, None] ** np.arange(1, K + 1))
@@ -227,14 +221,10 @@ def debye_lambda(r, pt, K):
     logs).  Coordinates must keep DEFAULT_MARGIN from the unit circle, and
     K >= 1 coefficients are kept per variable, K an integer.  A series at a
     zero coordinate is zero and has no log branch, so it cannot be continued.
-    The series is computed in doubles, so an ELLIP_PRECISION above double
-    is refused with UnsupportedPrecision.
+    The series is computed in doubles.
     """
     if r != pt.depth:
         raise ValueError("depth mismatch")
-    digits = get_context().digits
-    if digits > 16:
-        raise UnsupportedPrecision(f"debye_lambda computes in doubles, not {digits} digits")
     if not isinstance(K, numbers.Integral):
         raise ValueError(f"order K = {K} must be an integer")
     if K < 1:
@@ -309,15 +299,14 @@ def _advance(series, arcs, tag):
     fixed coordinate read as the spiral SpiralArc(l, 0), two spirals give
     rho = t1/t2, the spiral (l_a - l_b, d_a - d_b); a line leg moving t_i
     over the fixed t gives the line rho = t_i/t, so moving t2 swaps a and c.
-    The leg's spine is its moving coordinate arcs, then rho at depth 2, all
-    on the parameter u.  One form samples the spine once per panel pass, as
-    one block: a row per arc, then at depth 2 rho's form read at 1/rho.  One
-    pass, accepted over the whole state, carries it all over u, starting
-    from the largest suggested panel count of the spine.  The coordinate
-    arcs and rho keep CLEARANCE from 1 (1/rho up to a factor |rho|); a
-    coordinate line arc keeps it from 0 too, where its log and the form are
-    singular, but rho, whose distance from 0 scales with |t|, is not tested
-    there.
+    The leg's spine is its moving coordinate arcs, then rho at depth 2, all on
+    the parameter u.  One form samples the spine once per panel pass, as one
+    block: a row per arc, then at depth 2 rho's form read at 1/rho.  One pass,
+    accepted over the whole state, carries it all over u, starting from the one
+    panel [0, 1].  The coordinate arcs and rho keep CLEARANCE from 1 (1/rho up
+    to a factor |rho|); a coordinate line arc keeps it from 0 too, where its
+    log and the form are singular, but rho, whose distance from 0 scales with
+    |t|, is not tested there.
     """
     ts, logs, K = series.point.ts, series.logs, series.order()
     arcs = [a if a is None else _rebase(a, t, l) for a, t, l in zip(arcs, ts, logs)]
@@ -366,8 +355,7 @@ def _advance(series, arcs, tag):
     if series.depth == 2:
         levels.append((series.coeffs, table))
     form = _form(spine, max(len(c) for c in chans), series.depth == 2)
-    panels = max(a.suggested_panels() for a in spine)
-    ends = iterated_integral(panels, form, levels, DEFAULT_TOL)
+    ends = iterated_integral(form, levels, DEFAULT_TOL)
     logs, ts = list(logs), list(ts)
     for i in moving:
         logs[i], ts[i] = arcs[i].log_point(1.0), arcs[i].point(1.0)

@@ -1,29 +1,22 @@
-"""Working-precision context.
+"""Working-precision context, made for an explicit digit count: every
+count up to 16 is double precision (Python complex), a larger one extended
+(mpmath).  Only the scalar entry points of the special function evaluators
+consult it; series coefficients stay in its scalar type, since Python's
+operators dispatch between complex and mpmath.mpc.  The Debye series and
+their transport (polylog) compute in doubles.
 
-Default arithmetic is double precision (Python complex).  An extended mode
-(>= 30 significant digits, backed by mpmath) can be requested explicitly or
-through the ELLIP_PRECISION environment variable ("double" | "extended" |
-an integer digit count).  Only the scalar entry points of the special
-function evaluators consult the context; series coefficients stay in
-whatever scalar type the context produces, since Python's arithmetic
-operators dispatch transparently between complex and mpmath.mpc.  The Debye
-series and their transport (polylog) compute in doubles and refuse a
-context above double precision.
-
-There is one context per digit count: get_context returns the same shared
-object for every request of that precision, so the mpmath context behind
-the extended mode is cloned once.  The mode is decided once, when the
-context is made: its scalar ops (complex, real, exp) are bound there to the
-builtins or to the mpmath context's, and the constants pi, 2*pi*i, 1 and i
-are built there in the context's own scalar type.  The double-precision
-context never imports mpmath.
+get_context returns one shared context per digit count, so the mpmath
+context behind an extended one is cloned once.  Its mode is decided when it
+is made: its scalar ops (complex, real, exp) are bound to the builtins or
+to the mpmath context's, and the constants pi, 2*pi*i, 1 and i are built in
+its own scalar type.  The double-precision context never imports mpmath.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import os
+import operator
 from functools import lru_cache
 
 
@@ -74,23 +67,20 @@ def _shared(digits):
     return PrecisionContext(digits)
 
 
-def get_context(spec=None) -> PrecisionContext:
-    """Resolve a precision context: the one shared context of the requested
-    digit count (every count up to 16 is double precision).
+def _integer(n, name, least):
+    """n through operator.index; ValueError when it is not an integer
+    (2.0, 17.9, nan, "30") or is below least."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"{name} = {n!r} must be an integer") from None
+    if n < least:
+        raise ValueError(f"{name} must be >= {least}, not {n}")
+    return n
 
-    spec: None (consult ELLIP_PRECISION, default double), "double",
-    "extended" (30 digits), an int digit count, or an existing context.
-    """
-    if isinstance(spec, PrecisionContext):
-        return spec
-    if spec is None:
-        spec = os.environ.get("ELLIP_PRECISION", "double")
-    if isinstance(spec, str):
-        s = spec.strip().lower()
-        if s in ("", "double"):
-            spec = 15
-        elif s == "extended":
-            spec = 30
-        else:
-            spec = int(s)
-    return _shared(int(spec) if int(spec) > 16 else 15)
+
+def get_context(digits) -> PrecisionContext:
+    """The one shared context of a digit count >= 1, an int or what
+    operator.index accepts (every count up to 16 is double precision)."""
+    digits = _integer(digits, "digit count", 1)
+    return _shared(digits if digits > 16 else 15)

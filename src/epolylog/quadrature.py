@@ -1,25 +1,26 @@
 """Complex path arcs, and adaptive quadrature over their parameter.
 
-An arc exposes point / velocity / log_point / suggested_panels on the
-parameter u in [0, 1]: straight segments, and log-linear arcs u ->
-exp(log_t + u*dlog), the q-power spirals of the lattice-shift transports
-(dlog = m*2*pi*i*tau; their logarithm is linear in the parameter, which
-makes branch tracking trivial, and a fixed point is the arc with dlog = 0).
-Arcs refuse non-finite data (OutOfRegion); singular_params(s) are the u
-with point(u) = s, and check_clearance reads the distance from s at u = 0,
-1 and clip(Re u, 0, 1): exact on a segment, on a spiral up to O(d^2).
+An arc exposes point / velocity / log_point on the parameter u in [0, 1]:
+straight segments, and log-linear arcs u -> exp(log_t + u*dlog), the
+q-power spirals of the lattice-shift transports (dlog = m*2*pi*i*tau; their
+logarithm is linear in the parameter, which makes branch tracking trivial,
+and a fixed point is the arc with dlog = 0).  Arcs refuse non-finite data
+(OutOfRegion); singular_params(s) are the u with point(u) = s, and
+check_clearance reads the distance from s at u = 0, 1 and clip(Re u, 0, 1):
+exact on a segment, on a spiral up to O(d^2).
 
-iterated_integral is composite Gauss-Legendre over u in [0, 1], for levels
-that each have a start value and an integrand computed from the form's
-block and the node values of the levels before it.  One form samples all
-the arcs: on each panel it is called once with the node vector.  Each level
-takes one real matmul of a stacked rule against its node block: the
-spectral prefix-integration matrix (Legendre expansion, exact on
-polynomials through the node count) gives the prefix integrals at the
-nodes, and the Gauss weight row under it the panel integral.  A panel is
-evaluated at orders PANEL_ORDER and PANEL_ORDER + 4, accepted by one test
-over the whole state or bisected, and QuadratureDiverged is raised beyond
-MAX_DEPTH bisections or on non-finite values.
+iterated_integral is composite Gauss-Legendre over u in [0, 1], bisected
+adaptively from the one panel [0, 1], for levels that each have a start
+value and an integrand computed from the form's block and the node values
+of the levels before it.  One form samples all the arcs: on each panel it
+is called once with the node vector.  Each level takes one real matmul of a
+stacked rule against its node block: the spectral prefix-integration matrix
+(Legendre expansion, exact on polynomials through the node count) gives the
+prefix integrals at the nodes, and the Gauss weight row under it the panel
+integral.  A panel is evaluated at orders PANEL_ORDER and PANEL_ORDER + 4,
+accepted by one test over the whole state or bisected, and
+QuadratureDiverged is raised beyond MAX_DEPTH bisections or on non-finite
+values.
 
 convolve_product multiplies node blocks of truncated power-series
 coefficients: it convolves a form whose coefficients lie along one
@@ -38,7 +39,7 @@ from numpy.polynomial.legendre import leggauss, legvander
 from .errors import OutOfRegion, PathTooClose, QuadratureDiverged
 
 PANEL_ORDER = 16
-MAX_DEPTH = 12  # bisections of one starting panel before QuadratureDiverged
+MAX_DEPTH = 12  # bisections of the starting panel [0, 1] before QuadratureDiverged
 
 
 @lru_cache(maxsize=32)
@@ -81,9 +82,6 @@ class LineArc:
             raise ValueError("arc carries no branch data")
         return self.start_log + np.log(self.point(u) / self.z0)
 
-    def suggested_panels(self):
-        return 1
-
     def singular_params(self, s):
         """The parameter u = (s - z0)/(z1 - z0) where point(u) = s, none on a
         still segment; clip(Re u, 0, 1) is the segment's closest point to s."""
@@ -109,9 +107,6 @@ class SpiralArc:
 
     def velocity(self, u):
         return self.point(u) * self.dlog
-
-    def suggested_panels(self):
-        return max(1, int(np.ceil(abs(self.dlog) / (2 * np.pi))))
 
     def singular_params(self, s):
         """u_k = (log s + 2*pi*i*k - log_t)/dlog, point(u_k) = s, for k from floor
@@ -179,9 +174,9 @@ def _diff(a, b):
     return float(np.max(np.abs(d)))
 
 
-def iterated_integral(panels, form, levels, tol):
+def iterated_integral(form, levels, tol):
     """End values of the levels over the parameter u in [0, 1], one per
-    level, starting from `panels` equal panels.
+    level, starting from the one panel [0, 1].
 
     form is one callable sampled once per panel pass at the node vector us,
     returning a node-first block.  levels is a list of (start, integrand)
@@ -197,7 +192,7 @@ def iterated_integral(panels, form, levels, tol):
     bisected beyond MAX_DEPTH, or has a non-finite value or difference.
     """
     state = [start for start, _ in levels]
-    stack = [(k / panels, (k + 1) / panels, 0) for k in reversed(range(panels))]
+    stack = [(0.0, 1.0, 0)]
     while stack:
         u0, u1, depth = stack.pop()
         lo = _panel_pass(form, levels, u0, u1, state, PANEL_ORDER)

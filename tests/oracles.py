@@ -17,12 +17,12 @@ pytest's test_*.py pattern, so nothing here is collected.
   polydisk on given log branches, from simplicial_nested; the oracle of
   test_transport_meets_default_tol (test_polylog.py).
 * chain: the iterated integral of a chain of per-node forms along a path of
-  arcs, one iterated_integral per arc with the state carried from arc to
-  arc; the multi-arc and chain checks of test_quadrature.py and
-  simplicial_integral in test_polylog.py.  The package integrates one leg
+  arcs, one iterated_integral per winding of each arc (windings) with the
+  state carried from piece to piece; the multi-arc and chain checks of
+  test_quadrature.py and simplicial_integral in test_polylog.py.  The package integrates one leg
   at a time over the shared parameter and has no chain mode.
 * closest_approach: an arc's closest approach to a point by sampling, 33
-  points per suggested panel, each local minimum refined over its two
+  points per winding, each local minimum refined over its two
   neighbouring intervals for up to 9 rounds; the sampled search the package
   ran before singular_params gave the distance in closed form, and the
   oracle of test_closed_form_clearance_matches_sampled_search
@@ -114,10 +114,10 @@ def chain(arcs, forms, tol=1e-11):
     """int w_1 w_2 ... w_n along the path arcs, taken in order (w_1 attached
     to the path endpoint; no forms integrate to 1).  A form is f(z, v) =
     f(z) * v at one point z and v = dz/du: a scalar or coefficients, every
-    form but the innermost w_n a convolve_product factor.  Each arc is one
-    iterated_integral from its own suggested panel count, its one form the
-    list of every w's node values, level k being w_(n-k) times level k-1,
-    started where the arc before left the levels."""
+    form but the innermost w_n a convolve_product factor.  Each arc is cut
+    into windings(arc) equal pieces, each one iterated_integral, its one
+    form the list of every w's node values, level k being w_(n-k) times
+    level k-1, started where the piece before left the levels."""
     if not forms:
         return 1.0
     n = len(forms)
@@ -128,12 +128,21 @@ def chain(arcs, forms, tol=1e-11):
 
     state = [0j] * n
     for arc in arcs:
+        pieces = windings(arc)
+        for k in range(pieces):
 
-        def nodes(us, a=arc):
-            return [np.array([w(a.point(u), a.velocity(u)) for u in us], dtype=complex) for w in forms]
+            def nodes(us, a=arc, u0=k / pieces):
+                u = u0 + np.asarray(us) / pieces
+                return [np.array([w(a.point(x), a.velocity(x) / pieces) for x in u], dtype=complex) for w in forms]
 
-        state = iterated_integral(arc.suggested_panels(), nodes, [(s0, link) for s0 in state], tol)
+            state = iterated_integral(nodes, [(s0, link) for s0 in state], tol)
     return state[-1]
+
+
+def windings(arc):
+    """Turns of an arc about 0, rounded up, at least 1: ceil(|dlog|/(2*pi))
+    for a spiral, 1 for a segment."""
+    return max(1, math.ceil(abs(getattr(arc, "dlog", 0)) / (2 * math.pi)))
 
 
 CLEARANCE_SAMPLES = 33  # points per panel and refinement round of closest_approach
@@ -141,12 +150,12 @@ CLEARANCE_ROUNDS = 9  # refinement rounds: a 16-fold narrower bracket each
 
 
 def closest_approach(arc, s, clearance, us=None, rounds=CLEARANCE_ROUNDS):
-    """Smallest |arc(u) - s| over us (CLEARANCE_SAMPLES per suggested panel
-    on [0, 1] by default), or a value above clearance: each local minimum of
+    """Smallest |arc(u) - s| over us (CLEARANCE_SAMPLES per winding on
+    [0, 1] by default), or a value above clearance: each local minimum of
     the sampled distance is refined over its two neighbouring intervals while
     their arc (at most twice its chords) could come within clearance."""
     if us is None:
-        us = np.linspace(0.0, 1.0, CLEARANCE_SAMPLES * arc.suggested_panels())
+        us = np.linspace(0.0, 1.0, CLEARANCE_SAMPLES * windings(arc))
     p = arc.point(us)
     d = np.abs(p - s)
     pad = np.concatenate([[np.inf], d, [np.inf]])

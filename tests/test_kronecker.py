@@ -31,7 +31,7 @@ TAU = 0.1 + 0.8j
 
 @pytest.fixture(scope="module")
 def ctx():
-    return LatticeContext(TAU)
+    return LatticeContext(TAU, 15)
 
 
 def F(xi, eta, ctx, definition="theta_ratio"):
@@ -42,13 +42,29 @@ def F(xi, eta, ctx, definition="theta_ratio"):
 
 
 def test_precision_context_shared_per_digit_count():
-    assert get_context(30) is get_context(30) is get_context("extended")
-    assert get_context(15) is get_context("double") is get_context(12)
+    assert get_context(30) is get_context(30)
+    assert get_context(15) is get_context(12)
     assert get_context(40) is not get_context(30)
     a = LatticeContext(TAU, 30)
     b = LatticeContext(-0.2 + 0.45j, 30)
     assert a.prec is b.prec is get_context(30)
     assert LatticeContext(TAU, 15).prec is get_context(15)
+
+
+@pytest.mark.parametrize("digits", [17.9, "30", "extended", math.nan], ids=repr)
+def test_precision_must_be_an_int_digit_count(digits):
+    """A digit count is an int: a float is not rounded, and a string is not
+    parsed."""
+    with pytest.raises(ValueError, match="must be an integer"):
+        get_context(digits)
+    with pytest.raises(ValueError, match="must be an integer"):
+        LatticeContext(TAU, digits)
+
+
+def test_precision_must_be_a_positive_digit_count():
+    for digits in (0, -30):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            get_context(digits)
 
 
 @pytest.mark.parametrize("digits", [15, 30])
@@ -155,6 +171,24 @@ def test_theta_prime0_matches_difference_quotient(ctx):
 def test_odd_lattice_constants_vanish(ctx):
     for j in (1, 3, 5, 7):
         assert abs(complex(lattice_constant(j, ctx))) == 0.0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda ctx: lattice_constant(2.5, ctx),  # unchecked, j % 2 is truthy and e_j reads 0j
+        lambda ctx: lattice_constant(3.5, ctx),
+        lambda ctx: lattice_constant(2.0, ctx),
+        lambda ctx: lattice_constant(math.nan, ctx),
+        lambda ctx: eisenstein_E(2.0, EllipticPoint(0.31, 0.17), ctx),
+        lambda ctx: omega_coefficients(EllipticPoint(0.31, 0.17), 2.5, ctx),
+        lambda ctx: zeta_even(4.0),
+    ],
+    ids=["e_2.5", "e_3.5", "e_2.0", "e_nan", "E_K2.0", "omega_K2.5", "zeta_4.0"],
+)
+def test_orders_and_indices_must_be_integers(ctx, call):
+    with pytest.raises(ValueError, match="must be an integer"):
+        call(ctx)
 
 
 def test_lattice_constants_against_q_expansions(ctx):
@@ -507,7 +541,7 @@ def test_mixed_heat_equation(ctx):
     eta_c = 0.22 - 0.05 * TAU
 
     def val(xic, etac, t):
-        c = LatticeContext(t)
+        c = LatticeContext(t, 15)
         return kronecker_F(point_from_xi(xic, t), point_from_xi(etac, t), c)
 
     def residual(h):
@@ -601,7 +635,7 @@ def test_singular_locus_rejected(ctx):
 def test_unsettled_q_series_refused():
     """A cutoff too short for the q-series raises instead of returning the
     partial sum."""
-    short = LatticeContext(TAU)
+    short = LatticeContext(TAU, 15)
     short.q_series_cutoff = 1
     xi = EllipticPoint(0.31, 0.17)
     eta = EllipticPoint(0.22, -0.05)

@@ -30,7 +30,7 @@ TAU = 0.1 + 0.8j
 
 @pytest.fixture(scope="module")
 def ctx():
-    return LatticeContext(TAU)
+    return LatticeContext(TAU, 15)
 
 
 def coeffs1(series, K):
@@ -420,7 +420,7 @@ def test_spiral_zero_shift_identity(ctx):
 
 
 def test_spiral_branch_oracle():
-    ctx2 = LatticeContext(0.3 + 0.25j)
+    ctx2 = LatticeContext(0.3 + 0.25j, 15)
     K, t = 12, 0.005
     tr = transport_debye(SpiralShift((-3,), SimplicialPoint((t,)), ctx2), K)
     L = cmath.log(t) - 3 * 2j * math.pi * (0.3 + 0.25j)
@@ -773,10 +773,16 @@ def test_transport_refuses_extended_context():
         transport_debye(shift, 4)
 
 
-def test_debye_lambda_refuses_extended_environment(monkeypatch):
+@pytest.mark.parametrize("depth", [1, 2])
+def test_debye_lambda_ignores_precision_environment(monkeypatch, depth):
+    """Precision is an argument only: setting ELLIP_PRECISION changes
+    nothing."""
+    pt = SimplicialPoint((0.3 + 0.1j, -0.2 + 0.4j)[:depth])
+    monkeypatch.delenv("ELLIP_PRECISION", raising=False)
+    unset = debye_lambda(depth, pt, 4)
     monkeypatch.setenv("ELLIP_PRECISION", "extended")
-    with pytest.raises(UnsupportedPrecision, match="30 digits"):
-        debye_lambda(1, SimplicialPoint((0.3,)), 4)
+    got = debye_lambda(depth, pt, 4)
+    assert np.array_equal(got.coeffs, unset.coeffs)
 
 
 def _through_one(kind):

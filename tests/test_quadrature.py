@@ -115,27 +115,23 @@ def test_branched_form_sees_arc():
     arc = spiral(1.0, 2, tau)
     # integrate d(log z) from the form's own arc
     w = BranchedForm(lambda us: arc.velocity(us) / arc.point(us))
-    (val,) = iterated_integral(arc.suggested_panels(), w, [(0j, lambda s, lower: s)], 1e-11)
+    (val,) = iterated_integral(w, [(0j, lambda s, lower: s)], 1e-11)
     assert abs(val - 2 * 2j * cmath.pi * tau) < 1e-11
 
 
 def test_branched_form_gets_node_vector_once_per_panel_pass():
     arc = LineArc(0.0, 1.0 + 0.5j)
-    ends = []
-    for panels in (1, 3):
-        calls = []
+    calls = []
 
-        def f(us):
-            calls.append(us)
-            return np.stack([arc.velocity(us) * arc.point(us) ** k for k in range(3)], axis=1)
+    def f(us):
+        calls.append(us)
+        return np.stack([arc.velocity(us) * arc.point(us) ** k for k in range(3)], axis=1)
 
-        (vals,) = iterated_integral(panels, BranchedForm(f), [(0j, lambda s, lower: s)], 1e-11)
-        # orders 16 and 20 on each starting panel, none bisected
-        assert [np.shape(us) for us in calls] == [(16,), (20,)] * panels
-        ends.append(vals)
+    (vals,) = iterated_integral(BranchedForm(f), [(0j, lambda s, lower: s)], 1e-11)
+    # orders 16 and 20 on the starting panel, not bisected
+    assert [np.shape(us) for us in calls] == [(16,), (20,)]
     b = 1.0 + 0.5j
-    assert np.allclose(ends[0], [b, b**2 / 2, b**3 / 3], rtol=0, atol=1e-13)
-    assert np.allclose(ends[1], ends[0], rtol=0, atol=1e-14)
+    assert np.allclose(vals, [b, b**2 / 2, b**3 / 3], rtol=0, atol=1e-13)
 
 
 def _brute_convolve(f, g):

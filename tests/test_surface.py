@@ -9,7 +9,8 @@ public class, must be referenced in the package outside its own definition or
 be named in the benchmark's workloads, so an entry point that only tests
 reach belongs in tests/oracles.py instead.  Options only grow
 on purpose: the count of defaulted parameters on the public surface may not
-rise above DEFAULTED_PARAMETERS.
+rise above DEFAULTED_PARAMETERS, and no module reads the process
+environment, so every choice (precision too) is an argument.
 """
 
 import ast
@@ -26,7 +27,7 @@ MODULES = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in sorted(PAC
 BENCH_WORDS = set(
     re.findall(r"\w+", "\n".join((ROOT / "bench" / f).read_text() for f in ("workloads.py", "make_reference.py")))
 )
-DEFAULTED_PARAMETERS = 6
+DEFAULTED_PARAMETERS = 4
 
 
 def _names(node):
@@ -141,3 +142,19 @@ def test_defaulted_parameter_ratchet():
         f"{len(found)} defaulted public parameters, at most {DEFAULTED_PARAMETERS}: "
         + ", ".join(found)
     )
+
+
+def _environment_reads(tree):
+    """Line numbers where a module imports os or reads os.environ / os.getenv."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "os" for a in node.names):
+            yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "os":
+            yield node.lineno
+        elif isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"):
+            yield node.lineno
+
+
+def test_no_module_reads_the_environment():
+    found = [f"{mod}:{line}" for mod, tree in MODULES.items() for line in _environment_reads(tree)]
+    assert not found, f"os imported or the environment read at {', '.join(found)}"
